@@ -59,11 +59,30 @@ REPRODUCE_NAMES = ("c2-example", "dirichlet-pper", "dirichlet-n0", "bidisc")
 # small helpers
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     val = float(text)
+    if not np.isfinite(val):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return val
+
+
+def _positive_float(text: str) -> float:
+    val = _finite_float(text)
     if val <= 0:
         raise argparse.ArgumentTypeError("must be a positive number")
     return val
+
+
+def _finite_complex(text: str) -> complex:
+    val = complex(text)
+    if not np.isfinite(val):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return val
+
+
+def _dumps(payload, indent: int | None = 2) -> str:
+    """Strict RFC 8259 JSON: a NaN or infinity raises ValueError (exit 2)."""
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _fmt(value) -> str:
@@ -298,7 +317,7 @@ def cmd_reproduce(ns) -> int:
     all_pass = all(case["pass"] for case in cases)
     if ns.format == "json":
         payload = {"command": "reproduce", "cases": cases, "pass": all_pass}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for case in cases:
             print(f"== {case['name']} ==")
@@ -327,16 +346,25 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _doc_tolerance(doc: dict, key: str, default: float) -> float:
+    val = doc.get(key, default)
+    if type(val) not in (int, float) or not 0 < val < float("inf"):
+        raise ValueError(f"{key} must be a finite positive number, got {val!r}")
+    return float(val)
+
+
 def cmd_analyze(ns) -> int:
     doc = _load_json(ns.input)
+    if not isinstance(doc, dict):
+        raise ValueError("analyze input must be a JSON object")
     op = Op.from_dict(doc["operator"])
     u = vec_from_pairs(doc["u"])
     v = vec_from_pairs(doc["v"])
-    tol_rank = ns.tol_rank if ns.tol_rank is not None else doc.get(
-        "tol_rank", DEFAULT_RANK_TOL
+    tol_rank = ns.tol_rank if ns.tol_rank is not None else _doc_tolerance(
+        doc, "tol_rank", DEFAULT_RANK_TOL
     )
-    tol_defect = ns.tol_defect if ns.tol_defect is not None else doc.get(
-        "tol_defect", DEFAULT_DEFECT_TOL
+    tol_defect = ns.tol_defect if ns.tol_defect is not None else _doc_tolerance(
+        doc, "tol_defect", DEFAULT_DEFECT_TOL
     )
     problem = PerturbationProblem(
         base=op,
@@ -348,7 +376,7 @@ def cmd_analyze(ns) -> int:
     )
     report = theorem_verdict(problem)
     if ns.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(_dumps(report.to_dict()))
     else:
         d = report.to_dict()
         for key in (
@@ -376,6 +404,31 @@ def cmd_analyze(ns) -> int:
 # search
 
 
+def constant_defect_row(base: Op, n: int, alphas: np.ndarray) -> np.ndarray:
+    """q(1) for the candidates T_alpha = S + (alpha z^n)⊗1, one per alpha.
+
+    ``base`` is the shift S, and T_alpha x = S x + alpha x_0 e_n. The images
+    are forward applications only, as in :func:`defect_quadratic`:
+
+        T1 = S e_0 + alpha e_n,    T^2 1 = S(T1) + alpha (T1)_0 e_n,
+
+    so q(1) = ||1||^2 - 2 ||T1||^2 + ||T^2 1||^2 comes out for the whole row
+    from two (len(alphas), dim) arrays.
+    """
+    w = base.space.weight_array
+    alphas = np.asarray(alphas, dtype=complex)
+    tx = np.zeros((alphas.size, base.space.dim), dtype=complex)
+    tx += base.matrix[:, 0]
+    tx[:, n] += alphas
+    ttx = tx @ base.matrix.T
+    ttx[:, n] += alphas * tx[:, 0]
+
+    def n2(z):
+        return (np.abs(z) ** 2) @ w
+
+    return w[0] - 2.0 * n2(tx) + n2(ttx)
+
+
 def search_dirichlet_alpha(
     n: int,
     re_range: tuple[float, float],
@@ -386,19 +439,21 @@ def search_dirichlet_alpha(
 ) -> list[dict]:
     """Grid search over alpha for 2-isometric M_z + (alpha z^n)⊗1.
 
-    A cheap, sound prefilter evaluates the quadratic defect at the
-    normalized constant function (a diagonal entry of the oracle form, so
-    any candidate it rejects would fail the oracle too); survivors are
-    confirmed against the full polarized defect on the safe window. The
-    unperturbed point alpha = 0 is skipped.
+    A cheap, sound prefilter evaluates the quadratic defect q(1) at the
+    constant function, which has unit norm. q(1) is a diagonal entry of the
+    oracle form: the constant lies in the safe window, whose orthonormal
+    basis starts with it, so a candidate with |q(1)| > tol would fail the
+    oracle too. The prefilter runs one grid row (fixed Re alpha) at a time
+    through :func:`constant_defect_row`, without building an operator per
+    point. Only the points with |q(1)| <= tol are built and confirmed
+    against the full polarized defect on the safe window. The unperturbed
+    point alpha = 0 is skipped. Hits come in row-major order.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if N < max(2, 2 * max(1, n) + 1):
         raise ValueError(f"truncation N={N} too small for n={n}")
     base = dirichlet_shift(N)
-    mat = np.array(base.matrix)
-    one = base.space.basis_vector(0)
 
     def count(lo, hi):
         return max(0, int(round((hi - lo) / step)) + 1)
@@ -407,16 +462,11 @@ def search_dirichlet_alpha(
     ims = np.linspace(im_range[0], im_range[1], count(*im_range))
     hits = []
     for re in res:
-        for im in ims:
+        row = re + 1j * ims
+        q_row = constant_defect_row(base, n, row)
+        for j in np.flatnonzero((np.abs(q_row) <= tol) & (row != 0)):
+            im = ims[j]
             alpha = complex(re, im)
-            if alpha == 0:
-                continue
-            work = mat.copy()
-            work[n, 0] += alpha
-            cand = Op(base.space, work, degree_growth=max(1, n))
-            q1 = defect_quadratic(cand, one)
-            if abs(q1) > tol:
-                continue
             if n == 0:
                 op = constant_perturbed_dirichlet(N, alpha)
             else:
@@ -428,7 +478,7 @@ def search_dirichlet_alpha(
                 hits.append(
                     {
                         "alpha": [float(re), float(im)],
-                        "defect_on_constant": q1,
+                        "defect_on_constant": float(q_row[j]),
                         "oracle_defect": oracle,
                         "circle_residual": float(abs(abs(alpha + 1.0) - 1.0)),
                     }
@@ -499,13 +549,13 @@ def cmd_search(ns) -> int:
             "tol": ns.tol,
         }
     if ns.format == "json":
-        print(json.dumps({"search": meta, "hits": hits}, indent=2, sort_keys=True))
+        print(_dumps({"search": meta, "hits": hits}))
     else:
         print(f"search {meta}")
         if not hits:
             print("no hits")
         for hit in hits:
-            print("  " + json.dumps(hit, sort_keys=True))
+            print("  " + _dumps(hit, indent=None))
         print(f"{len(hits)} hit(s)")
     return 0
 
@@ -522,7 +572,7 @@ def cmd_defect(ns) -> int:
     value = defect_quadratic(op, x)
     safe = truncation_safe(op, x)
     if ns.format == "json":
-        print(json.dumps({"defect": value, "truncation_safe": bool(safe)}))
+        print(_dumps({"defect": value, "truncation_safe": bool(safe)}, indent=None))
     else:
         print(f"defect_quadratic = {value:.12g}")
         print(f"truncation_safe = {_fmt(bool(safe))}")
@@ -556,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=DEFAULT_RANK_TOL)
     rep.add_argument("-N", dest="N", type=int, default=None,
                      help="truncation degree (per-case default when omitted)")
-    rep.add_argument("--alpha", type=complex, default=1.0,
+    rep.add_argument("--alpha", type=_finite_complex, default=1.0,
                      help="constant perturbation for dirichlet-n0")
     rep.add_argument("--format", choices=("text", "json"), default="text")
     rep.set_defaults(func=cmd_reproduce)
@@ -576,10 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("family", choices=("dirichlet-alpha", "c2-rankone"))
     sea.add_argument("--n", type=int, default=1,
                      help="monomial degree for dirichlet-alpha")
-    sea.add_argument("--re-min", type=float, default=-3.0)
-    sea.add_argument("--re-max", type=float, default=1.0)
-    sea.add_argument("--im-min", type=float, default=-3.0)
-    sea.add_argument("--im-max", type=float, default=1.0)
+    sea.add_argument("--re-min", type=_finite_float, default=-3.0)
+    sea.add_argument("--re-max", type=_finite_float, default=1.0)
+    sea.add_argument("--im-min", type=_finite_float, default=-3.0)
+    sea.add_argument("--im-max", type=_finite_float, default=1.0)
     sea.add_argument("--step", type=_positive_float, default=0.05)
     sea.add_argument("-N", dest="N", type=int, default=None)
     sea.add_argument("--trials", type=int, default=64)

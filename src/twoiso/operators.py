@@ -29,6 +29,7 @@ from .spaces import (
     Subspace,
     WeightedSpace,
     monomial_span,
+    vec_from_pairs,
     vec_to_pairs,
 )
 
@@ -121,17 +122,23 @@ class Op:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Op":
+        """Decode :meth:`to_dict` output; raises ValueError on malformed input."""
+        if not isinstance(doc, dict):
+            raise ValueError("operator document must be a JSON object")
         space = WeightedSpace.from_dict(doc["space"])
         n = space.dim
-        pairs = doc["matrix"]
-        if len(pairs) != n * n:
+        flat = vec_from_pairs(doc["matrix"])
+        if flat.size != n * n:
             raise ValueError(
-                f"matrix document has {len(pairs)} entries, expected {n * n}"
+                f"matrix document has {flat.size} entries, expected {n * n}"
             )
-        flat = np.array([complex(p[0], p[1]) for p in pairs])
         growth = doc.get("degree_growth", "unbounded")
-        if growth == "unbounded":
+        if growth is None or growth == "unbounded":
             growth = None
+        elif type(growth) is not int:
+            raise ValueError(
+                f"degree_growth must be an integer or 'unbounded', got {growth!r}"
+            )
         return cls(space, flat.reshape(n, n), degree_growth=growth)
 
 

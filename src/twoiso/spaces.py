@@ -205,9 +205,19 @@ class WeightedSpace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WeightedSpace":
+        """Decode :meth:`to_dict` output; raises ValueError on malformed input."""
+        if not isinstance(doc, dict):
+            raise ValueError("space document must be a JSON object")
         kind = doc.get("kind", "custom")
-        labels = tuple(BasisLabel(tuple(ix)) for ix in doc["labels"])
-        return cls(labels=labels, weights=tuple(doc["weights"]), kind=kind)
+        labels, weights = doc["labels"], doc["weights"]
+        if not isinstance(labels, list) or not all(
+            isinstance(ix, list) and all(type(k) is int and k < 2**31 for k in ix)
+            for ix in labels
+        ):
+            raise ValueError("labels must be a list of integer multi-indices")
+        weights = _finite_reals(weights, 1, "weights must be a list of finite numbers")
+        labels = tuple(BasisLabel(tuple(ix)) for ix in labels)
+        return cls(labels=labels, weights=tuple(weights), kind=kind)
 
 
 def make_dirichlet_space(max_degree: int) -> WeightedSpace:
@@ -386,10 +396,30 @@ def vec_to_pairs(x) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in arr]
 
 
+def _finite_reals(values, ndim: int, message: str) -> np.ndarray:
+    """A JSON list of finite real numbers (ndim 1) or of [re, im] pairs
+    (ndim 2) as a float array; anything else raises ValueError(message)."""
+    try:
+        arr = np.array(values) if isinstance(values, (list, tuple)) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if (
+        arr is None
+        or arr.shape != (len(values), 2)[:ndim]
+        or arr.dtype.kind not in "iuf"
+        or not np.isfinite(arr).all()
+    ):
+        raise ValueError(message)
+    return arr.astype(float)
+
+
 def vec_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    """Decode a list of [re, im] pairs into a complex vector."""
-    out = np.empty(len(pairs), dtype=complex)
-    for i, pair in enumerate(pairs):
-        re, im = pair
-        out[i] = complex(float(re), float(im))
-    return out
+    """Decode a list of [re, im] pairs into a complex vector.
+
+    Raises ValueError unless every entry is a pair of exactly two finite
+    real numbers.
+    """
+    arr = _finite_reals(
+        pairs, 2, "expected a list of [re, im] pairs of finite numbers"
+    )
+    return arr.view(complex).reshape(-1)

@@ -12,8 +12,9 @@ from twoiso import (
     theorem_verdict,
     vec_to_pairs,
 )
-from twoiso.cli import main
+from twoiso.cli import constant_defect_row, main, search_dirichlet_alpha
 from twoiso.function_spaces import dirichlet_shift
+from twoiso.operators import defect_quadratic
 
 
 def write_json(path, doc):
@@ -150,6 +151,29 @@ def test_analyze_malformed_json_is_input_error(tmp_path):
     assert main(["analyze", "--input", str(path)]) == 2
 
 
+def _nan_u(doc):
+    doc["u"][0] = [float("nan"), 0.0]
+
+
+def _short_matrix_pair(doc):
+    doc["operator"]["matrix"][0] = doc["operator"]["matrix"][0][:1]
+
+
+def _scalar_u(doc):
+    doc["u"] = 1.0
+
+
+@pytest.mark.parametrize("corrupt", [_nan_u, _short_matrix_pair, _scalar_u])
+def test_analyze_malformed_document_is_input_error(corrupt, tmp_path, capsys):
+    doc = swap_input_doc()
+    corrupt(doc)
+    path = write_json(tmp_path / "bad.json", doc)
+    assert main(["analyze", "--input", path, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_analyze_identity_base_with_phase_rotation(tmp_path, capsys):
     space = make_coordinate_space(3)
     rng = np.random.default_rng(70)
@@ -194,6 +218,43 @@ def test_search_dirichlet_alpha_hits_lie_on_circle(capsys):
     assert any(
         abs(h["alpha"][0] + 2.0) <= 1e-9 and abs(h["alpha"][1]) <= 1e-9 for h in hits
     )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_constant_defect_row_matches_defect_quadratic(n):
+    N = 2 * n + 4
+    base = dirichlet_shift(N)
+    one = base.space.basis_vector(0)
+    on_circle = [-1.0 + np.exp(1j * t) for t in (0.3, 2.0, np.pi, -1.1)]
+    off_circle = [0.3 + 0.7j, -2.5 - 1.0j, 1e-3, 4.0j]
+    alphas = np.array(on_circle + off_circle)
+    row = constant_defect_row(base, n, alphas)
+    for alpha, q in zip(alphas, row):
+        mat = np.array(base.matrix)
+        mat[n, 0] += alpha
+        cand = Op(base.space, mat, degree_growth=max(1, n))
+        expected = defect_quadratic(cand, one)
+        assert abs(q - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_search_dirichlet_alpha_default_grid_hits_exactly_the_circle():
+    hits = search_dirichlet_alpha(
+        n=1, re_range=(-3.0, 1.0), im_range=(-3.0, 1.0), step=0.05, N=12, tol=1e-8
+    )
+    # alpha + 1 = (a + ib)/20 with a^2 + b^2 = 400, other than alpha = 0
+    expected = [
+        (a, b)
+        for a in range(-20, 21)
+        for b in range(-20, 21)
+        if a * a + b * b == 400 and (a, b) != (20, 0)
+    ]
+    found = [
+        (round((h["alpha"][0] + 1.0) * 20), round(h["alpha"][1] * 20)) for h in hits
+    ]
+    assert sorted(found) == sorted(expected)
+    assert len(found) == 11
+    for h, (a, b) in zip(hits, found):
+        assert h["alpha"] == pytest.approx([a / 20 - 1.0, b / 20], abs=1e-12)
 
 
 def test_search_dirichlet_alpha_n2_empty(capsys):

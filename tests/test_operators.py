@@ -466,3 +466,11 @@ def test_operator_json_bad_matrix_length():
     doc["matrix"] = doc["matrix"][:-1]
     with pytest.raises(ValueError, match="entries"):
         Op.from_dict(doc)
+
+
+@pytest.mark.parametrize("growth", ["fast", 1.5, [1]])
+def test_operator_json_bad_degree_growth(growth):
+    doc = dirichlet_shift(4).to_dict()
+    doc["degree_growth"] = growth
+    with pytest.raises(ValueError, match="degree_growth"):
+        Op.from_dict(doc)

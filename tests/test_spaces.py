@@ -268,3 +268,21 @@ def test_space_json_round_trip(space):
 def test_vec_pairs_round_trip():
     x = np.array([1.0 + 2.0j, -0.5, 3.0j])
     assert np.allclose(vec_from_pairs(vec_to_pairs(x)), x)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [1.0, [[1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0], [2.0]], [["1", "0"]],
+     [[float("nan"), 0.0]], [[0.0, float("inf")]], [[None, 0.0]]],
+)
+def test_vec_from_pairs_rejects_malformed(pairs):
+    with pytest.raises(ValueError, match="pairs"):
+        vec_from_pairs(pairs)
+
+
+@pytest.mark.parametrize("weights", [[1.0, float("nan"), 3.0], [1.0, float("inf"), 3.0], "123"])
+def test_space_from_dict_rejects_non_finite_weights(weights):
+    doc = make_dirichlet_space(2).to_dict()
+    doc["weights"] = weights
+    with pytest.raises(ValueError, match="weights"):
+        WeightedSpace.from_dict(doc)
