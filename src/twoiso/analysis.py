@@ -18,11 +18,11 @@ operator and exactly one of two mutually exclusive branches holds:
 
 Every residual reported here is evaluated through forward applications of
 the operator only (the gamma formula is folded to
-Re( <u, T P T x> / <v, T x> ), and defect values come from the polarized
+Re( <u, T P T x> / <v, T x> ), and defect images come from the polarized
 quadratic form), so all numbers are exact on the truncation-safe window of
-a degree-truncated model. The independent oracle is the polarized defect
-form over the whole safe window; the theorem verdict and the oracle verdict
-must agree, and both are recorded in the report.
+a degree-truncated model. The oracle is the defect form over the whole safe
+window from forward Gram products, independent of the polarization behind
+the residuals; the two verdicts must agree and both are in the report.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class PerturbationProblem:
     The pair (u, v) is normalized at construction so that ||v|| = 1 without
     changing u⊗v; ``v_was_normalized`` records whether that happened. The
     base operator is validated to be a 2-isometry at truncation scale via
-    the polarized defect form on its safe window (override with
+    the defect form on its safe window (override with
     ``allow_non_2_isometric_base`` for exploratory use).
     """
 
@@ -318,9 +318,9 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     """Run the full decision procedure and cross-validate with the oracle.
 
     The theorem verdict combines the kernel condition with the branch
-    conditions; the oracle verdict thresholds the polarized defect form of
-    the perturbed operator over the whole safe window. The two must agree;
-    both are reported.
+    conditions; the oracle verdict thresholds the defect form (forward Gram
+    products) of the perturbed operator over the whole safe window. The two
+    must agree; both are reported.
     """
     T = problem.base
     space = problem.space

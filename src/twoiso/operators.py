@@ -14,9 +14,11 @@ never read off the defect operator matrix. Instead the quadratic defect
     q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2
 
 is evaluated with forward applications only, which is exact for every x in
-the truncation-safe window (total degree <= max_degree - 2 * degree_growth),
-and the sesquilinear form <D x, y> of the defect operator D is recovered
-from q by the four-term complex polarization identity.
+the truncation-safe window (total degree <= max_degree - 2 * degree_growth).
+So is the form <D x, y> = <x, y> - 2 <Tx, Ty> + <T^2 x, T^2 y> of the defect
+operator D; on a safe orthonormal basis E it is the sum of three forward Gram
+products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). Single defect
+images are recovered from q by four-term complex polarization instead.
 """
 
 from __future__ import annotations
@@ -295,7 +297,7 @@ def polarized_defect_entry(T: Op, x, y) -> complex:
 
 @dataclass(eq=False)
 class DefectReport:
-    """Defect form restricted to a subspace, via polarization.
+    """Defect form restricted to a subspace.
 
     ``defect_matrix[l, j] = <D e_j, e_l>`` over the subspace's orthonormal
     basis; it is Hermitian up to round-off because the defect operator is
@@ -369,25 +371,26 @@ def safe_subspace(T: Op, space: WeightedSpace | None = None) -> Subspace:
 
 
 def polarized_defect_form(T: Op, sub: Subspace) -> DefectReport:
-    """Matrix of the defect form on an orthonormal basis of ``sub``.
+    """Matrix of the defect form on the orthonormal basis E of ``sub``.
 
-    Every entry is recovered from the quadratic defect by polarization, so
-    nothing depends on adjoint matrices; ``sub`` must lie inside the
-    truncation-safe window. Entries above and below the diagonal are
-    computed independently, which lets tests check Hermitian symmetry.
+    The entries come from the forward Gram products E^H W E - 2 (TE)^H W (TE)
+    + (T^2 E)^H W (T^2 E), each formed as (W conj X)^T X in two reused
+    (dim, r) buffers; ``sub`` must lie inside the truncation-safe window.
     """
     require_truncation_safe(T, sub.basis_vectors(), "subspace basis vector")
-    r = sub.dim
-    mat = np.zeros((r, r), dtype=complex)
-    cols = sub.basis_vectors()
-    for j in range(r):
-        mat[j, j] = defect_quadratic(T, cols[j])
-    for j in range(r):
-        for l in range(r):
-            if l != j:
-                mat[l, j] = polarized_defect_entry(T, cols[j], cols[l])
-    max_residual = float(np.max(np.abs(mat))) if r else 0.0
-    return DefectReport(defect_matrix=mat, max_residual=max_residual, safe_dim=r)
+    E = sub.onb
+    w = T.space.weight_array[:, None]
+    fwd = T.matrix @ E
+    buf = np.conjugate(fwd)
+    buf *= w
+    mat = -2.0 * (buf.T @ fwd)
+    np.matmul(T.matrix, fwd, out=buf)
+    for X in (buf, E):
+        np.conjugate(X, out=fwd)
+        fwd *= w
+        mat += fwd.T @ X
+    max_residual = float(np.max(np.abs(mat))) if sub.dim else 0.0
+    return DefectReport(defect_matrix=mat, max_residual=max_residual, safe_dim=sub.dim)
 
 
 def defect_apply_in_window(T: Op, x, window: Subspace) -> np.ndarray:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -301,7 +302,6 @@ class Subspace:
     """
 
     space: WeightedSpace
-    generators: tuple[np.ndarray, ...]
     onb: np.ndarray
 
     def __post_init__(self):
@@ -311,11 +311,6 @@ class Subspace:
         onb = onb.copy()
         onb.setflags(write=False)
         object.__setattr__(self, "onb", onb)
-        object.__setattr__(
-            self,
-            "generators",
-            tuple(self.space.check_vec(g).copy() for g in self.generators),
-        )
 
     @property
     def dim(self) -> int:
@@ -341,14 +336,13 @@ class Subspace:
 
 def span(space: WeightedSpace, vectors: Iterable, tol: float = RANK_TOL) -> Subspace:
     """Subspace spanned by the given vectors, with rank detection."""
-    gens = tuple(space.check_vec(v) for v in vectors)
-    basis = weighted_gram_schmidt(space, gens, tol=tol)
+    basis = weighted_gram_schmidt(space, vectors, tol=tol)
     onb = (
         np.stack(basis, axis=1)
         if basis
         else np.zeros((space.dim, 0), dtype=complex)
     )
-    return Subspace(space=space, generators=gens, onb=onb)
+    return Subspace(space=space, onb=onb)
 
 
 def monomial_span(space: WeightedSpace, indices: Sequence[int]) -> Subspace:
@@ -357,8 +351,7 @@ def monomial_span(space: WeightedSpace, indices: Sequence[int]) -> Subspace:
     onb = np.zeros((space.dim, len(indices)), dtype=complex)
     for j, i in enumerate(indices):
         onb[i, j] = 1.0 / np.sqrt(space.weights[i])
-    gens = tuple(space.basis_vector(i) for i in indices)
-    return Subspace(space=space, generators=gens, onb=onb)
+    return Subspace(space=space, onb=onb)
 
 
 def whole_space(space: WeightedSpace) -> Subspace:
@@ -383,7 +376,7 @@ def orthogonal_complement(
         if basis
         else np.zeros((space.dim, 0), dtype=complex)
     )
-    return Subspace(space=space, generators=tuple(candidates), onb=onb)
+    return Subspace(space=space, onb=onb)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +391,8 @@ def vec_to_pairs(x) -> list[list[float]]:
 
 def _finite_reals(values, ndim: int, message: str) -> np.ndarray:
     """A JSON list of finite real numbers (ndim 1) or of [re, im] pairs
-    (ndim 2) as a float array; anything else raises ValueError(message)."""
+    (ndim 2) as a float array; anything else, booleans included, raises
+    ValueError(message)."""
     try:
         arr = np.array(values) if isinstance(values, (list, tuple)) else None
     except ValueError:  # ragged nesting
@@ -408,6 +402,8 @@ def _finite_reals(values, ndim: int, message: str) -> np.ndarray:
         or arr.shape != (len(values), 2)[:ndim]
         or arr.dtype.kind not in "iuf"
         or not np.isfinite(arr).all()
+        or {bool, np.bool_}
+        & set(map(type, chain.from_iterable(values) if ndim == 2 else values))
     ):
         raise ValueError(message)
     return arr.astype(float)

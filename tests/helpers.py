@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from twoiso import Op, WeightedSpace, make_coordinate_space
+from twoiso import (
+    Op,
+    WeightedSpace,
+    defect_quadratic,
+    make_coordinate_space,
+    polarized_defect_entry,
+)
 
 
 def random_weighted_space(rng: np.random.Generator, max_dim: int = 8) -> WeightedSpace:
@@ -53,4 +59,24 @@ def projection_by_expansion(sub, x) -> np.ndarray:
     out = space.zeros()
     for e in sub.basis_vectors():
         out = out + space.inner(x, e) * e
+    return out
+
+
+def polarized_form_by_entries(T: Op, sub) -> np.ndarray:
+    """Defect form on ``sub``'s orthonormal basis, one entry at a time.
+
+    The diagonal is the quadratic defect and every off-diagonal entry comes
+    from four-term polarization, so this is an oracle independent of the
+    Gram products behind ``polarized_defect_form``.
+    """
+    cols = sub.basis_vectors()
+    r = len(cols)
+    out = np.zeros((r, r), dtype=complex)
+    for j in range(r):
+        for l in range(r):
+            out[l, j] = (
+                defect_quadratic(T, cols[j])
+                if l == j
+                else polarized_defect_entry(T, cols[j], cols[l])
+            )
     return out

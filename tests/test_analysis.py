@@ -423,6 +423,26 @@ def test_verdict_dirichlet_inadmissible():
     assert not report.verdict_oracle
 
 
+@pytest.mark.parametrize(
+    "build, N",
+    [
+        (lambda N: dirichlet_perturbation_problem(N, PolyCoeffs((-2.0,))), 12),
+        (lambda N: dirichlet_perturbation_problem(N, PolyCoeffs((1j,))), 12),
+        (bidisc_example_problem, 6),
+    ],
+    ids=["dirichlet-minus-2z", "dirichlet-iz", "bidisc"],
+)
+def test_verdict_agrees_between_two_truncations(build, N):
+    low, high = theorem_verdict(build(N)), theorem_verdict(build(N + 2))
+    assert high.safe_dim > low.safe_dim
+    assert (high.branch, high.verdict_theorem, high.verdict_oracle) == (
+        low.branch,
+        low.verdict_theorem,
+        low.verdict_oracle,
+    )
+    assert abs(high.oracle_defect - low.oracle_defect) <= 1e-10
+
+
 def test_identity_plus_rank_one_phase_rotation():
     # I + (e^{i theta} - 1) v (x) v rotates span{v}, hence stays unitary.
     rng = np.random.default_rng(58)

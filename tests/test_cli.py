@@ -163,7 +163,11 @@ def _scalar_u(doc):
     doc["u"] = 1.0
 
 
-@pytest.mark.parametrize("corrupt", [_nan_u, _short_matrix_pair, _scalar_u])
+def _bool_in_u(doc):
+    doc["u"][1][0] = True
+
+
+@pytest.mark.parametrize("corrupt", [_nan_u, _short_matrix_pair, _scalar_u, _bool_in_u])
 def test_analyze_malformed_document_is_input_error(corrupt, tmp_path, capsys):
     doc = swap_input_doc()
     corrupt(doc)

@@ -30,12 +30,14 @@ from twoiso import (
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
+    bidisc_example_problem,
     constant_perturbed_dirichlet,
     dirichlet_shift,
     perturbed_dirichlet,
 )
 from helpers import (
     brute_force_adjoint,
+    polarized_form_by_entries,
     random_matrix,
     random_op,
     random_vec,
@@ -314,6 +316,34 @@ def test_polarized_form_hermitian():
         report = polarized_defect_form(T, whole_space(space))
         M = report.defect_matrix
         assert np.max(np.abs(M - M.conj().T)) <= 1e-10 * max(1.0, report.max_residual)
+
+
+def _assert_form_matches_polarization(T, sub) -> np.ndarray:
+    G = polarized_defect_form(T, sub).defect_matrix
+    P = polarized_form_by_entries(T, sub)
+    assert np.max(np.abs(G - P)) <= 1e-12 * max(1.0, np.max(np.abs(P)))
+    return P
+
+
+def test_gram_form_matches_polarization_random_weighted_c6():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        weights = tuple(rng.uniform(0.2, 5.0, size=6))
+        space = make_coordinate_space(6, weights=weights)
+        _assert_form_matches_polarization(random_op(space, rng), whole_space(space))
+
+
+def test_gram_form_matches_polarization_non_admissible_dirichlet():
+    op = perturbed_dirichlet(24, PolyCoeffs((1j,)))
+    P = _assert_form_matches_polarization(op, safe_subspace(op))
+    assert np.max(np.abs(P)) >= 0.5
+
+
+def test_gram_form_matches_polarization_bidisc_window():
+    op = bidisc_example_problem(8).perturbed()
+    sub = safe_subspace(op)
+    assert sub.dim == 28
+    _assert_form_matches_polarization(op, sub)
 
 
 def test_polarized_form_dirichlet_shift_two_isometry():

@@ -273,14 +273,18 @@ def test_vec_pairs_round_trip():
 @pytest.mark.parametrize(
     "pairs",
     [1.0, [[1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0], [2.0]], [["1", "0"]],
-     [[float("nan"), 0.0]], [[0.0, float("inf")]], [[None, 0.0]]],
+     [[float("nan"), 0.0]], [[0.0, float("inf")]], [[None, 0.0]],
+     [[True, 1]], [[1.0, 0.0], [0.5, False]], [[True, False]]],
 )
 def test_vec_from_pairs_rejects_malformed(pairs):
     with pytest.raises(ValueError, match="pairs"):
         vec_from_pairs(pairs)
 
 
-@pytest.mark.parametrize("weights", [[1.0, float("nan"), 3.0], [1.0, float("inf"), 3.0], "123"])
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, float("nan"), 3.0], [1.0, float("inf"), 3.0], "123", [True, 2.0, 3.0]],
+)
 def test_space_from_dict_rejects_non_finite_weights(weights):
     doc = make_dirichlet_space(2).to_dict()
     doc["weights"] = weights
