@@ -1,132 +1,17 @@
 """twoiso: rank-one perturbations of 2-isometries on weighted spaces."""
 
-from .spaces import (
-    RANK_TOL,
-    BasisLabel,
-    Subspace,
-    WeightedSpace,
-    make_bidisc_space,
-    make_coordinate_space,
-    make_dirichlet_space,
-    monomial_span,
-    orthogonal_complement,
-    span,
-    vec_from_pairs,
-    vec_to_pairs,
-    weighted_gram_schmidt,
-    whole_space,
-)
-from .operators import (
-    DefectReport,
-    Op,
-    TruncationError,
-    add,
-    adjoint,
-    apply,
-    compose,
-    defect_apply_in_window,
-    defect_operator,
-    defect_quadratic,
-    identity,
-    polarized_defect_entry,
-    polarized_defect_form,
-    rank_one,
-    require_truncation_safe,
-    safe_subspace,
-    scale,
-    scanned_degree_growth,
-    truncation_cutoff,
-    truncation_safe,
-    weighted_operator_norm,
-    zero_op,
-)
-from .analysis import (
-    DEFAULT_DEFECT_TOL,
-    DEFAULT_RANK_TOL,
-    PerturbationProblem,
-    TheoremReport,
-    classify_branch,
-    condition_iia_residual,
-    condition_iib_residual,
-    gamma_coefficient,
-    kernel_condition_residual,
-    normalize_pair,
-    stable_kernel,
-    theorem_verdict,
-    witness_vector,
-)
-from .function_spaces import (
-    PolyCoeffs,
-    bidisc_example_operator,
-    bidisc_example_problem,
-    bidisc_shift,
-    constant_perturbed_dirichlet,
-    dirichlet_admissibility_residual,
-    dirichlet_perturbation_problem,
-    dirichlet_shift,
-    perturbed_dirichlet,
-)
+from . import analysis, function_spaces, operators, spaces
+from .analysis import *
+from .function_spaces import *
+from .operators import *
+from .spaces import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RANK_TOL",
-    "BasisLabel",
-    "Subspace",
-    "WeightedSpace",
-    "make_bidisc_space",
-    "make_coordinate_space",
-    "make_dirichlet_space",
-    "monomial_span",
-    "orthogonal_complement",
-    "span",
-    "vec_from_pairs",
-    "vec_to_pairs",
-    "weighted_gram_schmidt",
-    "whole_space",
-    "DefectReport",
-    "Op",
-    "TruncationError",
-    "add",
-    "adjoint",
-    "apply",
-    "compose",
-    "defect_apply_in_window",
-    "defect_operator",
-    "defect_quadratic",
-    "identity",
-    "polarized_defect_entry",
-    "polarized_defect_form",
-    "rank_one",
-    "require_truncation_safe",
-    "safe_subspace",
-    "scale",
-    "scanned_degree_growth",
-    "truncation_cutoff",
-    "truncation_safe",
-    "weighted_operator_norm",
-    "zero_op",
-    "DEFAULT_DEFECT_TOL",
-    "DEFAULT_RANK_TOL",
-    "PerturbationProblem",
-    "TheoremReport",
-    "classify_branch",
-    "condition_iia_residual",
-    "condition_iib_residual",
-    "gamma_coefficient",
-    "kernel_condition_residual",
-    "normalize_pair",
-    "stable_kernel",
-    "theorem_verdict",
-    "witness_vector",
-    "PolyCoeffs",
-    "bidisc_example_operator",
-    "bidisc_example_problem",
-    "bidisc_shift",
-    "constant_perturbed_dirichlet",
-    "dirichlet_admissibility_residual",
-    "dirichlet_perturbation_problem",
-    "dirichlet_shift",
-    "perturbed_dirichlet",
+    *spaces.__all__,
+    *operators.__all__,
+    *analysis.__all__,
+    *function_spaces.__all__,
     "__version__",
 ]

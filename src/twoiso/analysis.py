@@ -84,16 +84,23 @@ def normalize_pair(space: WeightedSpace, u, v) -> tuple[np.ndarray, np.ndarray]:
     return nv * u, v / nv
 
 
-def stable_kernel(T: Op, v) -> Subspace:
-    """Vectors orthogonal to both v and T*v.
+def stable_kernel(T: Op, v, window: Subspace, tol_rank: float) -> Subspace:
+    """Vectors of ``window`` orthogonal to both v and T*v.
 
     This is the part of ker(u⊗v) whose image under T stays inside the
-    kernel. Its dimension is dim - 1 when T*v is parallel to v and dim - 2
-    otherwise.
+    kernel, intersected with the window. It is computed as the complement,
+    inside the window, of the projections of v and T*v onto the window; for
+    x in the window the pairings <x, v> and <x, T*v> only see those
+    projections, so this is the genuine intersection. Both spans detect
+    rank at ``tol_rank``, the tolerance that also decides the branch. On
+    the whole space the dimension is dim - 1 when T*v is parallel to v and
+    dim - 2 otherwise.
     """
-    v = T.space.check_vec(v)
     tstar_v = apply(adjoint(T), v)
-    return orthogonal_complement(span(T.space, [v, tstar_v]))
+    gens = [window.project(v), window.project(tstar_v)]
+    return orthogonal_complement(
+        span(T.space, gens, tol=tol_rank), within=window, tol=tol_rank
+    )
 
 
 def witness_vector(T: Op, v, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray | None:
@@ -301,19 +308,6 @@ def kernel_condition_residual(Ttilde: Op, v, safe: Subspace | None = None) -> fl
     return Ttilde.space.norm(img)
 
 
-def _stable_kernel_in_window(T: Op, v, safe: Subspace) -> Subspace:
-    """The stable kernel intersected with the safe window.
-
-    Computed as the complement, inside the window, of the projections of v
-    and T*v onto the window; for safe x the pairings <x, v> and <x, T*v>
-    only see those projections, so this is the genuine intersection.
-    """
-    space = T.space
-    tstar_v = apply(adjoint(T), v)
-    gens = [safe.project(v), safe.project(tstar_v)]
-    return orthogonal_complement(span(space, gens), within=safe)
-
-
 def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     """Run the full decision procedure and cross-validate with the oracle.
 
@@ -345,7 +339,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         require_truncation_safe(Ttilde, [xhat], "witness vector")
         gamma = gamma_coefficient(T, u, v, xhat, problem.tol_rank)
         iib = condition_iib_residual(problem, gamma)
-        stable = _stable_kernel_in_window(T, v, safe)
+        stable = stable_kernel(T, v, safe, problem.tol_rank)
         iia = condition_iia_residual(Ttilde, stable, safe, witness=xhat)
         s_dim = stable.dim
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol

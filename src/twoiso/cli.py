@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +54,6 @@ from .spaces import make_coordinate_space, vec_from_pairs, vec_to_pairs
 DEFAULT_DIRICHLET_N = 12
 DEFAULT_BIDISC_N = 6
 
-REPRODUCE_NAMES = ("c2-example", "dirichlet-pper", "dirichlet-n0", "bidisc")
-
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -70,6 +70,13 @@ def _positive_float(text: str) -> float:
     val = _finite_float(text)
     if val <= 0:
         raise argparse.ArgumentTypeError("must be a positive number")
+    return val
+
+
+def _non_negative_int(text: str) -> int:
+    val = int(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return val
 
 
@@ -93,126 +100,95 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check(label: str, value, expected: str, ok: bool) -> dict:
-    return {"label": label, "value": value, "expected": expected, "pass": bool(ok)}
-
-
-def _near(value: float, tol: float) -> bool:
-    return abs(value) <= tol
-
-
 # ---------------------------------------------------------------------------
 # reproduce
+#
+# A check kind turns one expectation into its ``expected`` text and its test,
+# so the tolerance that is printed is the tolerance that is applied.
 
 
-def _reproduce_c2(ns) -> dict:
+def _equals(want, why: str = ""):
+    return _fmt(want) + (f" ({why})" if why else ""), lambda value: value == want
+
+
+def _at_most(tol: float):
+    return f"<= {tol:g}", lambda value: value <= tol
+
+
+def _within(target: float, tol: float, what: str = ""):
+    text = f"{what}{_fmt(target)} within {tol:g}"
+    return text, lambda value: abs(value - target) <= tol
+
+
+def _zero_iff(zero: bool, tol: float):
+    return "0" if zero else "nonzero", lambda value: (abs(value) <= tol) == zero
+
+
+def _c2_example(ns, N):
     space = make_coordinate_space(2)
     base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    u = -2.0 * space.basis_vector(0)
-    v = space.basis_vector(1)
     problem = PerturbationProblem(
-        base=base, u=u, v=v, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect
+        base=base,
+        u=-2.0 * space.basis_vector(0),
+        v=space.basis_vector(1),
+        tol_rank=ns.tol_rank,
+        tol_defect=ns.tol_defect,
     )
-    report = theorem_verdict(problem)
+    r = theorem_verdict(problem)
     full_defect = float(np.max(np.abs(defect_operator(problem.perturbed()).matrix)))
-
-    checks = [
-        _check("branch", report.branch, "II", report.branch == "II"),
-        _check("gamma", report.gamma, "0 within 1e-10", _near(report.gamma, 1e-10)),
-        _check(
-            "cond_iib_residual",
-            report.cond_iib_residual,
-            "<= 1e-12",
-            report.cond_iib_residual <= 1e-12,
-        ),
-        _check(
-            "kernel_residual",
-            report.kernel_residual,
-            "<= 1e-12",
-            report.kernel_residual <= 1e-12,
-        ),
-        _check(
-            "full defect matrix max entry",
-            full_defect,
-            "<= 1e-12",
-            full_defect <= 1e-12,
-        ),
-        _check("verdict_theorem", report.verdict_theorem, "true", report.verdict_theorem),
-        _check("verdict_oracle", report.verdict_oracle, "true", report.verdict_oracle),
+    return r, [
+        ("branch", r.branch, _equals("II")),
+        ("gamma", r.gamma, _within(0.0, 1e-10)),
+        ("cond_iib_residual", r.cond_iib_residual, _at_most(1e-12)),
+        ("kernel_residual", r.kernel_residual, _at_most(1e-12)),
+        ("full defect matrix max entry", full_defect, _at_most(1e-12)),
+        ("verdict_theorem", r.verdict_theorem, _equals(True)),
+        ("verdict_oracle", r.verdict_oracle, _equals(True)),
     ]
-    return {
-        "name": "c2-example",
-        "checks": checks,
-        "report": report.to_dict(),
-        "pass": all(c["pass"] for c in checks),
-    }
 
 
-def _reproduce_dirichlet_pper(ns) -> dict:
-    N = ns.N if ns.N is not None else DEFAULT_DIRICHLET_N
-    cases = [
-        ("p = -2z", PolyCoeffs((-2.0,)), True),
-        ("p = (e^{i pi/3} - 1) z", PolyCoeffs((np.exp(1j * np.pi / 3) - 1.0,)), True),
-        ("p = i z", PolyCoeffs((1j,)), False),
-    ]
-    checks = []
-    reports = {}
-    for label, p, expect_admissible in cases:
+# (label, p, whether M_z + p⊗1 is a 2-isometry)
+_PPER_POLYNOMIALS = (
+    ("p = -2z", PolyCoeffs((-2.0,)), True),
+    ("p = (e^{i pi/3} - 1) z", PolyCoeffs((np.exp(1j * np.pi / 3) - 1.0,)), True),
+    ("p = i z", PolyCoeffs((1j,)), False),
+)
+
+
+def _dirichlet_pper(ns, N):
+    reports, checks = {}, []
+    for label, p, admissible in _PPER_POLYNOMIALS:
         residual = dirichlet_admissibility_residual(p)
         problem = dirichlet_perturbation_problem(
             N, p, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect
         )
-        report = theorem_verdict(problem)
+        r = reports[label] = theorem_verdict(problem)
         op = problem.perturbed()
-        defect_on_1 = defect_quadratic(op, op.space.basis_vector(0))
-        reports[label] = report.to_dict()
-        checks.extend(
-            [
-                _check(f"{label}: branch", report.branch, "I", report.branch == "I"),
-                _check(
-                    f"{label}: admissibility residual",
-                    residual,
-                    "0" if expect_admissible else "nonzero",
-                    (abs(residual) <= 1e-12) == expect_admissible,
-                ),
-                _check(
-                    f"{label}: verdict_theorem",
-                    report.verdict_theorem,
-                    _fmt(expect_admissible),
-                    report.verdict_theorem == expect_admissible,
-                ),
-                _check(
-                    f"{label}: verdict_oracle",
-                    report.verdict_oracle,
-                    _fmt(expect_admissible),
-                    report.verdict_oracle == expect_admissible,
-                ),
-                _check(
-                    f"{label}: defect on constant vs closed form",
-                    defect_on_1 + residual,
-                    "0 within 1e-10",
-                    _near(defect_on_1 + residual, 1e-10),
-                ),
-            ]
-        )
-    return {
-        "name": "dirichlet-pper",
-        "checks": checks,
-        "reports": reports,
-        "pass": all(c["pass"] for c in checks),
-    }
+        closed_form_gap = defect_quadratic(op, op.space.basis_vector(0)) + residual
+        checks += [
+            (f"{label}: branch", r.branch, _equals("I")),
+            (
+                f"{label}: admissibility residual",
+                residual,
+                _zero_iff(admissible, 1e-12),
+            ),
+            (f"{label}: verdict_theorem", r.verdict_theorem, _equals(admissible)),
+            (f"{label}: verdict_oracle", r.verdict_oracle, _equals(admissible)),
+            (
+                f"{label}: defect on constant vs closed form",
+                closed_form_gap,
+                _within(0.0, 1e-10),
+            ),
+        ]
+    return reports, checks
 
 
-def _reproduce_dirichlet_n0(ns) -> dict:
-    N = ns.N if ns.N is not None else DEFAULT_DIRICHLET_N
+def _dirichlet_n0(ns, N):
     alpha = complex(ns.alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero for the constant perturbation")
     op = constant_perturbed_dirichlet(N, alpha)
-    space = op.space
-    one = space.basis_vector(0)
-    defect_on_1 = defect_quadratic(op, one)
-    expected_defect = abs(alpha) ** 4
+    one = op.space.basis_vector(0)
     problem = PerturbationProblem(
         base=dirichlet_shift(N),
         u=alpha * one,
@@ -220,100 +196,90 @@ def _reproduce_dirichlet_n0(ns) -> dict:
         tol_rank=ns.tol_rank,
         tol_defect=ns.tol_defect,
     )
-    report = theorem_verdict(problem)
-    checks = [
-        _check(
+    r = theorem_verdict(problem)
+    never = "never a 2-isometry"
+    return r, [
+        (
             "defect on constant",
-            defect_on_1,
-            f"|alpha|^4 = {expected_defect:.6g} within 1e-10",
-            abs(defect_on_1 - expected_defect) <= 1e-10,
+            defect_quadratic(op, one),
+            _within(abs(alpha) ** 4, 1e-10, "|alpha|^4 = "),
         ),
-        _check(
-            "verdict_theorem",
-            report.verdict_theorem,
-            "false (never a 2-isometry)",
-            not report.verdict_theorem,
-        ),
-        _check(
-            "verdict_oracle",
-            report.verdict_oracle,
-            "false (never a 2-isometry)",
-            not report.verdict_oracle,
-        ),
+        ("verdict_theorem", r.verdict_theorem, _equals(False, never)),
+        ("verdict_oracle", r.verdict_oracle, _equals(False, never)),
     ]
-    return {
-        "name": "dirichlet-n0",
-        "checks": checks,
-        "report": report.to_dict(),
-        "notes": [
+
+
+def _bidisc(ns, N):
+    problem = bidisc_example_problem(N, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect)
+    r = theorem_verdict(problem)
+    op = bidisc_example_operator(N)
+    window_defect = polarized_defect_form(op, safe_subspace(op)).max_residual
+    return r, [
+        ("branch", r.branch, _equals("II")),
+        ("gamma", r.gamma, _within(0.0, 1e-10)),
+        ("||u||^2", problem.space.norm(problem.u) ** 2, _within(2.0, 1e-12)),
+        ("kernel_residual", r.kernel_residual, _at_most(1e-12)),
+        ("cond_iia_residual", r.cond_iia_residual, _at_most(1e-12)),
+        ("cond_iib_residual", r.cond_iib_residual, _at_most(1e-12)),
+        (f"polarized defect on degree <= {N - 4}", window_defect, _at_most(1e-10)),
+        ("verdict_theorem", r.verdict_theorem, _equals(True)),
+        ("verdict_oracle", r.verdict_oracle, _equals(True)),
+    ]
+
+
+@dataclass(frozen=True)
+class _Case:
+    """A reference case: ``run(ns, N)`` returns its report (or reports by
+    label) and its checks as (label, value, check kind) triples."""
+
+    run: Callable
+    default_N: int | None = None
+    notes: tuple[str, ...] = ()
+
+
+_CASES = {
+    "c2-example": _Case(_c2_example),
+    "dirichlet-pper": _Case(_dirichlet_pper, DEFAULT_DIRICHLET_N),
+    "dirichlet-n0": _Case(
+        _dirichlet_n0,
+        DEFAULT_DIRICHLET_N,
+        notes=(
             "the measured defect at the constant function is |alpha|^4, "
             "not |alpha|^2; either way it is positive for alpha != 0, so the "
-            "constant perturbation is never a 2-isometry"
-        ],
-        "pass": all(c["pass"] for c in checks),
-    }
-
-
-def _reproduce_bidisc(ns) -> dict:
-    N = ns.N if ns.N is not None else DEFAULT_BIDISC_N
-    problem = bidisc_example_problem(N, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect)
-    report = theorem_verdict(problem)
-    norm_u_sq = problem.space.norm(problem.u) ** 2
-
-    op = bidisc_example_operator(N)
-    window = safe_subspace(op)
-    window_defect = polarized_defect_form(op, window).max_residual
-
-    checks = [
-        _check("branch", report.branch, "II", report.branch == "II"),
-        _check("gamma", report.gamma, "0 within 1e-10", _near(report.gamma, 1e-10)),
-        _check("||u||^2", norm_u_sq, "2 within 1e-12", abs(norm_u_sq - 2.0) <= 1e-12),
-        _check(
-            "kernel_residual",
-            report.kernel_residual,
-            "<= 1e-12",
-            report.kernel_residual <= 1e-12,
+            "constant perturbation is never a 2-isometry",
         ),
-        _check(
-            "cond_iia_residual",
-            report.cond_iia_residual,
-            "<= 1e-12",
-            report.cond_iia_residual <= 1e-12,
-        ),
-        _check(
-            "cond_iib_residual",
-            report.cond_iib_residual,
-            "<= 1e-12",
-            report.cond_iib_residual <= 1e-12,
-        ),
-        _check(
-            f"polarized defect on degree <= {N - 4}",
-            window_defect,
-            "<= 1e-10",
-            window_defect <= 1e-10,
-        ),
-        _check("verdict_theorem", report.verdict_theorem, "true", report.verdict_theorem),
-        _check("verdict_oracle", report.verdict_oracle, "true", report.verdict_oracle),
-    ]
-    return {
-        "name": "bidisc",
-        "checks": checks,
-        "report": report.to_dict(),
-        "pass": all(c["pass"] for c in checks),
-    }
-
-
-_REPRODUCERS = {
-    "c2-example": _reproduce_c2,
-    "dirichlet-pper": _reproduce_dirichlet_pper,
-    "dirichlet-n0": _reproduce_dirichlet_n0,
-    "bidisc": _reproduce_bidisc,
+    ),
+    "bidisc": _Case(_bidisc, DEFAULT_BIDISC_N),
 }
 
 
+def _reproduce(name: str, ns) -> dict:
+    """Run one reference case; a check whose value is absent fails."""
+    case = _CASES[name]
+    report, rows = case.run(ns, ns.N if ns.N is not None else case.default_N)
+    checks = [
+        {
+            "label": label,
+            "value": value,
+            "expected": expected,
+            "pass": value is not None and bool(test(value)),
+        }
+        for label, value, (expected, test) in rows
+    ]
+    out = {"name": name, "checks": checks}
+    if isinstance(report, dict):
+        out["reports"] = {label: r.to_dict() for label, r in report.items()}
+    else:
+        out["report"] = report.to_dict()
+    if case.notes:
+        out["notes"] = list(case.notes)
+    out["pass"] = all(c["pass"] for c in checks)
+    return out
+
+
 def cmd_reproduce(ns) -> int:
-    names = REPRODUCE_NAMES if ns.name == "all" else (ns.name,)
-    cases = [_REPRODUCERS[name](ns) for name in names]
+    names = _CASES if ns.name == "all" else (ns.name,)
+    cases = [_reproduce(name, ns) for name in names]
     all_pass = all(case["pass"] for case in cases)
     if ns.format == "json":
         payload = {"command": "reproduce", "cases": cases, "pass": all_pass}
@@ -599,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("reproduce", help="run the bundled reference problems")
-    rep.add_argument("name", choices=REPRODUCE_NAMES + ("all",))
+    rep.add_argument("name", choices=(*_CASES, "all"))
     rep.add_argument("--tol-defect", dest="tol_defect", type=_positive_float,
                      default=DEFAULT_DEFECT_TOL)
     rep.add_argument("--tol-rank", dest="tol_rank", type=_positive_float,
@@ -632,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--im-max", type=_finite_float, default=1.0)
     sea.add_argument("--step", type=_positive_float, default=0.05)
     sea.add_argument("-N", dest="N", type=int, default=None)
-    sea.add_argument("--trials", type=int, default=64)
+    sea.add_argument("--trials", type=_non_negative_int, default=64)
     sea.add_argument("--seed", type=int, default=0)
     sea.add_argument("--tol", type=_positive_float, default=DEFAULT_DEFECT_TOL)
     sea.add_argument("--format", choices=("text", "json"), default="text")

@@ -57,7 +57,6 @@ __all__ = [
     "truncation_safe",
     "require_truncation_safe",
     "safe_subspace",
-    "weighted_operator_norm",
 ]
 
 
@@ -94,18 +93,6 @@ class Op:
         """
         op = cls(space, matrix, degree_growth=None)
         return cls(space, matrix, degree_growth=scanned_degree_growth(op))
-
-    def __add__(self, other: "Op") -> "Op":
-        return add(self, other)
-
-    def __sub__(self, other: "Op") -> "Op":
-        return add(self, scale(other, -1.0))
-
-    def __matmul__(self, other: "Op") -> "Op":
-        return compose(self, other)
-
-    def __rmul__(self, c) -> "Op":
-        return scale(self, c)
 
     def __repr__(self) -> str:
         return (
@@ -231,17 +218,6 @@ def scanned_degree_growth(A: Op) -> int:
         if rows.size:
             growth = max(growth, int(degs[rows].max() - degs[j]))
     return growth
-
-
-def weighted_operator_norm(A: Op) -> float:
-    """Operator norm w.r.t. the weighted inner product.
-
-    Computed as the largest singular value of W^(1/2) A W^(-1/2), which is
-    the matrix of A on an orthonormal basis.
-    """
-    s = np.sqrt(A.space.weight_array)
-    conj = (A.matrix * s[:, None]) / s[None, :]
-    return float(np.linalg.norm(conj, ord=2))
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,6 @@ class WeightedSpace:
         out[i] = 1.0
         return out
 
-    def unit_vector(self, i: int) -> np.ndarray:
-        """Basis monomial i scaled to weighted norm 1."""
-        out = self.zeros()
-        out[i] = 1.0 / np.sqrt(self.weights[i])
-        return out
-
     def monomial(self, multi_index) -> np.ndarray:
         """Coefficient-1 vector for the monomial with the given exponents."""
         return self.basis_vector(self.index_of(multi_index))
@@ -327,11 +321,6 @@ class Subspace:
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of x onto this subspace."""
         return self.onb @ self.coefficients(x)
-
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        x = self.space.check_vec(x)
-        resid = self.space.norm(x - self.project(x))
-        return resid <= tol * max(1.0, self.space.norm(x))
 
 
 def span(space: WeightedSpace, vectors: Iterable, tol: float = RANK_TOL) -> Subspace:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoiso import (
+    DEFAULT_RANK_TOL,
     Op,
     PerturbationProblem,
     add,
@@ -24,6 +25,7 @@ from twoiso import (
     span,
     stable_kernel,
     theorem_verdict,
+    whole_space,
     witness_vector,
 )
 from twoiso.function_spaces import (
@@ -109,7 +111,9 @@ def test_normalize_pair_rejects_zero():
 def test_stable_kernel_swap_case_is_trivial():
     space = make_coordinate_space(2)
     base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    assert stable_kernel(base, space.basis_vector(1)).dim == 0
+    v = space.basis_vector(1)
+    sub = stable_kernel(base, v, whole_space(space), DEFAULT_RANK_TOL)
+    assert sub.dim == 0
 
 
 def test_stable_kernel_bidisc_case():
@@ -117,7 +121,8 @@ def test_stable_kernel_bidisc_case():
 
     base = bidisc_shift(3, axis=1)
     space = base.space
-    sub = stable_kernel(base, space.monomial((1, 0)))
+    v = space.monomial((1, 0))
+    sub = stable_kernel(base, v, whole_space(space), DEFAULT_RANK_TOL)
     assert sub.dim == space.dim - 2
     for e in sub.basis_vectors():
         assert abs(space.inner(e, space.monomial((0, 0)))) <= 1e-12
@@ -129,8 +134,25 @@ def test_stable_kernel_identity_base():
     rng = np.random.default_rng(52)
     v = random_vec(space, rng)
     v = v / space.norm(v)
-    sub = stable_kernel(identity(space), v)
+    sub = stable_kernel(identity(space), v, whole_space(space), DEFAULT_RANK_TOL)
     assert sub.dim == 3
+
+
+def test_stable_kernel_uses_the_branch_rank_tolerance():
+    # T turns e0 towards e1 by 1e-11: at tol_rank 1e-12 the witness is
+    # nonzero (branch II), so the stable kernel must lose both v and T*v.
+    space = make_coordinate_space(3)
+    t = 1e-11
+    rot = [[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]]
+    problem = PerturbationProblem(
+        base=Op.from_exact_matrix(space, rot),
+        u=0.3 * space.basis_vector(2),
+        v=space.basis_vector(0),
+        tol_rank=1e-12,
+    )
+    report = theorem_verdict(problem)
+    assert report.branch == "II"
+    assert report.s_dim_evaluated == space.dim - 2
 
 
 def test_witness_vector_swap_case():

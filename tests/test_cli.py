@@ -81,6 +81,109 @@ def test_reproduce_n0_zero_alpha_is_input_error(capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+def test_reproduce_absent_value_fails_the_check(capsys):
+    # A rank tolerance above ||T*v - <T*v, v> v|| = 1 puts the swap example
+    # in branch I, so gamma and condition (b) are absent: a missed
+    # reproduction (exit 1), not a crash.
+    args = ["reproduce", "c2-example", "--tol-rank", "10", "--format", "json"]
+    assert main(args) == 1
+    checks = json.loads(capsys.readouterr().out)["cases"][0]["checks"]
+    gamma = next(c for c in checks if c["label"] == "gamma")
+    assert gamma["value"] is None and gamma["pass"] is False
+
+
+# Every reference check as (label, expected, pass), written out by hand so
+# that a change in a label, a printed tolerance or an outcome shows up here.
+_II_TRUE = [("verdict_theorem", "true", True), ("verdict_oracle", "true", True)]
+C2_CHECKS = [
+    ("branch", "II", True),
+    ("gamma", "0 within 1e-10", True),
+    ("cond_iib_residual", "<= 1e-12", True),
+    ("kernel_residual", "<= 1e-12", True),
+    ("full defect matrix max entry", "<= 1e-12", True),
+    *_II_TRUE,
+]
+PPER_CHECKS = [
+    (f"{label}: {check}", expected, True)
+    for label, admissible in (
+        ("p = -2z", True),
+        ("p = (e^{i pi/3} - 1) z", True),
+        ("p = i z", False),
+    )
+    for check, expected in (
+        ("branch", "I"),
+        ("admissibility residual", "0" if admissible else "nonzero"),
+        ("verdict_theorem", "true" if admissible else "false"),
+        ("verdict_oracle", "true" if admissible else "false"),
+        ("defect on constant vs closed form", "0 within 1e-10"),
+    )
+]
+
+
+def n0_checks(alpha_text, verdicts_pass):
+    return [
+        ("defect on constant", f"|alpha|^4 = {alpha_text} within 1e-10", True),
+        ("verdict_theorem", "false (never a 2-isometry)", verdicts_pass),
+        ("verdict_oracle", "false (never a 2-isometry)", verdicts_pass),
+    ]
+
+
+def bidisc_checks(top_degree):
+    return [
+        ("branch", "II", True),
+        ("gamma", "0 within 1e-10", True),
+        ("||u||^2", "2 within 1e-12", True),
+        ("kernel_residual", "<= 1e-12", True),
+        ("cond_iia_residual", "<= 1e-12", True),
+        ("cond_iib_residual", "<= 1e-12", True),
+        (f"polarized defect on degree <= {top_degree}", "<= 1e-10", True),
+        *_II_TRUE,
+    ]
+
+
+ONE_REPORT = ["checks", "name", "pass", "report"]
+
+
+@pytest.mark.parametrize(
+    "args, code, cases",
+    [
+        (
+            ["all"],
+            0,
+            [
+                ("c2-example", ONE_REPORT, C2_CHECKS),
+                ("dirichlet-pper", ["checks", "name", "pass", "reports"], PPER_CHECKS),
+                ("dirichlet-n0", ["checks", "name", "notes", "pass", "report"],
+                 n0_checks("1", True)),
+                ("bidisc", ONE_REPORT, bidisc_checks(2)),
+            ],
+        ),
+        (["bidisc", "-N", "8"], 0, [("bidisc", ONE_REPORT, bidisc_checks(4))]),
+        (
+            ["dirichlet-pper", "-N", "14"],
+            0,
+            [("dirichlet-pper", ["checks", "name", "pass", "reports"], PPER_CHECKS)],
+        ),
+        (
+            ["dirichlet-n0", "--alpha", "1e-6"],
+            1,
+            [("dirichlet-n0", ["checks", "name", "notes", "pass", "report"],
+              n0_checks("1e-24", False))],
+        ),
+    ],
+)
+def test_reproduce_checks_are_pinned(args, code, cases, capsys):
+    assert main(["reproduce", *args, "--format", "json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is (code == 0)
+    assert [case["name"] for case in doc["cases"]] == [name for name, _, _ in cases]
+    for case, (name, keys, checks) in zip(doc["cases"], cases):
+        assert sorted(case) == keys
+        got = [(c["label"], c["expected"], c["pass"]) for c in case["checks"]]
+        assert got == checks
+        assert case["pass"] is all(ok for _, _, ok in checks)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -359,3 +462,10 @@ def test_defect_command_dimension_mismatch(tmp_path, capsys):
     op = dirichlet_shift(4)
     path = write_json(tmp_path / "shift.json", op.to_dict())
     assert main(["defect", "--operator", path, "--vector", "[[1.0, 0.0]]"]) == 2
+
+
+def test_search_negative_trials_is_input_error(capsys):
+    assert main(["search", "c2-rankone", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err

@@ -24,7 +24,6 @@ from twoiso import (
     scale,
     scanned_degree_growth,
     truncation_safe,
-    weighted_operator_norm,
     whole_space,
     zero_op,
 )
@@ -455,15 +454,6 @@ def test_scanned_degree_growth():
     p = PolyCoeffs((0.0, 0.0, 1.0))
     K = rank_one(space, p.to_vector(space), space.basis_vector(0))
     assert K.degree_growth == 3
-
-
-def test_weighted_operator_norm_of_unitary():
-    space = make_coordinate_space(3)
-    rng = np.random.default_rng(43)
-    from twoiso.sampling import random_unitary
-
-    U = Op.from_exact_matrix(space, random_unitary(3, rng))
-    assert weighted_operator_norm(U) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scale_keeps_growth():
