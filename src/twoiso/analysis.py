@@ -27,7 +27,7 @@ the residuals; the two verdicts must agree and both are in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,10 +54,8 @@ __all__ = [
     "DEFAULT_DEFECT_TOL",
     "PerturbationProblem",
     "TheoremReport",
-    "normalize_pair",
     "stable_kernel",
     "witness_vector",
-    "classify_branch",
     "gamma_coefficient",
     "condition_iib_residual",
     "condition_iia_residual",
@@ -68,20 +66,6 @@ __all__ = [
 # Two orders above accumulated round-off for dense products at dim <= 100.
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_DEFECT_TOL = 1e-8
-
-
-def normalize_pair(space: WeightedSpace, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale (u, v) so that ||v|| = 1 without changing u⊗v.
-
-    Returns (||v|| u, v / ||v||); both inputs must be nonzero.
-    """
-    u = space.check_vec(u)
-    v = space.check_vec(v)
-    nu = space.norm(u)
-    nv = space.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("not rank one: u and v must both be nonzero")
-    return nv * u, v / nv
 
 
 def stable_kernel(T: Op, v, window: Subspace, tol_rank: float) -> Subspace:
@@ -153,11 +137,12 @@ def gamma_coefficient(
 class PerturbationProblem:
     """A base 2-isometry with a rank-one perturbation direction.
 
-    The pair (u, v) is normalized at construction so that ||v|| = 1 without
-    changing u⊗v; ``v_was_normalized`` records whether that happened. The
-    base operator is validated to be a 2-isometry at truncation scale via
-    the defect form on its safe window (override with
-    ``allow_non_2_isometric_base`` for exploratory use).
+    The pair (u, v) is rescaled at construction to (||v|| u, v / ||v||), so
+    that ||v|| = 1 without changing u⊗v; ``v_was_normalized`` records whether
+    that happened (||v|| off 1 by more than 1e-12). Both tolerances must be
+    finite and positive. The base operator is validated to be a 2-isometry
+    at truncation scale via the defect form on its safe window (override
+    with ``allow_non_2_isometric_base`` for exploratory use).
     """
 
     base: Op
@@ -170,17 +155,17 @@ class PerturbationProblem:
     base_defect: float = field(init=False)
 
     def __post_init__(self):
-        if self.tol_rank <= 0 or self.tol_defect <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_rank < np.inf and 0 < self.tol_defect < np.inf):
+            raise ValueError("tolerances must be finite and positive")
         space = self.base.space
         u = space.check_vec(self.u)
         v = space.check_vec(self.v)
-        if space.norm(u) == 0.0 or space.norm(v) == 0.0:
-            raise ValueError("not rank one: u and v must both be nonzero")
         nv = space.norm(v)
+        if space.norm(u) == 0.0 or nv == 0.0:
+            raise ValueError("not rank one: u and v must both be nonzero")
         self.v_was_normalized = abs(nv - 1.0) > 1e-12
         if self.v_was_normalized:
-            u, v = normalize_pair(space, u, v)
+            u, v = nv * u, v / nv
         self.u = u
         self.v = v
         base_report = polarized_defect_form(self.base, safe_subspace(self.base))
@@ -211,7 +196,8 @@ class TheoremReport:
     In branch I the fields gamma, cond_iia_residual and cond_iib_residual
     are None, not zero: the branch conditions are mutually exclusive and
     the branch II conditions are not evaluated when the kernel of the
-    perturbation is invariant.
+    perturbation is invariant. :meth:`to_dict` gives every field, with the
+    space as its own document, plus ``paper_branch``.
     """
 
     branch: str
@@ -231,30 +217,10 @@ class TheoremReport:
     space: WeightedSpace
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "paper_branch": "(i)" if self.branch == "I" else "(ii)",
-            "kernel_residual": self.kernel_residual,
-            "gamma": self.gamma,
-            "cond_iia_residual": self.cond_iia_residual,
-            "cond_iib_residual": self.cond_iib_residual,
-            "oracle_defect": self.oracle_defect,
-            "verdict_theorem": bool(self.verdict_theorem),
-            "verdict_oracle": bool(self.verdict_oracle),
-            "tol_rank": self.tol_rank,
-            "tol_defect": self.tol_defect,
-            "safe_dim": self.safe_dim,
-            "s_dim_evaluated": self.s_dim_evaluated,
-            "v_was_normalized": bool(self.v_was_normalized),
-            "base_defect": self.base_defect,
-            "space": self.space.to_dict(),
-        }
-
-
-def classify_branch(problem: PerturbationProblem) -> str:
-    """"I" when ker(u⊗v) is invariant under the base operator, else "II"."""
-    x = witness_vector(problem.base, problem.v, problem.tol_rank)
-    return "I" if x is None else "II"
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["paper_branch"] = "(i)" if self.branch == "I" else "(ii)"
+        doc["space"] = self.space.to_dict()
+        return doc
 
 
 def condition_iib_residual(problem: PerturbationProblem, gamma: float) -> float:

@@ -59,32 +59,29 @@ DEFAULT_BIDISC_N = 6
 # small helpers
 
 
-def _finite_float(text: str) -> float:
-    val = float(text)
-    if not np.isfinite(val):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return val
+def _arg_type(parse: Callable, what: str, ok: Callable = np.isfinite) -> Callable:
+    """An argparse type that parses the text and requires ``ok`` of the value.
+
+    Both failures raise ArgumentTypeError, which argparse reports under the
+    option's name: "argument --step: must be a finite positive number, got 'x'".
+    """
+
+    def convert(text: str):
+        try:
+            val = parse(text)
+        except ValueError:
+            val = None
+        if val is None or not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return val
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    val = _finite_float(text)
-    if val <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return val
-
-
-def _non_negative_int(text: str) -> int:
-    val = int(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return val
-
-
-def _finite_complex(text: str) -> complex:
-    val = complex(text)
-    if not np.isfinite(val):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return val
+_finite_float = _arg_type(float, "a finite number")
+_positive_float = _arg_type(float, "a finite positive number", lambda val: 0 < val < np.inf)
+_non_negative_int = _arg_type(int, "a non-negative integer", lambda val: val >= 0)
+_finite_complex = _arg_type(complex, "a finite number")
 
 
 def _dumps(payload, indent: int | None = 2) -> str:
@@ -412,7 +409,8 @@ def search_dirichlet_alpha(
     oracle too. The prefilter runs one grid row (fixed Re alpha) at a time
     through :func:`constant_defect_row`, without building an operator per
     point. Only the points with |q(1)| <= tol are built and confirmed
-    against the full polarized defect on the safe window. The unperturbed
+    against the oracle form on the whole safe window, the three forward Gram
+    products of :func:`polarized_defect_form`. The unperturbed
     point alpha = 0 is skipped. Hits come in row-major order.
     """
     if n < 0:

@@ -10,7 +10,6 @@ evaluated from the coefficients alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -69,13 +68,6 @@ class PolyCoeffs:
                 out[space.index_of((i,))] = c
         return out
 
-    def to_pairs(self) -> list[list[float]]:
-        return [[float(c.real), float(c.imag)] for c in self.a]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "PolyCoeffs":
-        return cls(tuple(complex(float(p[0]), float(p[1])) for p in pairs))
-
 
 def dirichlet_shift(N: int) -> Op:
     """Multiplication by z on the Dirichlet space truncated at degree N.
@@ -97,7 +89,8 @@ def perturbed_dirichlet(N: int, p: PolyCoeffs) -> Op:
 
     The constant function has weight 1, hence unit norm, so 1 is already a
     valid normalized perturbation direction. A zero polynomial gives back
-    the plain shift. Degree growth is max(1, deg p).
+    the plain shift. Degree growth is max(1, deg p): the shift's 1 and the
+    scanned deg p of the rank-one part, combined by :func:`add`.
     """
     shift = dirichlet_shift(N)
     if p.is_zero:
@@ -108,9 +101,7 @@ def perturbed_dirichlet(N: int, p: PolyCoeffs) -> Op:
         )
     space = shift.space
     one = space.basis_vector(0)
-    pert = rank_one(space, p.to_vector(space), one)
-    combined = add(shift, pert)
-    return Op(space, combined.matrix, degree_growth=max(1, p.degree))
+    return add(shift, rank_one(space, p.to_vector(space), one))
 
 
 def constant_perturbed_dirichlet(N: int, alpha: complex) -> Op:
@@ -152,7 +143,7 @@ def bidisc_shift(N: int, axis: int) -> Op:
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     step = (1, 0) if axis == 1 else (0, 1)
     for j, lab in enumerate(space.labels):
-        m, n = lab.multi_index
+        m, n = lab
         if m + n < N:
             mat[space.index_of((m + step[0], n + step[1])), j] = 1.0
     return Op(space, mat, degree_growth=1)

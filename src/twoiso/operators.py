@@ -42,10 +42,8 @@ __all__ = [
     "apply",
     "compose",
     "add",
-    "scale",
     "adjoint",
     "identity",
-    "zero_op",
     "rank_one",
     "scanned_degree_growth",
     "defect_operator",
@@ -91,8 +89,9 @@ class Op:
 
         The degree growth is certified by scanning the columns.
         """
-        op = cls(space, matrix, degree_growth=None)
-        return cls(space, matrix, degree_growth=scanned_degree_growth(op))
+        op = cls(space, matrix)
+        op.degree_growth = scanned_degree_growth(op)
+        return op
 
     def __repr__(self) -> str:
         return (
@@ -165,10 +164,6 @@ def add(A: Op, B: Op) -> Op:
     return Op(A.space, A.matrix + B.matrix, degree_growth=growth)
 
 
-def scale(A: Op, c) -> Op:
-    return Op(A.space, complex(c) * A.matrix, degree_growth=A.degree_growth)
-
-
 def adjoint(A: Op) -> Op:
     """Adjoint with respect to the weighted inner product: W^-1 A^H W.
 
@@ -185,10 +180,6 @@ def identity(space: WeightedSpace) -> Op:
     return Op(space, np.eye(space.dim, dtype=complex), degree_growth=0)
 
 
-def zero_op(space: WeightedSpace) -> Op:
-    return Op(space, np.zeros((space.dim, space.dim), dtype=complex), degree_growth=0)
-
-
 def rank_one(space: WeightedSpace, u, v) -> Op:
     """The operator x -> <x, v> u; errors on zero u or v.
 
@@ -199,9 +190,7 @@ def rank_one(space: WeightedSpace, u, v) -> Op:
     v = space.check_vec(v)
     if space.norm(u) == 0.0 or space.norm(v) == 0.0:
         raise ValueError("not rank one: u and v must both be nonzero")
-    mat = np.outer(u, space.weight_array * v.conj())
-    op = Op(space, mat, degree_growth=None)
-    return Op(space, mat, degree_growth=scanned_degree_growth(op))
+    return Op.from_exact_matrix(space, np.outer(u, space.weight_array * v.conj()))
 
 
 def scanned_degree_growth(A: Op) -> int:
@@ -209,15 +198,12 @@ def scanned_degree_growth(A: Op) -> int:
 
     For each column j with any nonzero entry, the growth is the largest
     label degree carrying a nonzero coefficient minus the degree of label j;
-    the result is the max over columns, floored at zero.
+    the result is the max over columns, floored at zero. A zero column reads
+    as top degree -1, so it never raises the bound.
     """
     degs = A.space.degrees
-    growth = 0
-    for j in range(A.space.dim):
-        rows = np.nonzero(A.matrix[:, j])[0]
-        if rows.size:
-            growth = max(growth, int(degs[rows].max() - degs[j]))
-    return growth
+    top = np.where(A.matrix != 0, degs[:, None], -1).max(axis=0)
+    return int(np.max(top - degs, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +286,17 @@ def truncation_cutoff(T: Op) -> int:
     return T.space.max_degree - 2 * T.degree_growth
 
 
-def _unsafe_support(T: Op, x) -> float:
-    cutoff = truncation_cutoff(T)
-    x = T.space.check_vec(x)
-    mask = T.space.degrees > cutoff
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(x[mask])))
+def truncation_safe(T: Op, x) -> bool:
+    """Whether x is supported on the truncation-safe degrees.
 
-
-def truncation_safe(T: Op, x, tol: float = 1e-12) -> bool:
-    """Whether x is supported (up to tol) on the truncation-safe degrees."""
+    Mass above the cutoff up to 1e-12 relative to max(1, max |x_i|) is
+    round-off and does not count.
+    """
     if T.degree_growth is None:
         return False
     x = T.space.check_vec(x)
-    scale_ = max(1.0, float(np.max(np.abs(x))))
-    return _unsafe_support(T, x) <= tol * scale_
+    unsafe = np.abs(x[T.space.degrees > truncation_cutoff(T)])
+    return float(np.max(unsafe, initial=0.0)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
 
 
 def require_truncation_safe(T: Op, vectors, what: str = "vector"):

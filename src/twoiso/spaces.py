@@ -1,7 +1,8 @@
 """Finite-dimensional weighted coefficient spaces.
 
-A :class:`WeightedSpace` is an ordered list of monomial-style basis labels
-together with strictly positive diagonal weights; the inner product is
+A :class:`WeightedSpace` is an ordered list of monomial basis labels (exponent
+multi-indices, tuples of non-negative ints of one common length) together
+with strictly positive diagonal weights; the inner product is
 
     <x, y> = sum_i w_i * x_i * conj(y_i)
 
@@ -22,7 +23,8 @@ Three families of spaces are provided:
 Subspaces carry an orthonormal basis computed by modified Gram-Schmidt in
 the weighted inner product; vectors whose residual drops below the rank
 tolerance are discarded, which is what detects the rank of a generated span
-such as span{v, T*v}.
+such as span{v, T*v}. That tolerance is always the caller's: this module has
+no default of its own.
 
 All objects here are immutable values; they can be shared freely across
 threads.
@@ -38,8 +40,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "RANK_TOL",
-    "BasisLabel",
     "WeightedSpace",
     "Subspace",
     "make_dirichlet_space",
@@ -54,53 +54,21 @@ __all__ = [
     "vec_from_pairs",
 ]
 
-# Residual norm below which a generator is treated as linearly dependent.
-RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """One basis monomial, identified by its exponent multi-index."""
-
-    multi_index: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(k) for k in self.multi_index)
-        if len(idx) == 0:
-            raise ValueError("multi-index must have at least one entry")
-        if any(k < 0 for k in idx):
-            raise ValueError(f"multi-index entries must be non-negative, got {idx}")
-        object.__setattr__(self, "multi_index", idx)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(self.multi_index)
-
-    def __str__(self) -> str:
-        if self.total_degree == 0:
-            return "1"
-        parts = []
-        for var, exp in enumerate(self.multi_index):
-            if exp == 0:
-                continue
-            name = "z" if len(self.multi_index) == 1 else f"z{var + 1}"
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return "*".join(parts)
-
-
 @dataclass(frozen=True)
 class WeightedSpace:
     """An ordered monomial basis with strictly positive diagonal weights."""
 
-    labels: tuple[BasisLabel, ...]
+    labels: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
     kind: str = "custom"
 
     def __post_init__(self):
-        labels = tuple(
-            lab if isinstance(lab, BasisLabel) else BasisLabel(tuple(lab))
-            for lab in self.labels
-        )
+        labels = tuple(tuple(int(k) for k in lab) for lab in self.labels)
+        for idx in labels:
+            if len(idx) == 0:
+                raise ValueError("multi-index must have at least one entry")
+            if min(idx) < 0:
+                raise ValueError(f"multi-index entries must be non-negative, got {idx}")
         weights = tuple(float(w) for w in self.weights)
         if len(labels) == 0:
             raise ValueError("a space needs at least one basis label")
@@ -112,7 +80,7 @@ class WeightedSpace:
             raise ValueError("all weights must be strictly positive")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
-        nvars = {len(lab.multi_index) for lab in labels}
+        nvars = {len(lab) for lab in labels}
         if len(nvars) != 1:
             raise ValueError("all labels must have the same multi-index length")
         object.__setattr__(self, "labels", labels)
@@ -132,7 +100,7 @@ class WeightedSpace:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.array([lab.total_degree for lab in self.labels], dtype=int)
+        d = np.array([sum(lab) for lab in self.labels], dtype=int)
         d.setflags(write=False)
         return d
 
@@ -142,7 +110,7 @@ class WeightedSpace:
 
     @cached_property
     def _label_index(self) -> dict[tuple[int, ...], int]:
-        return {lab.multi_index: i for i, lab in enumerate(self.labels)}
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, multi_index) -> int:
         key = (int(multi_index),) if np.isscalar(multi_index) else tuple(
@@ -195,7 +163,7 @@ class WeightedSpace:
             "kind": self.kind,
             "max_degree": self.max_degree if self.kind in ("dirichlet", "bidisc") else None,
             "weights": [float(w) for w in self.weights],
-            "labels": [list(lab.multi_index) for lab in self.labels],
+            "labels": [list(lab) for lab in self.labels],
         }
 
     @classmethod
@@ -211,7 +179,6 @@ class WeightedSpace:
         ):
             raise ValueError("labels must be a list of integer multi-indices")
         weights = _finite_reals(weights, 1, "weights must be a list of finite numbers")
-        labels = tuple(BasisLabel(tuple(ix)) for ix in labels)
         return cls(labels=labels, weights=tuple(weights), kind=kind)
 
 
@@ -222,7 +189,7 @@ def make_dirichlet_space(max_degree: int) -> WeightedSpace:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    labels = tuple(BasisLabel((k,)) for k in range(max_degree + 1))
+    labels = tuple((k,) for k in range(max_degree + 1))
     weights = tuple(float(k + 1) for k in range(max_degree + 1))
     return WeightedSpace(labels=labels, weights=weights, kind="dirichlet")
 
@@ -238,7 +205,7 @@ def make_bidisc_space(max_total_degree: int) -> WeightedSpace:
     labels = []
     for d in range(max_total_degree + 1):
         for m in range(d, -1, -1):
-            labels.append(BasisLabel((m, d - m)))
+            labels.append((m, d - m))
     weights = tuple(1.0 for _ in labels)
     return WeightedSpace(labels=tuple(labels), weights=weights, kind="bidisc")
 
@@ -251,10 +218,7 @@ def make_coordinate_space(dim: int, weights: Sequence[float] | None = None) -> W
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    labels = tuple(
-        BasisLabel(tuple(1 if j == i else 0 for j in range(dim)))
-        for i in range(dim)
-    )
+    labels = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
     if weights is None:
         weights = tuple(1.0 for _ in range(dim))
     return WeightedSpace(labels=labels, weights=tuple(weights), kind="custom")
@@ -264,15 +228,13 @@ def make_coordinate_space(dim: int, weights: Sequence[float] | None = None) -> W
 # subspaces
 
 
-def weighted_gram_schmidt(
-    space: WeightedSpace, vectors: Iterable, tol: float = RANK_TOL
-) -> list[np.ndarray]:
+def weighted_gram_schmidt(space: WeightedSpace, vectors: Iterable, tol: float) -> np.ndarray:
     """Modified Gram-Schmidt in the weighted inner product.
 
     Vectors whose residual norm falls below ``tol`` are dropped, so the
-    result is an orthonormal basis of the span with numerically detected
-    rank. A second orthogonalization pass guards against loss of
-    orthogonality on nearly dependent inputs.
+    result, a (dim, k) array of columns, is an orthonormal basis of the span
+    with numerically detected rank k. A second orthogonalization pass guards
+    against loss of orthogonality on nearly dependent inputs.
     """
     basis: list[np.ndarray] = []
     for vec in vectors:
@@ -284,7 +246,7 @@ def weighted_gram_schmidt(
         nrm = space.norm(work)
         if nrm > tol:
             basis.append(work / nrm)
-    return basis
+    return np.stack(basis, axis=1) if basis else np.zeros((space.dim, 0), dtype=complex)
 
 
 @dataclass(eq=False)
@@ -323,15 +285,9 @@ class Subspace:
         return self.onb @ self.coefficients(x)
 
 
-def span(space: WeightedSpace, vectors: Iterable, tol: float = RANK_TOL) -> Subspace:
-    """Subspace spanned by the given vectors, with rank detection."""
-    basis = weighted_gram_schmidt(space, vectors, tol=tol)
-    onb = (
-        np.stack(basis, axis=1)
-        if basis
-        else np.zeros((space.dim, 0), dtype=complex)
-    )
-    return Subspace(space=space, onb=onb)
+def span(space: WeightedSpace, vectors: Iterable, tol: float) -> Subspace:
+    """Subspace spanned by the given vectors, with rank detection at ``tol``."""
+    return Subspace(space=space, onb=weighted_gram_schmidt(space, vectors, tol))
 
 
 def monomial_span(space: WeightedSpace, indices: Sequence[int]) -> Subspace:
@@ -348,24 +304,18 @@ def whole_space(space: WeightedSpace) -> Subspace:
 
 
 def orthogonal_complement(
-    sub: Subspace, within: Subspace | None = None, tol: float = RANK_TOL
+    sub: Subspace, within: Subspace | None = None, *, tol: float
 ) -> Subspace:
     """All vectors of the ambient (sub)space orthogonal to ``sub``.
 
-    ``within`` defaults to the whole space. The caller is responsible for
-    ``sub`` being contained in the ambient subspace; then the dimensions add
-    up to the ambient dimension.
+    ``within`` defaults to the whole space; rank is detected at ``tol``. The
+    caller is responsible for ``sub`` being contained in the ambient
+    subspace; then the dimensions add up to the ambient dimension.
     """
     space = sub.space
     ambient = within if within is not None else whole_space(space)
     candidates = [col - sub.project(col) for col in ambient.basis_vectors()]
-    basis = weighted_gram_schmidt(space, candidates, tol=tol)
-    onb = (
-        np.stack(basis, axis=1)
-        if basis
-        else np.zeros((space.dim, 0), dtype=complex)
-    )
-    return Subspace(space=space, onb=onb)
+    return Subspace(space=space, onb=weighted_gram_schmidt(space, candidates, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from twoiso import (
     add,
     adjoint,
     apply,
-    classify_branch,
     condition_iia_residual,
     condition_iib_residual,
     defect_operator,
@@ -18,7 +17,6 @@ from twoiso import (
     identity,
     kernel_condition_residual,
     make_coordinate_space,
-    normalize_pair,
     orthogonal_complement,
     rank_one,
     safe_subspace,
@@ -57,7 +55,13 @@ def swap_problem(scale_u: float = 1.0, **kwargs) -> PerturbationProblem:
 
 
 # ---------------------------------------------------------------------------
-# normalize_pair
+# normalization of (u, v) by PerturbationProblem
+
+
+def normalized_pair(space, u, v):
+    """(u, v) as PerturbationProblem stores them, over the identity base."""
+    problem = PerturbationProblem(base=identity(space), u=u, v=v)
+    return problem.u, problem.v, problem.v_was_normalized
 
 
 def test_normalize_pair_scales_u_by_norm_of_v():
@@ -66,23 +70,25 @@ def test_normalize_pair_scales_u_by_norm_of_v():
     u = random_vec(space, rng)
     vhat = random_vec(space, rng)
     vhat = vhat / space.norm(vhat)
-    u2, v2 = normalize_pair(space, u, 2.0 * vhat)
+    u2, v2, normalized = normalized_pair(space, u, 2.0 * vhat)
     assert np.allclose(u2, 2.0 * u)
     assert np.allclose(v2, vhat)
+    assert normalized is True
 
 
 def test_normalize_pair_fixed_point():
     space = make_coordinate_space(2)
     v = space.basis_vector(1)
     u = space.basis_vector(0)
-    u2, v2 = normalize_pair(space, u, v)
-    assert np.allclose(u2, u)
-    assert np.allclose(v2, v)
+    u2, v2, normalized = normalized_pair(space, u, v)
+    assert np.array_equal(u2, u)
+    assert np.array_equal(v2, v)
+    assert normalized is False
 
 
 def test_normalize_pair_canonical_example():
     space = make_coordinate_space(2)
-    u2, v2 = normalize_pair(space, space.basis_vector(0), 3.0 * space.basis_vector(1))
+    u2, v2, _ = normalized_pair(space, space.basis_vector(0), 3.0 * space.basis_vector(1))
     assert np.allclose(u2, 3.0 * space.basis_vector(0))
     assert np.allclose(v2, space.basis_vector(1))
 
@@ -92,16 +98,19 @@ def test_normalize_pair_preserves_rank_one_operator():
     space = make_coordinate_space(4)
     for _ in range(20):
         u, v = random_vec(space, rng), random_vec(space, rng)
-        u2, v2 = normalize_pair(space, u, v)
+        problem = PerturbationProblem(base=identity(space), u=u, v=v)
+        assert abs(space.norm(problem.v) - 1.0) <= 1e-12
         lhs = rank_one(space, u, v).matrix
-        rhs = rank_one(space, u2, v2).matrix
+        rhs = problem.perturbation().matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
 def test_normalize_pair_rejects_zero():
     space = make_coordinate_space(2)
     with pytest.raises(ValueError, match="not rank one"):
-        normalize_pair(space, space.zeros(), space.basis_vector(0))
+        normalized_pair(space, space.zeros(), space.basis_vector(0))
+    with pytest.raises(ValueError, match="not rank one"):
+        normalized_pair(space, space.basis_vector(0), space.zeros())
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +211,18 @@ def test_witness_denominator_positivity():
 
 def test_branch_I_for_perturbed_dirichlet_setup():
     problem = dirichlet_perturbation_problem(8, PolyCoeffs((-2.0,)))
-    assert classify_branch(problem) == "I"
+    assert witness_vector(problem.base, problem.v, problem.tol_rank) is None
+    assert theorem_verdict(problem).branch == "I"
 
 
 def test_branch_II_for_bidisc_setup():
-    assert classify_branch(bidisc_example_problem(6)) == "II"
+    assert theorem_verdict(bidisc_example_problem(6)).branch == "II"
 
 
 def test_branch_II_for_swap_setup():
-    assert classify_branch(swap_problem()) == "II"
+    problem = swap_problem()
+    assert witness_vector(problem.base, problem.v, problem.tol_rank) is not None
+    assert theorem_verdict(problem).branch == "II"
 
 
 def test_branch_consistency_two_computations():
@@ -230,7 +242,7 @@ def test_branch_consistency_two_computations():
         v = v / space.norm(v)
 
         by_witness = witness_vector(T, v, tol) is None
-        kernel = orthogonal_complement(span(space, [v]))
+        kernel = orthogonal_complement(span(space, [v], tol), tol=tol)
         worst = 0.0
         for s in kernel.basis_vectors():
             worst = max(worst, abs(space.inner(apply(T, s), v)))
@@ -340,7 +352,11 @@ def test_condition_iia_over_stable_kernel_only_branch_I():
     problem = dirichlet_perturbation_problem(10, PolyCoeffs((-2.0,)))
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
-    sub = orthogonal_complement(span(problem.space, [safe.project(problem.v)]), within=safe)
+    sub = orthogonal_complement(
+        span(problem.space, [safe.project(problem.v)], DEFAULT_RANK_TOL),
+        within=safe,
+        tol=DEFAULT_RANK_TOL,
+    )
     resid = condition_iia_residual(Tt, sub, safe, witness=None)
     assert resid <= 1e-10
 
@@ -413,6 +429,16 @@ def test_problem_rejects_zero_vectors_and_bad_tolerances():
             v=space.basis_vector(1),
             tol_defect=0.0,
         )
+
+
+@pytest.mark.parametrize("key", ["tol_rank", "tol_defect"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_problem_rejects_non_finite_tolerances(key, value):
+    # a NaN tol_defect fails every comparison (both verdicts of this true
+    # 2-isometry would read False), and an infinite tol_rank hides the branch
+    # II witness
+    with pytest.raises(ValueError, match="finite and positive"):
+        bidisc_example_problem(6, **{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +529,9 @@ def test_report_to_dict_contract():
     doc = report.to_dict()
     assert doc["paper_branch"] == "(ii)"
     assert doc["branch"] == "II"
-    assert set(doc) >= {
+    assert set(doc) == {
+        "branch",
+        "paper_branch",
         "kernel_residual",
         "gamma",
         "cond_iia_residual",
@@ -519,10 +547,20 @@ def test_report_to_dict_contract():
         "base_defect",
         "space",
     }
+    assert doc["space"] == report.space.to_dict()
+    for key in ("kernel_residual", "gamma", "cond_iia_residual", "cond_iib_residual"):
+        assert type(doc[key]) is float
     report_i = theorem_verdict(dirichlet_perturbation_problem(10, PolyCoeffs((-2.0,))))
     doc_i = report_i.to_dict()
     assert doc_i["paper_branch"] == "(i)"
-    assert doc_i["gamma"] is None
+    assert set(doc_i) == set(doc)
+    for key in ("gamma", "cond_iia_residual", "cond_iib_residual", "s_dim_evaluated"):
+        assert doc_i[key] is None
+    for d in (doc, doc_i):
+        for key in ("verdict_theorem", "verdict_oracle", "v_was_normalized"):
+            assert type(d[key]) is bool
+        assert type(d["safe_dim"]) is int
+        assert type(d["oracle_defect"]) is float
 
 
 def test_mixed_degree_zero_residual_polynomial_is_not_two_isometric():

@@ -270,7 +270,13 @@ def _bool_in_u(doc):
     doc["u"][1][0] = True
 
 
-@pytest.mark.parametrize("corrupt", [_nan_u, _short_matrix_pair, _scalar_u, _bool_in_u])
+def _negative_label(doc):
+    doc["operator"]["space"]["labels"][0] = [-1, 0]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_nan_u, _short_matrix_pair, _scalar_u, _bool_in_u, _negative_label]
+)
 def test_analyze_malformed_document_is_input_error(corrupt, tmp_path, capsys):
     doc = swap_input_doc()
     corrupt(doc)
@@ -462,6 +468,27 @@ def test_defect_command_dimension_mismatch(tmp_path, capsys):
     op = dirichlet_shift(4)
     path = write_json(tmp_path / "shift.json", op.to_dict())
     assert main(["defect", "--operator", path, "--vector", "[[1.0, 0.0]]"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "dirichlet-alpha", "--step", "x"],
+        ["search", "dirichlet-alpha", "--re-min", "x"],
+        ["search", "c2-rankone", "--trials", "x"],
+        ["search", "c2-rankone", "--tol", "nan"],
+        ["reproduce", "dirichlet-n0", "--alpha", "x"],
+        ["reproduce", "bidisc", "--tol-rank", "inf"],
+    ],
+    ids=lambda args: f"{args[2]}={args[3]}",
+)
+def test_bad_number_option_names_the_option(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.splitlines()[-1]
+    assert f"argument {args[2]}: must be " in message
+    assert "_" not in message  # no private converter name
 
 
 def test_search_negative_trials_is_input_error(capsys):

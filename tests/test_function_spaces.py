@@ -6,7 +6,6 @@ import pytest
 from twoiso import (
     adjoint,
     apply,
-    classify_branch,
     defect_quadratic,
     polarized_defect_form,
     safe_subspace,
@@ -35,11 +34,6 @@ def test_poly_degree_ignores_trailing_zeros():
     assert PolyCoeffs((0.0, 2.0)).degree == 2
     assert PolyCoeffs(()).degree == 0
     assert PolyCoeffs((0.0,)).is_zero
-
-
-def test_poly_pairs_round_trip():
-    p = PolyCoeffs((1.0 + 2.0j, -0.5j))
-    assert PolyCoeffs.from_pairs(p.to_pairs()) == p
 
 
 def test_poly_to_vector_respects_truncation():
@@ -176,8 +170,9 @@ def test_defect_on_constant_identity():
 
 
 def test_branch_consistency_of_constructed_problems():
-    assert classify_branch(dirichlet_perturbation_problem(10, PolyCoeffs((0.5j,)))) == "I"
-    assert classify_branch(bidisc_example_problem(6)) == "II"
+    problem = dirichlet_perturbation_problem(10, PolyCoeffs((0.5j,)))
+    assert theorem_verdict(problem).branch == "I"
+    assert theorem_verdict(bidisc_example_problem(6)).branch == "II"
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from twoiso import (
     polarized_defect_form,
     rank_one,
     safe_subspace,
-    scale,
     scanned_degree_growth,
     truncation_safe,
     whole_space,
-    zero_op,
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
@@ -60,7 +58,8 @@ def test_apply_identity_and_zero():
     rng = np.random.default_rng(0)
     x = random_vec(space, rng)
     assert np.allclose(apply(identity(space), x), x)
-    assert np.allclose(apply(zero_op(space), x), 0)
+    zero = Op(space, np.zeros((space.dim, space.dim)), degree_growth=0)
+    assert np.allclose(apply(zero, x), 0)
 
 
 def test_apply_dimension_mismatch():
@@ -379,7 +378,7 @@ def test_empty_subspace_report():
     U = Op.from_exact_matrix(space, [[0, 1], [1, 0]])
     from twoiso import span
 
-    report = polarized_defect_form(U, span(space, []))
+    report = polarized_defect_form(U, span(space, [], 1e-10))
     assert report.safe_dim == 0
     assert report.max_residual == 0.0
 
@@ -454,11 +453,25 @@ def test_scanned_degree_growth():
     p = PolyCoeffs((0.0, 0.0, 1.0))
     K = rank_one(space, p.to_vector(space), space.basis_vector(0))
     assert K.degree_growth == 3
+    assert scanned_degree_growth(Op(space, np.zeros((space.dim, space.dim)))) == 0
+    assert scanned_degree_growth(adjoint(shift)) == 0
 
 
-def test_scale_keeps_growth():
-    shift = dirichlet_shift(4)
-    assert scale(shift, 2.0).degree_growth == 1
+def test_scanned_degree_growth_matches_column_scan():
+    # the largest nonzero degree of each column minus the column's degree,
+    # one column at a time, against the vectorized scan
+    rng = np.random.default_rng(47)
+    space = make_bidisc_space(4)
+    degs = space.degrees
+    for _ in range(50):
+        mat = random_matrix(space.dim, rng) * (rng.random((space.dim, space.dim)) < 0.05)
+        want = 0
+        for j in range(space.dim):
+            rows = np.flatnonzero(mat[:, j])
+            if rows.size:
+                want = max(want, int(degs[rows].max() - degs[j]))
+        assert scanned_degree_growth(Op(space, mat)) == want
+        assert Op.from_exact_matrix(space, mat).degree_growth == want
 
 
 # ---------------------------------------------------------------------------
