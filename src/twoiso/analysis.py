@@ -17,12 +17,14 @@ operator and exactly one of two mutually exclusive branches holds:
       onto ker K.
 
 Every residual reported here is evaluated through forward applications of
-the operator only (the gamma formula is folded to
-Re( <u, T P T x> / <v, T x> ), and defect images come from the polarized
-quadratic form), so all numbers are exact on the truncation-safe window of
-a degree-truncated model. The oracle is the defect form over the whole safe
-window from forward Gram products, independent of the polarization behind
-the residuals; the two verdicts must agree and both are in the report.
+the operator only, so all numbers are exact on the truncation-safe window of
+a degree-truncated model. The gamma formula is folded to
+Re( <u, T P T x> / <v, T x> ). The oracle is the matrix G of the defect form
+over the whole safe window, from three forward Gram products; condition (a)
+is read off the same G in window coordinates, and only the kernel residual
+recovers its defect image by polarization of the quadratic form. The
+oracle verdict thresholds the entries of G, the theorem verdict the branch
+residuals; the two must agree and both are in the report.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .operators import (
+    ROUNDOFF_RTOL,
     Op,
     add,
     adjoint,
@@ -42,12 +45,7 @@ from .operators import (
     safe_subspace,
     require_truncation_safe,
 )
-from .spaces import (
-    Subspace,
-    WeightedSpace,
-    orthogonal_complement,
-    span,
-)
+from .spaces import Subspace, WeightedSpace, span
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -68,23 +66,21 @@ DEFAULT_RANK_TOL = 1e-9
 DEFAULT_DEFECT_TOL = 1e-8
 
 
-def stable_kernel(T: Op, v, window: Subspace, tol_rank: float) -> Subspace:
-    """Vectors of ``window`` orthogonal to both v and T*v.
+def stable_kernel(T: Op, v, window: Subspace, tol_rank: float) -> np.ndarray:
+    """The stable kernel in ``window``, as the orthonormal (r, k) array Q.
 
-    This is the part of ker(u⊗v) whose image under T stays inside the
-    kernel, intersected with the window. It is computed as the complement,
-    inside the window, of the projections of v and T*v onto the window; for
-    x in the window the pairings <x, v> and <x, T*v> only see those
-    projections, so this is the genuine intersection. Both spans detect
-    rank at ``tol_rank``, the tolerance that also decides the branch. On
-    the whole space the dimension is dim - 1 when T*v is parallel to v and
-    dim - 2 otherwise.
+    The stable kernel is the part of ker(u⊗v) whose image under T stays in
+    the kernel: the vectors orthogonal to both v and T*v. For x in the
+    window those pairings only see the projections P v and P T*v onto the
+    window, so there it is the complement of span{P v, P T*v}. Q holds that
+    span in window coordinates c = E^H W x (E the window's orthonormal
+    basis), and the stable kernel is the complement of Q's columns, of
+    dimension r - k. The rank k <= 2 is detected at ``tol_rank``, the
+    tolerance that also decides the branch.
     """
     tstar_v = apply(adjoint(T), v)
-    gens = [window.project(v), window.project(tstar_v)]
-    return orthogonal_complement(
-        span(T.space, gens, tol=tol_rank), within=window, tol=tol_rank
-    )
+    gens = span(T.space, [window.project(v), window.project(tstar_v)], tol=tol_rank)
+    return window.onb.conj().T @ (T.space.weight_array[:, None] * gens.onb)
 
 
 def witness_vector(T: Op, v, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray | None:
@@ -139,10 +135,11 @@ class PerturbationProblem:
 
     The pair (u, v) is rescaled at construction to (||v|| u, v / ||v||), so
     that ||v|| = 1 without changing u⊗v; ``v_was_normalized`` records whether
-    that happened (||v|| off 1 by more than 1e-12). Both tolerances must be
-    finite and positive. The base operator is validated to be a 2-isometry
-    at truncation scale via the defect form on its safe window (override
-    with ``allow_non_2_isometric_base`` for exploratory use).
+    that happened (||v|| off 1 by more than ``ROUNDOFF_RTOL``). Both
+    tolerances must be finite and positive. The base operator is validated
+    to be a 2-isometry at truncation scale via the defect form on its safe
+    window (override with ``allow_non_2_isometric_base`` for exploratory
+    use).
     """
 
     base: Op
@@ -163,7 +160,7 @@ class PerturbationProblem:
         nv = space.norm(v)
         if space.norm(u) == 0.0 or nv == 0.0:
             raise ValueError("not rank one: u and v must both be nonzero")
-        self.v_was_normalized = abs(nv - 1.0) > 1e-12
+        self.v_was_normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
         if self.v_was_normalized:
             u, v = nv * u, v / nv
         self.u = u
@@ -233,33 +230,25 @@ def condition_iib_residual(problem: PerturbationProblem, gamma: float) -> float:
     )
 
 
-def condition_iia_residual(
-    Ttilde: Op,
-    stable: Subspace,
-    safe: Subspace,
-    witness: np.ndarray | None = None,
-) -> float:
+def condition_iia_residual(G: np.ndarray, Q: np.ndarray, c_x: np.ndarray | None = None) -> float:
     """Invariance residual of the perturbed defect on the stable kernel.
 
-    For each orthonormal s in ``stable`` the defect image (reconstructed
-    inside the safe window by polarization) is projected off ``stable``;
-    the residual is the largest leftover norm. When a witness vector is
-    given, the same check runs on its line, which is the equivalent
-    formulation of the invariance condition; the max of both is returned.
-    Pass the stable kernel already intersected with the safe window, since
-    polarization refuses unsafe vectors.
+    ``G[l, j] = <D e_j, e_l>`` is the defect form on the safe window's
+    orthonormal basis, and the stable kernel is the complement of the
+    orthonormal columns of ``Q`` (see :func:`stable_kernel`) in window
+    coordinates. D maps the stable kernel into itself exactly when the
+    block Q^H G (I - Q Q^H) vanishes; its spectral norm is the residual.
+    When the window coordinates ``c_x`` of the unit witness are given, the
+    same check runs on its line, ||G c_x - (c_x^H G c_x) c_x||, which is the
+    equivalent formulation of the invariance condition; the max of both is
+    returned.
     """
-    space = Ttilde.space
-    resid = 0.0
-    for s in stable.basis_vectors():
-        img = defect_apply_in_window(Ttilde, s, safe)
-        resid = max(resid, space.norm(img - stable.project(img)))
-    if witness is not None:
-        xhat = space.check_vec(witness)
-        xhat = xhat / space.norm(xhat)
-        img = defect_apply_in_window(Ttilde, xhat, safe)
-        leftover = img - space.inner(img, xhat) * xhat
-        resid = max(resid, space.norm(leftover))
+    block = Q.conj().T @ G
+    block -= (block @ Q) @ Q.conj().T
+    resid = float(np.linalg.norm(block, 2)) if block.size else 0.0
+    if c_x is not None:
+        img = G @ c_x
+        resid = max(resid, float(np.linalg.norm(img - np.vdot(c_x, img) * c_x)))
     return resid
 
 
@@ -279,8 +268,8 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
 
     The theorem verdict combines the kernel condition with the branch
     conditions; the oracle verdict thresholds the defect form (forward Gram
-    products) of the perturbed operator over the whole safe window. The two
-    must agree; both are reported.
+    products) of the perturbed operator over the whole safe window, which
+    condition (a) reads too. The two must agree; both are reported.
     """
     T = problem.base
     space = problem.space
@@ -289,6 +278,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
 
     Ttilde = problem.perturbed()
     safe = safe_subspace(Ttilde)
+    oracle = polarized_defect_form(Ttilde, safe)
     kernel_residual = kernel_condition_residual(Ttilde, v, safe)
 
     x = witness_vector(T, v, problem.tol_rank)
@@ -305,12 +295,11 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         require_truncation_safe(Ttilde, [xhat], "witness vector")
         gamma = gamma_coefficient(T, u, v, xhat, problem.tol_rank)
         iib = condition_iib_residual(problem, gamma)
-        stable = stable_kernel(T, v, safe, problem.tol_rank)
-        iia = condition_iia_residual(Ttilde, stable, safe, witness=xhat)
-        s_dim = stable.dim
+        Q = stable_kernel(T, v, safe, problem.tol_rank)
+        iia = condition_iia_residual(oracle.defect_matrix, Q, safe.coefficients(xhat))
+        s_dim = safe.dim - Q.shape[1]
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
 
-    oracle = polarized_defect_form(Ttilde, safe)
     verdict_oracle = oracle.max_residual <= tol
 
     return TheoremReport(

@@ -53,6 +53,9 @@ from .spaces import make_coordinate_space, vec_from_pairs, vec_to_pairs
 
 DEFAULT_DIRICHLET_N = 12
 DEFAULT_BIDISC_N = 6
+# Largest grid `search dirichlet-alpha` scans (the default grid has 6,561
+# points); a step that asks for more is an input error.
+MAX_SEARCH_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,8 @@ def search_dirichlet_alpha(
     point. Only the points with |q(1)| <= tol are built and confirmed
     against the oracle form on the whole safe window, the three forward Gram
     products of :func:`polarized_defect_form`. The unperturbed
-    point alpha = 0 is skipped. Hits come in row-major order.
+    point alpha = 0 is skipped. Hits come in row-major order. A grid of more
+    than ``MAX_SEARCH_POINTS`` points is refused with a ValueError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -420,10 +424,16 @@ def search_dirichlet_alpha(
     base = dirichlet_shift(N)
 
     def count(lo, hi):
-        return max(0, int(round((hi - lo) / step)) + 1)
+        return max(0.0, float(np.rint((hi - lo) / step)) + 1)
 
-    res = np.linspace(re_range[0], re_range[1], count(*re_range))
-    ims = np.linspace(im_range[0], im_range[1], count(*im_range))
+    n_re, n_im = count(*re_range), count(*im_range)
+    if max(n_re, n_im, n_re * n_im) > MAX_SEARCH_POINTS:
+        raise ValueError(
+            f"--step {step:g} asks for a {n_re:.6g} x {n_im:.6g} grid, more than "
+            f"{MAX_SEARCH_POINTS} points; choose a larger --step"
+        )
+    res = np.linspace(re_range[0], re_range[1], int(n_re))
+    ims = np.linspace(im_range[0], im_range[1], int(n_im))
     hits = []
     for re in res:
         row = re + 1j * ims

@@ -17,8 +17,11 @@ is evaluated with forward applications only, which is exact for every x in
 the truncation-safe window (total degree <= max_degree - 2 * degree_growth).
 So is the form <D x, y> = <x, y> - 2 <Tx, Ty> + <T^2 x, T^2 y> of the defect
 operator D; on a safe orthonormal basis E it is the sum of three forward Gram
-products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). Single defect
-images are recovered from q by four-term complex polarization instead.
+products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix
+is both the oracle and the source of the invariance condition of the
+decision procedure; only a single defect image inside the window, the one
+the kernel condition needs, is recovered from q by four-term complex
+polarization.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ __all__ = [
     "require_truncation_safe",
     "safe_subspace",
 ]
+
+
+ROUNDOFF_RTOL = 1e-12
+"""The one round-off cutoff, relative to max(1, size): mass of x above the
+truncation cutoff up to ROUNDOFF_RTOL * max(1, max |x_i|) still counts as
+truncation-safe, and ||v|| within ROUNDOFF_RTOL of 1 counts as normalized."""
 
 
 class TruncationError(ValueError):
@@ -289,14 +298,14 @@ def truncation_cutoff(T: Op) -> int:
 def truncation_safe(T: Op, x) -> bool:
     """Whether x is supported on the truncation-safe degrees.
 
-    Mass above the cutoff up to 1e-12 relative to max(1, max |x_i|) is
-    round-off and does not count.
+    Mass above the cutoff up to ``ROUNDOFF_RTOL`` relative to
+    max(1, max |x_i|) is round-off and does not count.
     """
     if T.degree_growth is None:
         return False
     x = T.space.check_vec(x)
     unsafe = np.abs(x[T.space.degrees > truncation_cutoff(T)])
-    return float(np.max(unsafe, initial=0.0)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    return float(np.max(unsafe, initial=0.0)) <= ROUNDOFF_RTOL * max(1.0, float(np.max(np.abs(x))))
 
 
 def require_truncation_safe(T: Op, vectors, what: str = "vector"):

@@ -48,7 +48,6 @@ __all__ = [
     "span",
     "monomial_span",
     "whole_space",
-    "orthogonal_complement",
     "weighted_gram_schmidt",
     "vec_to_pairs",
     "vec_from_pairs",
@@ -301,21 +300,6 @@ def monomial_span(space: WeightedSpace, indices: Sequence[int]) -> Subspace:
 
 def whole_space(space: WeightedSpace) -> Subspace:
     return monomial_span(space, range(space.dim))
-
-
-def orthogonal_complement(
-    sub: Subspace, within: Subspace | None = None, *, tol: float
-) -> Subspace:
-    """All vectors of the ambient (sub)space orthogonal to ``sub``.
-
-    ``within`` defaults to the whole space; rank is detected at ``tol``. The
-    caller is responsible for ``sub`` being contained in the ambient
-    subspace; then the dimensions add up to the ambient dimension.
-    """
-    space = sub.space
-    ambient = within if within is not None else whole_space(space)
-    candidates = [col - sub.project(col) for col in ambient.basis_vectors()]
-    return Subspace(space=space, onb=weighted_gram_schmidt(space, candidates, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ import numpy as np
 
 from twoiso import (
     Op,
+    Subspace,
     WeightedSpace,
     defect_quadratic,
     make_coordinate_space,
     polarized_defect_entry,
+    weighted_gram_schmidt,
+    whole_space,
 )
 
 
@@ -80,3 +83,19 @@ def polarized_form_by_entries(T: Op, sub) -> np.ndarray:
                 else polarized_defect_entry(T, cols[j], cols[l])
             )
     return out
+
+
+def orthogonal_complement(
+    sub: Subspace, within: Subspace | None = None, *, tol: float
+) -> Subspace:
+    """All vectors of the ambient (sub)space orthogonal to ``sub``.
+
+    ``within`` defaults to the whole space; rank is detected at ``tol`` by
+    Gram-Schmidt on the ambient basis with ``sub``'s component removed. The
+    caller is responsible for ``sub`` being contained in the ambient
+    subspace; then the dimensions add up to the ambient dimension.
+    """
+    space = sub.space
+    ambient = within if within is not None else whole_space(space)
+    candidates = [col - sub.project(col) for col in ambient.basis_vectors()]
+    return Subspace(space=space, onb=weighted_gram_schmidt(space, candidates, tol))

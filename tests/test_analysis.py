@@ -12,12 +12,13 @@ from twoiso import (
     apply,
     condition_iia_residual,
     condition_iib_residual,
+    defect_apply_in_window,
     defect_operator,
     gamma_coefficient,
     identity,
     kernel_condition_residual,
     make_coordinate_space,
-    orthogonal_complement,
+    polarized_defect_form,
     rank_one,
     safe_subspace,
     span,
@@ -39,7 +40,7 @@ from twoiso.sampling import (
     random_complex_vector,
     random_unitary,
 )
-from helpers import random_vec
+from helpers import orthogonal_complement, polarized_form_by_entries, random_vec
 
 
 def swap_problem(scale_u: float = 1.0, **kwargs) -> PerturbationProblem:
@@ -121,8 +122,8 @@ def test_stable_kernel_swap_case_is_trivial():
     space = make_coordinate_space(2)
     base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
     v = space.basis_vector(1)
-    sub = stable_kernel(base, v, whole_space(space), DEFAULT_RANK_TOL)
-    assert sub.dim == 0
+    Q = stable_kernel(base, v, whole_space(space), DEFAULT_RANK_TOL)
+    assert space.dim - Q.shape[1] == 0
 
 
 def test_stable_kernel_bidisc_case():
@@ -131,11 +132,15 @@ def test_stable_kernel_bidisc_case():
     base = bidisc_shift(3, axis=1)
     space = base.space
     v = space.monomial((1, 0))
-    sub = stable_kernel(base, v, whole_space(space), DEFAULT_RANK_TOL)
-    assert sub.dim == space.dim - 2
-    for e in sub.basis_vectors():
-        assert abs(space.inner(e, space.monomial((0, 0)))) <= 1e-12
-        assert abs(space.inner(e, space.monomial((1, 0)))) <= 1e-12
+    window = whole_space(space)
+    Q = stable_kernel(base, v, window, DEFAULT_RANK_TOL)
+    assert space.dim - Q.shape[1] == space.dim - 2
+    assert np.allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
+    # The stable kernel, the complement of Q, is orthogonal to 1 and z1
+    # exactly when their window coordinates lie in the span of Q.
+    for label in ((0, 0), (1, 0)):
+        c = window.coefficients(space.monomial(label))
+        assert np.linalg.norm(c - Q @ (Q.conj().T @ c)) <= 1e-12
 
 
 def test_stable_kernel_identity_base():
@@ -143,25 +148,30 @@ def test_stable_kernel_identity_base():
     rng = np.random.default_rng(52)
     v = random_vec(space, rng)
     v = v / space.norm(v)
-    sub = stable_kernel(identity(space), v, whole_space(space), DEFAULT_RANK_TOL)
-    assert sub.dim == 3
+    Q = stable_kernel(identity(space), v, whole_space(space), DEFAULT_RANK_TOL)
+    assert space.dim - Q.shape[1] == 3
 
 
-def test_stable_kernel_uses_the_branch_rank_tolerance():
-    # T turns e0 towards e1 by 1e-11: at tol_rank 1e-12 the witness is
-    # nonzero (branch II), so the stable kernel must lose both v and T*v.
+def _c3_tight_rank_problem() -> PerturbationProblem:
+    """T turns e0 towards e1 by 1e-11 on C^3; branch II only at tol_rank 1e-12."""
     space = make_coordinate_space(3)
     t = 1e-11
     rot = [[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]]
-    problem = PerturbationProblem(
+    return PerturbationProblem(
         base=Op.from_exact_matrix(space, rot),
         u=0.3 * space.basis_vector(2),
         v=space.basis_vector(0),
         tol_rank=1e-12,
     )
+
+
+def test_stable_kernel_uses_the_branch_rank_tolerance():
+    # At tol_rank 1e-12 the witness is nonzero (branch II), so the stable
+    # kernel must lose both v and T*v.
+    problem = _c3_tight_rank_problem()
     report = theorem_verdict(problem)
     assert report.branch == "II"
-    assert report.s_dim_evaluated == space.dim - 2
+    assert report.s_dim_evaluated == problem.space.dim - 2
 
 
 def test_witness_vector_swap_case():
@@ -348,16 +358,15 @@ def test_condition_iia_zero_for_bidisc():
 def test_condition_iia_over_stable_kernel_only_branch_I():
     # For an admissible polynomial perturbation the perturbed defect kills
     # the whole kernel of the perturbation, so the invariance residual over
-    # the stable kernel alone vanishes.
+    # the stable kernel alone vanishes. In branch I, T*v is parallel to v,
+    # so the stable kernel is the complement of v in the window.
     problem = dirichlet_perturbation_problem(10, PolyCoeffs((-2.0,)))
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
-    sub = orthogonal_complement(
-        span(problem.space, [safe.project(problem.v)], DEFAULT_RANK_TOL),
-        within=safe,
-        tol=DEFAULT_RANK_TOL,
-    )
-    resid = condition_iia_residual(Tt, sub, safe, witness=None)
+    Q = stable_kernel(problem.base, problem.v, safe, DEFAULT_RANK_TOL)
+    assert safe.dim - Q.shape[1] == safe.dim - 1
+    G = polarized_defect_form(Tt, safe).defect_matrix
+    resid = condition_iia_residual(G, Q)
     assert resid <= 1e-10
 
 
@@ -372,6 +381,111 @@ def test_condition_iia_zero_while_verdict_false():
     assert report.cond_iib_residual == pytest.approx(8.0, abs=1e-12)
     assert not report.verdict_theorem
     assert not report.verdict_oracle
+
+
+def test_condition_iia_bidisc_large_window():
+    # N = 18: a 153-dimensional safe window and a 151-dimensional stable
+    # kernel, read off the window Gram matrix in one block product.
+    report = theorem_verdict(bidisc_example_problem(18))
+    assert report.branch == "II"
+    assert report.safe_dim == 153
+    assert report.s_dim_evaluated == 151
+    assert report.cond_iia_residual <= 1e-12
+    assert report.verdict_theorem and report.verdict_oracle
+
+
+def _weighted_c6_problem(scale: float) -> PerturbationProblem:
+    """A weighted-unitary base on weighted C^6 with an isometric correction
+    scaled by ``scale``: a true branch II instance at 1, a false one at 1.7.
+
+    With S = diag(sqrt(w)), S^-1 U S is unitary for the weighted inner
+    product, and the Euclidean pair (u', v') for U maps to (S^-1 u', S^-1 v').
+    """
+    rng = np.random.default_rng(61)
+    dim = 6
+    w = rng.uniform(0.5, 3.0, size=dim)
+    s = np.sqrt(w)
+    U = random_unitary(dim, rng)
+    space = make_coordinate_space(dim, weights=tuple(w))
+    base = Op.from_exact_matrix(space, U * s[None, :] / s[:, None])
+    u0, v0 = isometric_correction_pair(
+        U, random_complex_vector(dim, rng), rng.uniform(0.0, 2.0 * np.pi)
+    )
+    return PerturbationProblem(base=base, u=scale * u0 / s, v=v0 / s)
+
+
+def _bidisc_off_example_problem() -> PerturbationProblem:
+    """The bidisc N = 8 example with u moved by 1e-3 along a seeded vector
+    of total degree <= 2, so that condition (a) fails by a nonzero amount."""
+    problem = bidisc_example_problem(8)
+    space = problem.space
+    rng = np.random.default_rng(62)
+    w = np.where(space.degrees <= 2, random_complex_vector(space.dim, rng), 0.0)
+    return PerturbationProblem(base=problem.base, u=problem.u + 1e-3 * w, v=problem.v)
+
+
+_IIA_REFEREE_CASES = {
+    "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
+    "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
+    "bidisc-8-off-example": _bidisc_off_example_problem,
+    "c3-tight-rank": _c3_tight_rank_problem,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IIA_REFEREE_CASES))
+def test_condition_iia_matches_polarization_referee(case):
+    # Polarization builds G one entry at a time, independent of the Gram
+    # products that the report reads condition (a) from.
+    problem = _IIA_REFEREE_CASES[case]()
+    report = theorem_verdict(problem)
+    assert report.branch == "II"
+    Tt = problem.perturbed()
+    safe = safe_subspace(Tt)
+    G_pol = polarized_form_by_entries(Tt, safe)
+    Q = stable_kernel(problem.base, problem.v, safe, problem.tol_rank)
+    r, k = Q.shape
+    assert report.s_dim_evaluated == r - k
+    block = Q.conj().T @ G_pol @ (np.eye(r) - Q @ Q.conj().T)
+    assert block.shape == (k, r)
+    block_norm = float(np.linalg.norm(block, 2))
+    x = witness_vector(problem.base, problem.v, problem.tol_rank)
+    c_x = safe.coefficients(x / problem.space.norm(x))
+    img = G_pol @ c_x
+    witness = float(np.linalg.norm(img - np.vdot(c_x, img) * c_x))
+    # cond_iia_residual is the larger of the block norm and the witness-line
+    # residual; the block alone is condition_iia_residual without a witness.
+    G = polarized_defect_form(Tt, safe).defect_matrix
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(G, 2)))
+    assert abs(block_norm - condition_iia_residual(G, Q)) <= tol
+    assert abs(max(block_norm, witness) - report.cond_iia_residual) <= tol
+
+
+@pytest.mark.parametrize("case", sorted(_IIA_REFEREE_CASES))
+def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
+    # The former residual: the largest leftover norm of a defect image over
+    # a Gram-Schmidt basis of the stable kernel S, each image from
+    # polarization. The spectral norm of the block is at least every column
+    # norm and at most the Frobenius norm: old <= new <= sqrt(dim S) old, up
+    # to round-off.
+    problem = _IIA_REFEREE_CASES[case]()
+    Tt = problem.perturbed()
+    safe = safe_subspace(Tt)
+    space = problem.space
+    gens = span(
+        space,
+        [safe.project(problem.v), safe.project(apply(adjoint(problem.base), problem.v))],
+        problem.tol_rank,
+    )
+    stable = orthogonal_complement(gens, within=safe, tol=problem.tol_rank)
+    old = 0.0
+    for s in stable.basis_vectors():
+        img = defect_apply_in_window(Tt, s, safe)
+        old = max(old, space.norm(img - stable.project(img)))
+    G = polarized_defect_form(Tt, safe).defect_matrix
+    Q = stable_kernel(problem.base, problem.v, safe, problem.tol_rank)
+    new = condition_iia_residual(G, Q)
+    assert stable.dim == safe.dim - Q.shape[1] == theorem_verdict(problem).s_dim_evaluated
+    assert old - 1e-12 <= new <= np.sqrt(stable.dim) * old + 1e-12
 
 
 def test_kernel_condition_residuals():

@@ -12,7 +12,12 @@ from twoiso import (
     theorem_verdict,
     vec_to_pairs,
 )
-from twoiso.cli import constant_defect_row, main, search_dirichlet_alpha
+from twoiso.cli import (
+    MAX_SEARCH_POINTS,
+    constant_defect_row,
+    main,
+    search_dirichlet_alpha,
+)
 from twoiso.function_spaces import dirichlet_shift
 from twoiso.operators import defect_quadratic
 
@@ -399,6 +404,17 @@ def test_search_empty_grid_gives_empty_table(capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["hits"] == []
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-5"])
+def test_search_grid_above_the_cap_is_input_error(step, capsys):
+    # 1e-300 used to reach np.linspace ("Maximum allowed size exceeded"),
+    # 1e-5 asks for 400,001 x 400,001 points; both are refused up front.
+    assert main(["search", "dirichlet-alpha", "--step", step, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--step" in captured.err
+    assert f"more than {MAX_SEARCH_POINTS} points" in captured.err
 
 
 def test_search_c2_rankone_deterministic(capsys):

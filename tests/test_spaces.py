@@ -10,14 +10,18 @@ from twoiso import (
     make_coordinate_space,
     make_dirichlet_space,
     monomial_span,
-    orthogonal_complement,
     span,
     vec_from_pairs,
     vec_to_pairs,
     weighted_gram_schmidt,
     whole_space,
 )
-from helpers import projection_by_expansion, random_vec, random_weighted_space
+from helpers import (
+    orthogonal_complement,
+    projection_by_expansion,
+    random_vec,
+    random_weighted_space,
+)
 
 
 # ---------------------------------------------------------------------------
