@@ -21,10 +21,11 @@ the operator only, so all numbers are exact on the truncation-safe window of
 a degree-truncated model. The gamma formula is folded to
 Re( <u, T P T x> / <v, T x> ). The oracle is the matrix G of the defect form
 over the whole safe window, from three forward Gram products; condition (a)
-is read off the same G in window coordinates, and only the kernel residual
-recovers its defect image by polarization of the quadratic form. The
-oracle verdict thresholds the entries of G, the theorem verdict the branch
-residuals; the two must agree and both are in the report.
+is read off the same G in window coordinates sqrt(w_i) x_i, i in the safe
+index set, and only the kernel residual recovers its defect image by
+polarization of the quadratic form. The oracle verdict thresholds the
+entries of G, the theorem verdict the branch residuals; the two must agree
+and both are in the report.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .operators import (
     safe_subspace,
     require_truncation_safe,
 )
-from .spaces import Subspace, WeightedSpace, span
+from .spaces import WeightedSpace, weighted_gram_schmidt
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -66,21 +67,23 @@ DEFAULT_RANK_TOL = 1e-9
 DEFAULT_DEFECT_TOL = 1e-8
 
 
-def stable_kernel(T: Op, v, window: Subspace, tol_rank: float) -> np.ndarray:
-    """The stable kernel in ``window``, as the orthonormal (r, k) array Q.
+def stable_kernel(T: Op, v, window_idx: np.ndarray, tol_rank: float) -> np.ndarray:
+    """The stable kernel in a monomial window, as the orthonormal (r, k) array Q.
 
-    The stable kernel is the part of ker(u⊗v) whose image under T stays in
-    the kernel: the vectors orthogonal to both v and T*v. For x in the
-    window those pairings only see the projections P v and P T*v onto the
-    window, so there it is the complement of span{P v, P T*v}. Q holds that
-    span in window coordinates c = E^H W x (E the window's orthonormal
-    basis), and the stable kernel is the complement of Q's columns, of
-    dimension r - k. The rank k <= 2 is detected at ``tol_rank``, the
-    tolerance that also decides the branch.
+    The window is the span of the basis monomials ``window_idx`` (see
+    :func:`~twoiso.operators.safe_subspace`). The stable kernel is the part
+    of ker(u⊗v) whose image under T stays in the kernel: the vectors
+    orthogonal to both v and T*v. For x in the window those pairings only
+    see v and T*v restricted to the window, so there it is the complement of
+    the span of the two restrictions. Q holds that span in window
+    coordinates sqrt(w_i) x_i, and the stable kernel is the complement of
+    Q's columns, of dimension r - k. The rank k <= 2 is detected at
+    ``tol_rank``, the tolerance that also decides the branch.
     """
-    tstar_v = apply(adjoint(T), v)
-    gens = span(T.space, [window.project(v), window.project(tstar_v)], tol=tol_rank)
-    return window.onb.conj().T @ (T.space.weight_array[:, None] * gens.onb)
+    pair = np.zeros((2, T.space.dim), dtype=complex)
+    pair[:, window_idx] = np.stack([v, apply(adjoint(T), v)])[:, window_idx]
+    gens = weighted_gram_schmidt(T.space, pair, tol=tol_rank)
+    return np.sqrt(T.space.weight_array[window_idx])[:, None] * gens[window_idx]
 
 
 def witness_vector(T: Op, v, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray | None:
@@ -165,8 +168,7 @@ class PerturbationProblem:
             u, v = nv * u, v / nv
         self.u = u
         self.v = v
-        base_report = polarized_defect_form(self.base, safe_subspace(self.base))
-        self.base_defect = base_report.max_residual
+        self.base_defect = polarized_defect_form(self.base).max_residual
         if not self.allow_non_2_isometric_base and self.base_defect > self.tol_defect:
             raise ValueError(
                 "base operator is not a 2-isometry at truncation scale "
@@ -252,15 +254,12 @@ def condition_iia_residual(G: np.ndarray, Q: np.ndarray, c_x: np.ndarray | None 
     return resid
 
 
-def kernel_condition_residual(Ttilde: Op, v, safe: Subspace | None = None) -> float:
+def kernel_condition_residual(Ttilde: Op, v) -> float:
     """|| (perturbed defect) v || read off the safe window by polarization.
 
     Raises when v is not supported on the truncation-safe window.
     """
-    if safe is None:
-        safe = safe_subspace(Ttilde)
-    img = defect_apply_in_window(Ttilde, v, safe)
-    return Ttilde.space.norm(img)
+    return Ttilde.space.norm(defect_apply_in_window(Ttilde, v))
 
 
 def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
@@ -277,9 +276,8 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     tol = problem.tol_defect
 
     Ttilde = problem.perturbed()
-    safe = safe_subspace(Ttilde)
-    oracle = polarized_defect_form(Ttilde, safe)
-    kernel_residual = kernel_condition_residual(Ttilde, v, safe)
+    oracle = polarized_defect_form(Ttilde)
+    kernel_residual = kernel_condition_residual(Ttilde, v)
 
     x = witness_vector(T, v, problem.tol_rank)
     if x is None:
@@ -292,12 +290,14 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     else:
         branch = "II"
         xhat = x / space.norm(x)
-        require_truncation_safe(Ttilde, [xhat], "witness vector")
+        require_truncation_safe(Ttilde, xhat, "witness vector")
         gamma = gamma_coefficient(T, u, v, xhat, problem.tol_rank)
         iib = condition_iib_residual(problem, gamma)
-        Q = stable_kernel(T, v, safe, problem.tol_rank)
-        iia = condition_iia_residual(oracle.defect_matrix, Q, safe.coefficients(xhat))
-        s_dim = safe.dim - Q.shape[1]
+        idx = safe_subspace(Ttilde)
+        Q = stable_kernel(T, v, idx, problem.tol_rank)
+        c_x = np.sqrt(space.weight_array[idx]) * xhat[idx]
+        iia = condition_iia_residual(oracle.defect_matrix, Q, c_x)
+        s_dim = idx.size - Q.shape[1]
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
 
     verdict_oracle = oracle.max_residual <= tol
@@ -313,7 +313,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         verdict_oracle=bool(verdict_oracle),
         tol_rank=problem.tol_rank,
         tol_defect=problem.tol_defect,
-        safe_dim=safe.dim,
+        safe_dim=oracle.safe_dim,
         s_dim_evaluated=s_dim,
         v_was_normalized=problem.v_was_normalized,
         base_defect=problem.base_defect,

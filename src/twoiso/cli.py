@@ -45,7 +45,6 @@ from .operators import (
     defect_operator,
     defect_quadratic,
     polarized_defect_form,
-    safe_subspace,
     truncation_safe,
 )
 from .sampling import isometric_correction_pair, random_complex_vector
@@ -213,7 +212,7 @@ def _bidisc(ns, N):
     problem = bidisc_example_problem(N, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect)
     r = theorem_verdict(problem)
     op = bidisc_example_operator(N)
-    window_defect = polarized_defect_form(op, safe_subspace(op)).max_residual
+    window_defect = polarized_defect_form(op).max_residual
     return r, [
         ("branch", r.branch, _equals("II")),
         ("gamma", r.gamma, _within(0.0, 1e-10)),
@@ -414,17 +413,21 @@ def search_dirichlet_alpha(
     point. Only the points with |q(1)| <= tol are built and confirmed
     against the oracle form on the whole safe window, the three forward Gram
     products of :func:`polarized_defect_form`. The unperturbed
-    point alpha = 0 is skipped. Hits come in row-major order. A grid of more
-    than ``MAX_SEARCH_POINTS`` points is refused with a ValueError.
+    point alpha = 0 is skipped. Hits come in row-major order. An inverted
+    range, or a grid of more than ``MAX_SEARCH_POINTS`` points, is refused
+    with a ValueError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if N < max(2, 2 * max(1, n) + 1):
         raise ValueError(f"truncation N={N} too small for n={n}")
+    for part, (lo, hi) in (("re", re_range), ("im", im_range)):
+        if lo > hi:
+            raise ValueError(f"--{part}-min {lo:g} is greater than --{part}-max {hi:g}")
     base = dirichlet_shift(N)
 
     def count(lo, hi):
-        return max(0.0, float(np.rint((hi - lo) / step)) + 1)
+        return float(np.rint((hi - lo) / step)) + 1
 
     n_re, n_im = count(*re_range), count(*im_range)
     if max(n_re, n_im, n_re * n_im) > MAX_SEARCH_POINTS:
@@ -447,7 +450,7 @@ def search_dirichlet_alpha(
                 coeffs = [0.0] * n
                 coeffs[n - 1] = alpha
                 op = perturbed_dirichlet(N, PolyCoeffs(tuple(coeffs)))
-            oracle = polarized_defect_form(op, safe_subspace(op)).max_residual
+            oracle = polarized_defect_form(op).max_residual
             if oracle <= tol:
                 hits.append(
                     {

@@ -14,14 +14,15 @@ never read off the defect operator matrix. Instead the quadratic defect
     q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2
 
 is evaluated with forward applications only, which is exact for every x in
-the truncation-safe window (total degree <= max_degree - 2 * degree_growth).
-So is the form <D x, y> = <x, y> - 2 <Tx, Ty> + <T^2 x, T^2 y> of the defect
-operator D; on a safe orthonormal basis E it is the sum of three forward Gram
-products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix
-is both the oracle and the source of the invariance condition of the
-decision procedure; only a single defect image inside the window, the one
-the kernel condition needs, is recovered from q by four-term complex
-polarization.
+the truncation-safe window: the span of the labels of total degree
+<= max_degree - 2 * degree_growth, held as the index array
+:func:`safe_subspace` returns. So is the form <D x, y> = <x, y> - 2 <Tx, Ty>
++ <T^2 x, T^2 y> of the defect operator D; on the window's orthonormal basis
+E (columns e_i / sqrt(w_i)) it is the sum of three forward Gram products,
+E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
+oracle and the source of the invariance condition of the decision procedure;
+only a single defect image inside the window, the one the kernel condition
+needs, is recovered from q by four-term complex polarization.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (
-    Subspace,
-    WeightedSpace,
-    monomial_span,
-    vec_from_pairs,
-    vec_to_pairs,
-)
+from .spaces import WeightedSpace, vec_from_pairs, vec_to_pairs
 
 __all__ = [
     "Op",
@@ -268,12 +263,12 @@ def polarized_defect_entry(T: Op, x, y) -> complex:
 
 @dataclass(eq=False)
 class DefectReport:
-    """Defect form restricted to a subspace.
+    """Defect form restricted to the safe window.
 
-    ``defect_matrix[l, j] = <D e_j, e_l>`` over the subspace's orthonormal
+    ``defect_matrix[l, j] = <D e_j, e_l>`` over the window's orthonormal
     basis; it is Hermitian up to round-off because the defect operator is
     self-adjoint. ``max_residual`` is the largest entry magnitude and
-    ``safe_dim`` the dimension of the tested subspace.
+    ``safe_dim`` the dimension of the window.
     """
 
     defect_matrix: np.ndarray
@@ -308,69 +303,69 @@ def truncation_safe(T: Op, x) -> bool:
     return float(np.max(unsafe, initial=0.0)) <= ROUNDOFF_RTOL * max(1.0, float(np.max(np.abs(x))))
 
 
-def require_truncation_safe(T: Op, vectors, what: str = "vector"):
-    """Raise TruncationError unless every vector is safe for T."""
-    for x in vectors:
-        if not truncation_safe(T, x):
-            raise TruncationError(
-                f"{what} is not supported on the truncation-safe window "
-                f"(total degree <= {truncation_cutoff(T)})"
-            )
+def require_truncation_safe(T: Op, x, what: str = "vector"):
+    """Raise TruncationError unless x is safe for T."""
+    if not truncation_safe(T, x):
+        raise TruncationError(
+            f"{what} is not supported on the truncation-safe window "
+            f"(total degree <= {truncation_cutoff(T)})"
+        )
 
 
-def safe_subspace(T: Op, space: WeightedSpace | None = None) -> Subspace:
-    """Span of basis monomials on which T and T^2 are truncation-exact.
+def safe_subspace(T: Op) -> np.ndarray:
+    """Sorted indices idx of the labels of total degree at most
+    max_degree - 2 * degree_growth, on which T and T^2 are truncation-exact.
 
-    These are the labels of total degree at most
-    max_degree - 2 * degree_growth. Raises if that set is empty.
+    The window coordinates E^H W x of a vector x are sqrt(w[idx]) * x[idx].
+    Raises if there are no such labels.
     """
-    if space is not None and space != T.space:
-        raise ValueError("operator does not act on the given space")
-    space = T.space
     cutoff = truncation_cutoff(T)
-    indices = [i for i in range(space.dim) if space.degrees[i] <= cutoff]
-    if not indices:
+    idx = np.flatnonzero(T.space.degrees <= cutoff)
+    if idx.size == 0:
         raise TruncationError(
             f"truncation too small: no labels of degree <= {cutoff}"
         )
-    return monomial_span(space, indices)
+    return idx
 
 
-def polarized_defect_form(T: Op, sub: Subspace) -> DefectReport:
-    """Matrix of the defect form on the orthonormal basis E of ``sub``.
+def polarized_defect_form(T: Op) -> DefectReport:
+    """Matrix of the defect form on the orthonormal basis E of T's safe window.
 
     The entries come from the forward Gram products E^H W E - 2 (TE)^H W (TE)
     + (T^2 E)^H W (T^2 E), each formed as (W conj X)^T X in two reused
-    (dim, r) buffers; ``sub`` must lie inside the truncation-safe window.
+    (dim, r) buffers.
     """
-    require_truncation_safe(T, sub.basis_vectors(), "subspace basis vector")
-    E = sub.onb
+    idx = safe_subspace(T)
     w = T.space.weight_array[:, None]
-    fwd = T.matrix @ E
+    scale = 1.0 / np.sqrt(w[idx, 0])
+    fwd = np.take(T.matrix, idx, axis=1) * scale
     buf = np.conjugate(fwd)
     buf *= w
     mat = -2.0 * (buf.T @ fwd)
     np.matmul(T.matrix, fwd, out=buf)
-    for X in (buf, E):
-        np.conjugate(X, out=fwd)
-        fwd *= w
-        mat += fwd.T @ X
-    max_residual = float(np.max(np.abs(mat))) if sub.dim else 0.0
-    return DefectReport(defect_matrix=mat, max_residual=max_residual, safe_dim=sub.dim)
-
-
-def defect_apply_in_window(T: Op, x, window: Subspace) -> np.ndarray:
-    """Component of (defect operator) x inside ``window``, via polarization.
-
-    Both x and the window basis must be truncation-safe; then the result
-    agrees with the untruncated defect applied to x and projected onto the
-    window.
-    """
-    x = T.space.check_vec(x)
-    require_truncation_safe(T, [x], "vector")
-    require_truncation_safe(T, window.basis_vectors(), "window basis vector")
-    coeffs = np.array(
-        [polarized_defect_entry(T, x, e) for e in window.basis_vectors()],
-        dtype=complex,
+    np.conjugate(buf, out=fwd)
+    fwd *= w
+    mat += fwd.T @ buf
+    # E^H W E, diagonal: w_i scale_i^2 with the same rounded scale as E.
+    mat[np.diag_indices(idx.size)] += w[idx, 0] * scale * scale
+    return DefectReport(
+        defect_matrix=mat, max_residual=float(np.max(np.abs(mat))), safe_dim=idx.size
     )
-    return window.onb @ coeffs
+
+
+def defect_apply_in_window(T: Op, x) -> np.ndarray:
+    """Component of (defect operator) x inside T's safe window, via polarization.
+
+    x must be truncation-safe; then the result agrees with the untruncated
+    defect applied to x and projected onto the window.
+    """
+    idx = safe_subspace(T)
+    x = T.space.check_vec(x)
+    require_truncation_safe(T, x)
+    out = T.space.zeros()
+    e = T.space.zeros()
+    for i in idx:
+        e[i] = 1.0 / np.sqrt(T.space.weights[i])
+        out[i] = e[i] * polarized_defect_entry(T, x, e)
+        e[i] = 0.0
+    return out

@@ -20,11 +20,12 @@ Three families of spaces are provided:
   Every label has total degree 1, so any operator on such a space has degree
   growth 0 and the whole space counts as truncation-exact.
 
-Subspaces carry an orthonormal basis computed by modified Gram-Schmidt in
-the weighted inner product; vectors whose residual drops below the rank
-tolerance are discarded, which is what detects the rank of a generated span
-such as span{v, T*v}. That tolerance is always the caller's: this module has
-no default of its own.
+A span of basis monomials is an index array, with orthonormal basis
+e_i / sqrt(w_i). A generated span such as span{v, T*v} gets an orthonormal
+basis from :func:`weighted_gram_schmidt`, which drops vectors whose residual
+falls below the rank tolerance and so detects the rank. That tolerance is
+always the caller's: this module has no default of its own. The Dirichlet
+and bidisc constructors refuse more than ``MAX_DIM`` labels.
 
 All objects here are immutable values; they can be shared freely across
 threads.
@@ -41,17 +42,23 @@ import numpy as np
 
 __all__ = [
     "WeightedSpace",
-    "Subspace",
     "make_dirichlet_space",
     "make_bidisc_space",
     "make_coordinate_space",
-    "span",
-    "monomial_span",
-    "whole_space",
     "weighted_gram_schmidt",
     "vec_to_pairs",
     "vec_from_pairs",
 ]
+
+# A dense complex operator on MAX_DIM labels takes 64 MB; the largest
+# ladder problem (bidisc N = 18) has 190 labels.
+MAX_DIM = 2000
+
+
+def _check_dim(dim: int, what: str):
+    if dim > MAX_DIM:
+        raise ValueError(f"{what} gives a space of dimension {dim}, more than {MAX_DIM}")
+
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -188,6 +195,7 @@ def make_dirichlet_space(max_degree: int) -> WeightedSpace:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    _check_dim(max_degree + 1, f"max_degree {max_degree}")
     labels = tuple((k,) for k in range(max_degree + 1))
     weights = tuple(float(k + 1) for k in range(max_degree + 1))
     return WeightedSpace(labels=labels, weights=weights, kind="dirichlet")
@@ -201,6 +209,8 @@ def make_bidisc_space(max_total_degree: int) -> WeightedSpace:
     """
     if max_total_degree < 0:
         raise ValueError("max_total_degree must be non-negative")
+    dim = (max_total_degree + 1) * (max_total_degree + 2) // 2
+    _check_dim(dim, f"max_total_degree {max_total_degree}")
     labels = []
     for d in range(max_total_degree + 1):
         for m in range(d, -1, -1):
@@ -224,7 +234,7 @@ def make_coordinate_space(dim: int, weights: Sequence[float] | None = None) -> W
 
 
 # ---------------------------------------------------------------------------
-# subspaces
+# Gram-Schmidt
 
 
 def weighted_gram_schmidt(space: WeightedSpace, vectors: Iterable, tol: float) -> np.ndarray:
@@ -246,60 +256,6 @@ def weighted_gram_schmidt(space: WeightedSpace, vectors: Iterable, tol: float) -
         if nrm > tol:
             basis.append(work / nrm)
     return np.stack(basis, axis=1) if basis else np.zeros((space.dim, 0), dtype=complex)
-
-
-@dataclass(eq=False)
-class Subspace:
-    """A subspace with a stored weighted-orthonormal basis.
-
-    ``onb`` holds the orthonormal basis as columns of a (dim, r) array; an
-    empty subspace has r = 0 and projects everything to zero.
-    """
-
-    space: WeightedSpace
-    onb: np.ndarray
-
-    def __post_init__(self):
-        onb = np.asarray(self.onb, dtype=complex)
-        if onb.ndim != 2 or onb.shape[0] != self.space.dim:
-            raise ValueError("orthonormal basis must be a (dim, r) array")
-        onb = onb.copy()
-        onb.setflags(write=False)
-        object.__setattr__(self, "onb", onb)
-
-    @property
-    def dim(self) -> int:
-        return self.onb.shape[1]
-
-    def basis_vectors(self) -> list[np.ndarray]:
-        return [self.onb[:, j] for j in range(self.dim)]
-
-    def coefficients(self, x) -> np.ndarray:
-        """Inner products <x, e_j> against the orthonormal basis."""
-        x = self.space.check_vec(x)
-        return self.onb.conj().T @ (self.space.weight_array * x)
-
-    def project(self, x) -> np.ndarray:
-        """Orthogonal projection of x onto this subspace."""
-        return self.onb @ self.coefficients(x)
-
-
-def span(space: WeightedSpace, vectors: Iterable, tol: float) -> Subspace:
-    """Subspace spanned by the given vectors, with rank detection at ``tol``."""
-    return Subspace(space=space, onb=weighted_gram_schmidt(space, vectors, tol))
-
-
-def monomial_span(space: WeightedSpace, indices: Sequence[int]) -> Subspace:
-    """Span of selected basis monomials; the basis is exactly orthonormal."""
-    indices = list(indices)
-    onb = np.zeros((space.dim, len(indices)), dtype=complex)
-    for j, i in enumerate(indices):
-        onb[i, j] = 1.0 / np.sqrt(space.weights[i])
-    return Subspace(space=space, onb=onb)
-
-
-def whole_space(space: WeightedSpace) -> Subspace:
-    return monomial_span(space, range(space.dim))
 
 
 # ---------------------------------------------------------------------------

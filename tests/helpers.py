@@ -6,13 +6,11 @@ import numpy as np
 
 from twoiso import (
     Op,
-    Subspace,
     WeightedSpace,
     defect_quadratic,
     make_coordinate_space,
     polarized_defect_entry,
     weighted_gram_schmidt,
-    whole_space,
 )
 
 
@@ -56,23 +54,34 @@ def brute_force_adjoint(A: Op) -> np.ndarray:
     return out
 
 
-def projection_by_expansion(sub, x) -> np.ndarray:
+def window_basis(space: WeightedSpace, idx) -> np.ndarray:
+    """Orthonormal basis e_i / sqrt(w_i), i in ``idx``, of a monomial window,
+    as the columns of a (dim, r) array."""
+    return np.eye(space.dim, dtype=complex)[:, idx] / np.sqrt(space.weight_array[idx])
+
+
+def project(space: WeightedSpace, onb: np.ndarray, x) -> np.ndarray:
+    """Orthogonal projection of x onto the span of the orthonormal columns."""
+    return onb @ (onb.conj().T @ (space.weight_array * x))
+
+
+def projection_by_expansion(space: WeightedSpace, onb: np.ndarray, x) -> np.ndarray:
     """Projection computed as an explicit orthonormal expansion sum."""
-    space = sub.space
     out = space.zeros()
-    for e in sub.basis_vectors():
+    for e in onb.T:
         out = out + space.inner(x, e) * e
     return out
 
 
-def polarized_form_by_entries(T: Op, sub) -> np.ndarray:
-    """Defect form on ``sub``'s orthonormal basis, one entry at a time.
+def polarized_form_by_entries(T: Op, window_idx) -> np.ndarray:
+    """Defect form on the orthonormal basis of a monomial window, one entry
+    at a time.
 
     The diagonal is the quadratic defect and every off-diagonal entry comes
     from four-term polarization, so this is an oracle independent of the
     Gram products behind ``polarized_defect_form``.
     """
-    cols = sub.basis_vectors()
+    cols = window_basis(T.space, window_idx).T
     r = len(cols)
     out = np.zeros((r, r), dtype=complex)
     for j in range(r):
@@ -85,17 +94,13 @@ def polarized_form_by_entries(T: Op, sub) -> np.ndarray:
     return out
 
 
-def orthogonal_complement(
-    sub: Subspace, within: Subspace | None = None, *, tol: float
-) -> Subspace:
-    """All vectors of the ambient (sub)space orthogonal to ``sub``.
+def orthogonal_complement(space: WeightedSpace, onb: np.ndarray, *, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning all vectors orthogonal to ``onb``'s columns.
 
-    ``within`` defaults to the whole space; rank is detected at ``tol`` by
-    Gram-Schmidt on the ambient basis with ``sub``'s component removed. The
-    caller is responsible for ``sub`` being contained in the ambient
-    subspace; then the dimensions add up to the ambient dimension.
+    Rank is detected at ``tol`` by Gram-Schmidt on an orthonormal basis of
+    the whole space with ``onb``'s component removed, so the dimensions add
+    up to ``space.dim``.
     """
-    space = sub.space
-    ambient = within if within is not None else whole_space(space)
-    candidates = [col - sub.project(col) for col in ambient.basis_vectors()]
-    return Subspace(space=space, onb=weighted_gram_schmidt(space, candidates, tol))
+    ambient = window_basis(space, np.arange(space.dim)).T
+    candidates = [col - project(space, onb, col) for col in ambient]
+    return weighted_gram_schmidt(space, candidates, tol)

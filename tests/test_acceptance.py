@@ -20,7 +20,6 @@ from twoiso import (
     make_coordinate_space,
     polarized_defect_form,
     rank_one,
-    safe_subspace,
     theorem_verdict,
     witness_vector,
 )
@@ -197,8 +196,7 @@ def test_criterion_5_bidisc_example():
     )
 
     op = bidisc_example_operator(6)
-    window = safe_subspace(op)
-    window_defect = polarized_defect_form(op, window).max_residual
+    window_defect = polarized_defect_form(op).max_residual
 
     ok = (
         report.kernel_residual <= 1e-12

@@ -21,10 +21,9 @@ from twoiso import (
     polarized_defect_form,
     rank_one,
     safe_subspace,
-    span,
     stable_kernel,
     theorem_verdict,
-    whole_space,
+    weighted_gram_schmidt,
     witness_vector,
 )
 from twoiso.function_spaces import (
@@ -40,7 +39,13 @@ from twoiso.sampling import (
     random_complex_vector,
     random_unitary,
 )
-from helpers import orthogonal_complement, polarized_form_by_entries, random_vec
+from helpers import (
+    orthogonal_complement,
+    polarized_form_by_entries,
+    project,
+    random_vec,
+    window_basis,
+)
 
 
 def swap_problem(scale_u: float = 1.0, **kwargs) -> PerturbationProblem:
@@ -122,7 +127,7 @@ def test_stable_kernel_swap_case_is_trivial():
     space = make_coordinate_space(2)
     base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
     v = space.basis_vector(1)
-    Q = stable_kernel(base, v, whole_space(space), DEFAULT_RANK_TOL)
+    Q = stable_kernel(base, v, np.arange(space.dim), DEFAULT_RANK_TOL)
     assert space.dim - Q.shape[1] == 0
 
 
@@ -132,14 +137,14 @@ def test_stable_kernel_bidisc_case():
     base = bidisc_shift(3, axis=1)
     space = base.space
     v = space.monomial((1, 0))
-    window = whole_space(space)
-    Q = stable_kernel(base, v, window, DEFAULT_RANK_TOL)
+    E = window_basis(space, np.arange(space.dim))
+    Q = stable_kernel(base, v, np.arange(space.dim), DEFAULT_RANK_TOL)
     assert space.dim - Q.shape[1] == space.dim - 2
     assert np.allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
     # The stable kernel, the complement of Q, is orthogonal to 1 and z1
     # exactly when their window coordinates lie in the span of Q.
     for label in ((0, 0), (1, 0)):
-        c = window.coefficients(space.monomial(label))
+        c = E.conj().T @ (space.weight_array * space.monomial(label))
         assert np.linalg.norm(c - Q @ (Q.conj().T @ c)) <= 1e-12
 
 
@@ -148,7 +153,7 @@ def test_stable_kernel_identity_base():
     rng = np.random.default_rng(52)
     v = random_vec(space, rng)
     v = v / space.norm(v)
-    Q = stable_kernel(identity(space), v, whole_space(space), DEFAULT_RANK_TOL)
+    Q = stable_kernel(identity(space), v, np.arange(space.dim), DEFAULT_RANK_TOL)
     assert space.dim - Q.shape[1] == 3
 
 
@@ -252,9 +257,9 @@ def test_branch_consistency_two_computations():
         v = v / space.norm(v)
 
         by_witness = witness_vector(T, v, tol) is None
-        kernel = orthogonal_complement(span(space, [v], tol), tol=tol)
+        kernel = orthogonal_complement(space, weighted_gram_schmidt(space, [v], tol), tol=tol)
         worst = 0.0
-        for s in kernel.basis_vectors():
+        for s in kernel.T:
             worst = max(worst, abs(space.inner(apply(T, s), v)))
         by_invariance = worst <= tol
         assert by_witness == by_invariance
@@ -364,8 +369,8 @@ def test_condition_iia_over_stable_kernel_only_branch_I():
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
     Q = stable_kernel(problem.base, problem.v, safe, DEFAULT_RANK_TOL)
-    assert safe.dim - Q.shape[1] == safe.dim - 1
-    G = polarized_defect_form(Tt, safe).defect_matrix
+    assert safe.size - Q.shape[1] == safe.size - 1
+    G = polarized_defect_form(Tt).defect_matrix
     resid = condition_iia_residual(G, Q)
     assert resid <= 1e-10
 
@@ -449,12 +454,13 @@ def test_condition_iia_matches_polarization_referee(case):
     assert block.shape == (k, r)
     block_norm = float(np.linalg.norm(block, 2))
     x = witness_vector(problem.base, problem.v, problem.tol_rank)
-    c_x = safe.coefficients(x / problem.space.norm(x))
+    space = problem.space
+    c_x = window_basis(space, safe).conj().T @ (space.weight_array * x) / space.norm(x)
     img = G_pol @ c_x
     witness = float(np.linalg.norm(img - np.vdot(c_x, img) * c_x))
     # cond_iia_residual is the larger of the block norm and the witness-line
     # residual; the block alone is condition_iia_residual without a witness.
-    G = polarized_defect_form(Tt, safe).defect_matrix
+    G = polarized_defect_form(Tt).defect_matrix
     tol = 1e-10 * max(1.0, float(np.linalg.norm(G, 2)))
     assert abs(block_norm - condition_iia_residual(G, Q)) <= tol
     assert abs(max(block_norm, witness) - report.cond_iia_residual) <= tol
@@ -466,26 +472,30 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     # a Gram-Schmidt basis of the stable kernel S, each image from
     # polarization. The spectral norm of the block is at least every column
     # norm and at most the Frobenius norm: old <= new <= sqrt(dim S) old, up
-    # to round-off.
+    # to round-off. S is built in Euclidean window coordinates c = E^H W x.
     problem = _IIA_REFEREE_CASES[case]()
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
     space = problem.space
-    gens = span(
-        space,
-        [safe.project(problem.v), safe.project(apply(adjoint(problem.base), problem.v))],
+    E = window_basis(space, safe)
+    coords = E.conj().T * space.weight_array
+    window = make_coordinate_space(safe.size)
+    gens = weighted_gram_schmidt(
+        window,
+        [coords @ problem.v, coords @ apply(adjoint(problem.base), problem.v)],
         problem.tol_rank,
     )
-    stable = orthogonal_complement(gens, within=safe, tol=problem.tol_rank)
+    stable = orthogonal_complement(window, gens, tol=problem.tol_rank)
     old = 0.0
-    for s in stable.basis_vectors():
-        img = defect_apply_in_window(Tt, s, safe)
-        old = max(old, space.norm(img - stable.project(img)))
-    G = polarized_defect_form(Tt, safe).defect_matrix
+    for c in stable.T:
+        img = coords @ defect_apply_in_window(Tt, E @ c)
+        old = max(old, window.norm(img - project(window, stable, img)))
+    G = polarized_defect_form(Tt).defect_matrix
     Q = stable_kernel(problem.base, problem.v, safe, problem.tol_rank)
     new = condition_iia_residual(G, Q)
-    assert stable.dim == safe.dim - Q.shape[1] == theorem_verdict(problem).s_dim_evaluated
-    assert old - 1e-12 <= new <= np.sqrt(stable.dim) * old + 1e-12
+    dim_s = stable.shape[1]
+    assert dim_s == safe.size - Q.shape[1] == theorem_verdict(problem).s_dim_evaluated
+    assert old - 1e-12 <= new <= np.sqrt(dim_s) * old + 1e-12
 
 
 def test_kernel_condition_residuals():

@@ -20,6 +20,7 @@ from twoiso.cli import (
 )
 from twoiso.function_spaces import dirichlet_shift
 from twoiso.operators import defect_quadratic
+from twoiso.spaces import MAX_DIM
 
 
 def write_json(path, doc):
@@ -391,19 +392,33 @@ def test_search_dirichlet_alpha_n2_empty(capsys):
     assert json.loads(capsys.readouterr().out)["hits"] == []
 
 
-def test_search_empty_grid_gives_empty_table(capsys):
-    code = main(
-        [
-            "search",
-            "dirichlet-alpha",
-            "--re-min", "1.0", "--re-max", "-1.0",
-            "--im-min", "0.0", "--im-max", "0.0",
-            "--step", "0.5",
-            "--format", "json",
-        ]
-    )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["hits"] == []
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_search_inverted_range_is_input_error(part, capsys):
+    # An inverted range used to scan an empty grid and report "0 hit(s)".
+    args = ["search", "dirichlet-alpha", f"--{part}-min", "1", f"--{part}-max", "-3"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{part}-min 1 is greater than --{part}-max -3" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, dim",
+    [
+        (["reproduce", "dirichlet-pper", "-N", "100000000"], 100000001),
+        (["reproduce", "bidisc", "-N", "62"], 2016),
+        (["search", "dirichlet-alpha", "-N", "100000000"], 100000001),
+    ],
+    ids=["dirichlet-pper", "bidisc", "search"],
+)
+def test_dimension_above_the_cap_is_input_error(args, dim, capsys):
+    # Refused before any label or matrix is built, so a huge -N neither
+    # runs out of memory nor tries to allocate gigabytes.
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"dimension {dim}, more than {MAX_DIM}" in captured.err
 
 
 @pytest.mark.parametrize("step", ["1e-300", "1e-5"])

@@ -17,17 +17,17 @@ from twoiso import (
     make_bidisc_space,
     make_coordinate_space,
     make_dirichlet_space,
-    monomial_span,
     polarized_defect_form,
     rank_one,
     safe_subspace,
     scanned_degree_growth,
     truncation_safe,
-    whole_space,
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
+    bidisc_example_operator,
     bidisc_example_problem,
+    bidisc_shift,
     constant_perturbed_dirichlet,
     dirichlet_shift,
     perturbed_dirichlet,
@@ -39,6 +39,7 @@ from helpers import (
     random_op,
     random_vec,
     random_weighted_space,
+    window_basis,
 )
 
 
@@ -257,10 +258,10 @@ def test_defect_quadratic_vanishes_for_isometry_on_safe_vectors():
 
     op = bidisc_shift(4, axis=2)
     rng = np.random.default_rng(37)
-    safe = safe_subspace(op)
+    E = window_basis(op.space, safe_subspace(op))
     for _ in range(10):
-        coeffs = rng.standard_normal(safe.dim) + 1j * rng.standard_normal(safe.dim)
-        x = safe.onb @ coeffs
+        coeffs = rng.standard_normal(E.shape[1]) + 1j * rng.standard_normal(E.shape[1])
+        x = E @ coeffs
         assert abs(defect_quadratic(op, x)) <= 1e-10 * max(1.0, op.space.norm(x) ** 2)
 
 
@@ -297,9 +298,8 @@ def test_polarized_form_matches_defect_operator_restriction():
     for _ in range(20):
         space = random_weighted_space(rng)
         T = random_op(space, rng)
-        sub = whole_space(space)
-        report = polarized_defect_form(T, sub)
-        E = sub.onb
+        report = polarized_defect_form(T)
+        E = window_basis(space, safe_subspace(T))
         W = np.diag(space.weight_array)
         direct = E.conj().T @ W @ (defect_operator(T).matrix @ E)
         scale_ref = max(1.0, np.max(np.abs(direct)))
@@ -311,14 +311,14 @@ def test_polarized_form_hermitian():
     for _ in range(20):
         space = random_weighted_space(rng)
         T = random_op(space, rng)
-        report = polarized_defect_form(T, whole_space(space))
+        report = polarized_defect_form(T)
         M = report.defect_matrix
         assert np.max(np.abs(M - M.conj().T)) <= 1e-10 * max(1.0, report.max_residual)
 
 
-def _assert_form_matches_polarization(T, sub) -> np.ndarray:
-    G = polarized_defect_form(T, sub).defect_matrix
-    P = polarized_form_by_entries(T, sub)
+def _assert_form_matches_polarization(T) -> np.ndarray:
+    G = polarized_defect_form(T).defect_matrix
+    P = polarized_form_by_entries(T, safe_subspace(T))
     assert np.max(np.abs(G - P)) <= 1e-12 * max(1.0, np.max(np.abs(P)))
     return P
 
@@ -328,25 +328,24 @@ def test_gram_form_matches_polarization_random_weighted_c6():
     for _ in range(10):
         weights = tuple(rng.uniform(0.2, 5.0, size=6))
         space = make_coordinate_space(6, weights=weights)
-        _assert_form_matches_polarization(random_op(space, rng), whole_space(space))
+        _assert_form_matches_polarization(random_op(space, rng))
 
 
 def test_gram_form_matches_polarization_non_admissible_dirichlet():
     op = perturbed_dirichlet(24, PolyCoeffs((1j,)))
-    P = _assert_form_matches_polarization(op, safe_subspace(op))
+    P = _assert_form_matches_polarization(op)
     assert np.max(np.abs(P)) >= 0.5
 
 
 def test_gram_form_matches_polarization_bidisc_window():
     op = bidisc_example_problem(8).perturbed()
-    sub = safe_subspace(op)
-    assert sub.dim == 28
-    _assert_form_matches_polarization(op, sub)
+    assert safe_subspace(op).size == 28
+    _assert_form_matches_polarization(op)
 
 
 def test_polarized_form_dirichlet_shift_two_isometry():
     op = dirichlet_shift(8)
-    report = polarized_defect_form(op, safe_subspace(op))
+    report = polarized_defect_form(op)
     assert report.safe_dim == 7
     assert report.max_residual <= 1e-12
 
@@ -355,32 +354,14 @@ def test_polarized_form_perturbed_swap_zero_matrix():
     space = make_coordinate_space(2)
     V = Op.from_exact_matrix(space, [[0, 1], [1, 0]])
     K = rank_one(space, -2.0 * space.basis_vector(0), space.basis_vector(1))
-    report = polarized_defect_form(add(V, K), whole_space(space))
+    report = polarized_defect_form(add(V, K))
     assert np.max(np.abs(report.defect_matrix)) <= 1e-14
-
-
-def test_polarized_form_rejects_unsafe_subspace():
-    op = dirichlet_shift(4)
-    top = monomial_span(op.space, [op.space.dim - 1])
-    with pytest.raises(TruncationError):
-        polarized_defect_form(op, top)
 
 
 def test_defect_apply_in_window_rejects_unsafe_vector():
     op = dirichlet_shift(4)
-    safe = safe_subspace(op)
     with pytest.raises(TruncationError):
-        defect_apply_in_window(op, op.space.monomial((4,)), safe)
-
-
-def test_empty_subspace_report():
-    space = make_coordinate_space(2)
-    U = Op.from_exact_matrix(space, [[0, 1], [1, 0]])
-    from twoiso import span
-
-    report = polarized_defect_form(U, span(space, [], 1e-10))
-    assert report.safe_dim == 0
-    assert report.max_residual == 0.0
+        defect_apply_in_window(op, op.space.monomial((4,)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +373,28 @@ def test_safe_subspace_growth_zero_is_whole_space():
     rng = np.random.default_rng(42)
     T = random_op(space, rng)
     assert T.degree_growth == 0
-    assert safe_subspace(T).dim == 5
+    assert np.array_equal(safe_subspace(T), np.arange(5))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dirichlet_shift(12),
+        lambda: bidisc_shift(8, axis=1),
+        lambda: bidisc_example_operator(8),
+        lambda: random_op(make_coordinate_space(4), np.random.default_rng(44)),
+    ],
+    ids=["dirichlet-12", "bidisc-shift-8", "bidisc-example-8", "c4-seeded"],
+)
+def test_safe_window_certificate(make):
+    # The window is safe by construction: every monomial it lists is
+    # truncation-safe and every other one is not.
+    op = make()
+    idx = safe_subspace(op)
+    assert idx.dtype.kind == "i" and np.all(np.diff(idx) > 0)
+    inside = set(idx.tolist())
+    for i in range(op.space.dim):
+        assert truncation_safe(op, op.space.basis_vector(i)) == (i in inside)
 
 
 def test_safe_subspace_too_small():
