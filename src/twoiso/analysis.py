@@ -22,10 +22,12 @@ a degree-truncated model. The gamma formula is folded to
 Re( <u, T P T x> / <v, T x> ). The oracle is the matrix G of the defect form
 over the whole safe window, from three forward Gram products; condition (a)
 is read off the same G in window coordinates sqrt(w_i) x_i, i in the safe
-index set, and only the kernel residual recovers its defect image by
-polarization of the quadratic form. The oracle verdict thresholds the
-entries of G, the theorem verdict the branch residuals; the two must agree
-and both are in the report.
+index set. There the stable kernel is the complement of the coordinates of
+v and the unit witness, which span span{v, T*v}, so the witness norm against
+tol_rank is the one rank decision. Only the kernel residual recovers its
+defect image by polarization of the quadratic form. The oracle verdict
+thresholds the entries of G, the theorem verdict the branch residuals; the
+two must agree and both are in the report.
 """
 
 from __future__ import annotations
@@ -46,14 +48,13 @@ from .operators import (
     safe_subspace,
     require_truncation_safe,
 )
-from .spaces import WeightedSpace, weighted_gram_schmidt
+from .spaces import WeightedSpace
 
 __all__ = [
     "DEFAULT_RANK_TOL",
     "DEFAULT_DEFECT_TOL",
     "PerturbationProblem",
     "TheoremReport",
-    "stable_kernel",
     "witness_vector",
     "gamma_coefficient",
     "condition_iib_residual",
@@ -65,25 +66,6 @@ __all__ = [
 # Two orders above accumulated round-off for dense products at dim <= 100.
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_DEFECT_TOL = 1e-8
-
-
-def stable_kernel(T: Op, v, window_idx: np.ndarray, tol_rank: float) -> np.ndarray:
-    """The stable kernel in a monomial window, as the orthonormal (r, k) array Q.
-
-    The window is the span of the basis monomials ``window_idx`` (see
-    :func:`~twoiso.operators.safe_subspace`). The stable kernel is the part
-    of ker(u⊗v) whose image under T stays in the kernel: the vectors
-    orthogonal to both v and T*v. For x in the window those pairings only
-    see v and T*v restricted to the window, so there it is the complement of
-    the span of the two restrictions. Q holds that span in window
-    coordinates sqrt(w_i) x_i, and the stable kernel is the complement of
-    Q's columns, of dimension r - k. The rank k <= 2 is detected at
-    ``tol_rank``, the tolerance that also decides the branch.
-    """
-    pair = np.zeros((2, T.space.dim), dtype=complex)
-    pair[:, window_idx] = np.stack([v, apply(adjoint(T), v)])[:, window_idx]
-    gens = weighted_gram_schmidt(T.space, pair, tol=tol_rank)
-    return np.sqrt(T.space.weight_array[window_idx])[:, None] * gens[window_idx]
 
 
 def witness_vector(T: Op, v, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray | None:
@@ -237,9 +219,10 @@ def condition_iia_residual(G: np.ndarray, Q: np.ndarray, c_x: np.ndarray | None 
 
     ``G[l, j] = <D e_j, e_l>`` is the defect form on the safe window's
     orthonormal basis, and the stable kernel is the complement of the
-    orthonormal columns of ``Q`` (see :func:`stable_kernel`) in window
-    coordinates. D maps the stable kernel into itself exactly when the
-    block Q^H G (I - Q Q^H) vanishes; its spectral norm is the residual.
+    orthonormal columns of ``Q`` in window coordinates (in branch II, Q
+    spans the coordinates of v and the witness). D maps the stable kernel
+    into itself exactly when the block Q^H G (I - Q Q^H) vanishes; its
+    spectral norm is the residual.
     When the window coordinates ``c_x`` of the unit witness are given, the
     same check runs on its line, ||G c_x - (c_x^H G c_x) c_x||, which is the
     equivalent formulation of the invariance condition; the max of both is
@@ -293,10 +276,13 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         require_truncation_safe(Ttilde, xhat, "witness vector")
         gamma = gamma_coefficient(T, u, v, xhat, problem.tol_rank)
         iib = condition_iib_residual(problem, gamma)
+        # v and xhat are truncation-safe, so their window coordinates carry
+        # all of span{v, T*v} that condition (a) sees; QR because ||v|| may
+        # be off 1 by round-off.
         idx = safe_subspace(Ttilde)
-        Q = stable_kernel(T, v, idx, problem.tol_rank)
-        c_x = np.sqrt(space.weight_array[idx]) * xhat[idx]
-        iia = condition_iia_residual(oracle.defect_matrix, Q, c_x)
+        pair = np.sqrt(space.weight_array[idx, None]) * np.stack([v, xhat], 1)[idx]
+        Q = np.linalg.qr(pair)[0]
+        iia = condition_iia_residual(oracle.defect_matrix, Q, pair[:, 1])
         s_dim = idx.size - Q.shape[1]
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
 

@@ -610,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--step", type=_positive_float, default=0.05)
     sea.add_argument("-N", dest="N", type=int, default=None)
     sea.add_argument("--trials", type=_non_negative_int, default=64)
-    sea.add_argument("--seed", type=int, default=0)
+    sea.add_argument("--seed", type=_non_negative_int, default=0)
     sea.add_argument("--tol", type=_positive_float, default=DEFAULT_DEFECT_TOL)
     sea.add_argument("--format", choices=("text", "json"), default="text")
     sea.set_defaults(func=cmd_search)

@@ -333,24 +333,30 @@ def polarized_defect_form(T: Op) -> DefectReport:
 
     The entries come from the forward Gram products E^H W E - 2 (TE)^H W (TE)
     + (T^2 E)^H W (T^2 E), each formed as (W conj X)^T X in two reused
-    (dim, r) buffers.
+    (dim, r) buffers. Raises ValueError when an entry overflows to a
+    non-finite number, so that no verdict reads a NaN.
     """
     idx = safe_subspace(T)
     w = T.space.weight_array[:, None]
     scale = 1.0 / np.sqrt(w[idx, 0])
-    fwd = np.take(T.matrix, idx, axis=1) * scale
-    buf = np.conjugate(fwd)
-    buf *= w
-    mat = -2.0 * (buf.T @ fwd)
-    np.matmul(T.matrix, fwd, out=buf)
-    np.conjugate(buf, out=fwd)
-    fwd *= w
-    mat += fwd.T @ buf
-    # E^H W E, diagonal: w_i scale_i^2 with the same rounded scale as E.
-    mat[np.diag_indices(idx.size)] += w[idx, 0] * scale * scale
-    return DefectReport(
-        defect_matrix=mat, max_residual=float(np.max(np.abs(mat))), safe_dim=idx.size
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = np.take(T.matrix, idx, axis=1) * scale
+        buf = np.conjugate(fwd)
+        buf *= w
+        mat = -2.0 * (buf.T @ fwd)
+        np.matmul(T.matrix, fwd, out=buf)
+        np.conjugate(buf, out=fwd)
+        fwd *= w
+        mat += fwd.T @ buf
+        # E^H W E, diagonal: w_i scale_i^2 with the same rounded scale as E.
+        mat[np.diag_indices(idx.size)] += w[idx, 0] * scale * scale
+        max_residual = float(np.max(np.abs(mat)))
+    if not np.isfinite(max_residual):
+        raise ValueError(
+            "the defect form overflows: the operator or the vectors are too "
+            "large for floating point"
+        )
+    return DefectReport(defect_matrix=mat, max_residual=max_residual, safe_dim=idx.size)
 
 
 def defect_apply_in_window(T: Op, x) -> np.ndarray:

@@ -21,11 +21,11 @@ Three families of spaces are provided:
   growth 0 and the whole space counts as truncation-exact.
 
 A span of basis monomials is an index array, with orthonormal basis
-e_i / sqrt(w_i). A generated span such as span{v, T*v} gets an orthonormal
-basis from :func:`weighted_gram_schmidt`, which drops vectors whose residual
-falls below the rank tolerance and so detects the rank. That tolerance is
-always the caller's: this module has no default of its own. The Dirichlet
-and bidisc constructors refuse more than ``MAX_DIM`` labels.
+e_i / sqrt(w_i). :func:`weighted_gram_schmidt` orthonormalizes a list of
+vectors and detects their rank at the caller's tolerance (this module has no
+default of its own); no library path calls it, the tests use it as a
+referee. The Dirichlet and bidisc constructors refuse more than ``MAX_DIM``
+labels.
 
 All objects here are immutable values; they can be shared freely across
 threads.

@@ -7,6 +7,8 @@ import numpy as np
 from twoiso import (
     Op,
     WeightedSpace,
+    adjoint,
+    apply,
     defect_quadratic,
     make_coordinate_space,
     polarized_defect_entry,
@@ -104,3 +106,17 @@ def orthogonal_complement(space: WeightedSpace, onb: np.ndarray, *, tol: float) 
     ambient = window_basis(space, np.arange(space.dim)).T
     candidates = [col - project(space, onb, col) for col in ambient]
     return weighted_gram_schmidt(space, candidates, tol)
+
+
+def stable_kernel_referee(T: Op, v, window_idx, tol_rank: float) -> np.ndarray:
+    """Orthonormal window coordinates, an (r, k) array, of the span of v and
+    T*v restricted to a monomial window; the stable kernel is its complement.
+
+    Built from the adjoint matrix and weighted Gram-Schmidt, which detects
+    the rank k at ``tol_rank`` on its own, so it is independent of the
+    witness vector that the verdict reads the span from.
+    """
+    pair = np.zeros((2, T.space.dim), dtype=complex)
+    pair[:, window_idx] = np.stack([v, apply(adjoint(T), v)])[:, window_idx]
+    gens = weighted_gram_schmidt(T.space, pair, tol=tol_rank)
+    return np.sqrt(T.space.weight_array[window_idx])[:, None] * gens[window_idx]

@@ -21,8 +21,9 @@ from twoiso import (
     polarized_defect_form,
     rank_one,
     safe_subspace,
-    stable_kernel,
     theorem_verdict,
+    truncation_cutoff,
+    truncation_safe,
     weighted_gram_schmidt,
     witness_vector,
 )
@@ -44,6 +45,7 @@ from helpers import (
     polarized_form_by_entries,
     project,
     random_vec,
+    stable_kernel_referee,
     window_basis,
 )
 
@@ -124,37 +126,30 @@ def test_normalize_pair_rejects_zero():
 
 
 def test_stable_kernel_swap_case_is_trivial():
-    space = make_coordinate_space(2)
-    base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    v = space.basis_vector(1)
-    Q = stable_kernel(base, v, np.arange(space.dim), DEFAULT_RANK_TOL)
-    assert space.dim - Q.shape[1] == 0
+    # v = e2 and T*v = e1 span C^2, so nothing is left of the stable kernel.
+    problem = swap_problem()
+    assert theorem_verdict(problem).s_dim_evaluated == 0
+    Q = stable_kernel_referee(problem.base, problem.v, np.arange(2), DEFAULT_RANK_TOL)
+    assert Q.shape == (2, 2)
 
 
 def test_stable_kernel_bidisc_case():
-    from twoiso.function_spaces import bidisc_shift
-
-    base = bidisc_shift(3, axis=1)
-    space = base.space
-    v = space.monomial((1, 0))
-    E = window_basis(space, np.arange(space.dim))
-    Q = stable_kernel(base, v, np.arange(space.dim), DEFAULT_RANK_TOL)
-    assert space.dim - Q.shape[1] == space.dim - 2
+    problem = bidisc_example_problem(6)
+    space = problem.space
+    safe = safe_subspace(problem.perturbed())
+    report = theorem_verdict(problem)
+    assert report.safe_dim == safe.size
+    assert report.s_dim_evaluated == safe.size - 2
+    Q = stable_kernel_referee(problem.base, problem.v, safe, DEFAULT_RANK_TOL)
+    assert Q.shape == (safe.size, 2)
     assert np.allclose(Q.conj().T @ Q, np.eye(2), atol=1e-12)
-    # The stable kernel, the complement of Q, is orthogonal to 1 and z1
-    # exactly when their window coordinates lie in the span of Q.
+    # v = z1 and T*v = 1: the stable kernel, the complement of Q, is
+    # orthogonal to 1 and z1 exactly when their window coordinates lie in
+    # the span of Q.
+    E = window_basis(space, safe)
     for label in ((0, 0), (1, 0)):
         c = E.conj().T @ (space.weight_array * space.monomial(label))
         assert np.linalg.norm(c - Q @ (Q.conj().T @ c)) <= 1e-12
-
-
-def test_stable_kernel_identity_base():
-    space = make_coordinate_space(4)
-    rng = np.random.default_rng(52)
-    v = random_vec(space, rng)
-    v = v / space.norm(v)
-    Q = stable_kernel(identity(space), v, np.arange(space.dim), DEFAULT_RANK_TOL)
-    assert space.dim - Q.shape[1] == 3
 
 
 def _c3_tight_rank_problem() -> PerturbationProblem:
@@ -368,8 +363,8 @@ def test_condition_iia_over_stable_kernel_only_branch_I():
     problem = dirichlet_perturbation_problem(10, PolyCoeffs((-2.0,)))
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
-    Q = stable_kernel(problem.base, problem.v, safe, DEFAULT_RANK_TOL)
-    assert safe.size - Q.shape[1] == safe.size - 1
+    c_v = np.sqrt(problem.space.weight_array[safe]) * problem.v[safe]
+    Q = (c_v / np.linalg.norm(c_v))[:, None]
     G = polarized_defect_form(Tt).defect_matrix
     resid = condition_iia_residual(G, Q)
     assert resid <= 1e-10
@@ -429,10 +424,35 @@ def _bidisc_off_example_problem() -> PerturbationProblem:
     return PerturbationProblem(base=problem.base, u=problem.u + 1e-3 * w, v=problem.v)
 
 
+def _bidisc_v_off_unit_problem() -> PerturbationProblem:
+    """The off-example bidisc problem with ||v|| = 1 + 5e-13: within round-off
+    of 1, so v is not renormalized and the witness is orthogonal to it only
+    up to round-off."""
+    problem = _bidisc_off_example_problem()
+    out = PerturbationProblem(base=problem.base, u=problem.u, v=(1 + 5e-13) * problem.v)
+    assert not out.v_was_normalized
+    return out
+
+
+def _bidisc_v_mass_above_window_problem() -> PerturbationProblem:
+    """The off-example bidisc problem with 1e-14 of v on z1 z2^7, above the
+    safe window but within the round-off that truncation_safe forgives; T*v
+    carries it to z2^7, also above the window."""
+    problem = _bidisc_off_example_problem()
+    v = problem.v + 1e-14 * problem.space.monomial((1, 7))
+    out = PerturbationProblem(base=problem.base, u=problem.u, v=v)
+    Tt = out.perturbed()
+    assert truncation_safe(Tt, out.v)
+    assert np.any(out.v[Tt.space.degrees > truncation_cutoff(Tt)])
+    return out
+
+
 _IIA_REFEREE_CASES = {
     "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
     "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
     "bidisc-8-off-example": _bidisc_off_example_problem,
+    "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
+    "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
     "c3-tight-rank": _c3_tight_rank_problem,
 }
 
@@ -440,16 +460,17 @@ _IIA_REFEREE_CASES = {
 @pytest.mark.parametrize("case", sorted(_IIA_REFEREE_CASES))
 def test_condition_iia_matches_polarization_referee(case):
     # Polarization builds G one entry at a time, independent of the Gram
-    # products that the report reads condition (a) from.
+    # products that the report reads condition (a) from, and the referee
+    # spans v and T*v from the adjoint by Gram-Schmidt, not from the witness.
     problem = _IIA_REFEREE_CASES[case]()
     report = theorem_verdict(problem)
     assert report.branch == "II"
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
     G_pol = polarized_form_by_entries(Tt, safe)
-    Q = stable_kernel(problem.base, problem.v, safe, problem.tol_rank)
+    Q = stable_kernel_referee(problem.base, problem.v, safe, problem.tol_rank)
     r, k = Q.shape
-    assert report.s_dim_evaluated == r - k
+    assert report.s_dim_evaluated == r - 2 == r - k
     block = Q.conj().T @ G_pol @ (np.eye(r) - Q @ Q.conj().T)
     assert block.shape == (k, r)
     block_norm = float(np.linalg.norm(block, 2))
@@ -461,7 +482,7 @@ def test_condition_iia_matches_polarization_referee(case):
     # cond_iia_residual is the larger of the block norm and the witness-line
     # residual; the block alone is condition_iia_residual without a witness.
     G = polarized_defect_form(Tt).defect_matrix
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(G, 2)))
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(G, 2)))
     assert abs(block_norm - condition_iia_residual(G, Q)) <= tol
     assert abs(max(block_norm, witness) - report.cond_iia_residual) <= tol
 
@@ -491,7 +512,7 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
         img = coords @ defect_apply_in_window(Tt, E @ c)
         old = max(old, window.norm(img - project(window, stable, img)))
     G = polarized_defect_form(Tt).defect_matrix
-    Q = stable_kernel(problem.base, problem.v, safe, problem.tol_rank)
+    Q = stable_kernel_referee(problem.base, problem.v, safe, problem.tol_rank)
     new = condition_iia_residual(G, Q)
     dim_s = stable.shape[1]
     assert dim_s == safe.size - Q.shape[1] == theorem_verdict(problem).s_dim_evaluated

@@ -293,6 +293,46 @@ def test_analyze_malformed_document_is_input_error(corrupt, tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def _c2_doc(matrix, u, v):
+    space = make_coordinate_space(2)
+    return {
+        "operator": Op.from_exact_matrix(space, matrix).to_dict(),
+        "u": vec_to_pairs(u),
+        "v": vec_to_pairs(v),
+    }
+
+
+_E0, _E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# Finite entries whose defect form overflows. The first two used to exit 0
+# with a NaN kernel residual and both verdicts false; the swap cases used
+# to exit 2 with a misleading message (a degenerate denominator, a failed
+# SVD).
+OVERFLOW_DOCS = {
+    "diagonal-1e200-base": lambda: _c2_doc(1e200 * np.eye(2), 0.5 * _E0, _E1),
+    "identity-base-huge-u": lambda: _c2_doc(np.eye(2), 1e200 * _E0, _E1),
+    "swap-times-1e200": lambda: _c2_doc(1e200 * _SWAP, -2.0 * _E0, _E1),
+    "swap-base-huge-u": lambda: _c2_doc(_SWAP, 1e200 * _E0, _E1),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_DOCS))
+def test_analyze_overflow_is_input_error(case, fmt, tmp_path, capsys):
+    path = write_json(tmp_path / "huge.json", OVERFLOW_DOCS[case]())
+    assert main(["analyze", "--input", path, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the defect form overflows")
+
+
+def test_reproduce_n0_overflowing_alpha_is_input_error(capsys):
+    assert main(["reproduce", "dirichlet-n0", "--alpha", "1e80"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the defect form overflows")
+
+
 def test_analyze_identity_base_with_phase_rotation(tmp_path, capsys):
     space = make_coordinate_space(3)
     rng = np.random.default_rng(70)
@@ -507,6 +547,7 @@ def test_defect_command_dimension_mismatch(tmp_path, capsys):
         ["search", "dirichlet-alpha", "--step", "x"],
         ["search", "dirichlet-alpha", "--re-min", "x"],
         ["search", "c2-rankone", "--trials", "x"],
+        ["search", "c2-rankone", "--seed", "-1"],
         ["search", "c2-rankone", "--tol", "nan"],
         ["reproduce", "dirichlet-n0", "--alpha", "x"],
         ["reproduce", "bidisc", "--tol-rank", "inf"],
