@@ -25,7 +25,8 @@ is read off the same G in window coordinates sqrt(w_i) x_i, i in the safe
 index set. There the stable kernel is the complement of the coordinates of
 v and the unit witness, which span span{v, T*v}, so the witness norm against
 tol_rank is the one rank decision. Only the kernel residual recovers its
-defect image by polarization of the quadratic form. The oracle verdict
+defect image by polarization of the quadratic form, from four block calls of
+defect_quadratic, one per polarization term. The oracle verdict
 thresholds the entries of G, the theorem verdict the branch residuals; the
 two must agree and both are in the report.
 """
@@ -238,7 +239,8 @@ def condition_iia_residual(G: np.ndarray, Q: np.ndarray, c_x: np.ndarray | None 
 
 
 def kernel_condition_residual(Ttilde: Op, v) -> float:
-    """|| (perturbed defect) v || read off the safe window by polarization.
+    """|| (perturbed defect) v || read off the safe window by polarization,
+    four block calls of the quadratic defect (:func:`defect_apply_in_window`).
 
     Raises when v is not supported on the truncation-safe window.
     """

@@ -197,11 +197,12 @@ def _dirichlet_n0(ns, N):
     )
     r = theorem_verdict(problem)
     never = "never a 2-isometry"
+    alpha4 = abs(alpha) ** 4
     return r, [
         (
             "defect on constant",
             defect_quadratic(op, one),
-            _within(abs(alpha) ** 4, 1e-10, "|alpha|^4 = "),
+            _within(alpha4, 1e-10 * max(1.0, alpha4), "|alpha|^4 = "),
         ),
         ("verdict_theorem", r.verdict_theorem, _equals(False, never)),
         ("verdict_oracle", r.verdict_oracle, _equals(False, never)),

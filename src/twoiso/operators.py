@@ -22,7 +22,9 @@ E (columns e_i / sqrt(w_i)) it is the sum of three forward Gram products,
 E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
 oracle and the source of the invariance condition of the decision procedure;
 only a single defect image inside the window, the one the kernel condition
-needs, is recovered from q by four-term complex polarization.
+needs, is recovered from q by four-term complex polarization, in four block
+calls of q: one per term x + s E, s in {1, -1, i, -i}, with the values of
+all r columns from two matrix products.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "scanned_degree_growth",
     "defect_operator",
     "defect_quadratic",
-    "polarized_defect_entry",
     "polarized_defect_form",
     "defect_apply_in_window",
     "truncation_cutoff",
@@ -230,35 +231,44 @@ def defect_operator(T: Op) -> Op:
     return Op(T.space, mat, degree_growth=None)
 
 
-def defect_quadratic(T: Op, x) -> float:
+def _norms2(w: np.ndarray, z: np.ndarray):
+    """||z||^2 for a vector z, or the squared norm of each column of a
+    C-contiguous (dim, k) block, summed over its float view re, im, re, ..."""
+    if z.ndim == 1:
+        return np.real(np.vdot(z, w * z))
+    f = z.view(float)
+    return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
+
+
+def defect_quadratic(T: Op, x):
     """q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2 with weighted norms.
 
     Uses forward applications only, so the value is exact whenever x lies
-    in the truncation-safe window of T.
+    in the truncation-safe window of T. A vector gives a float; a (dim, k)
+    block of columns gives the k values as an array, from two matrix
+    products. Raises ValueError when a value overflows to a non-finite
+    number, so that no caller reads a NaN.
     """
     w = T.space.weight_array
-    x = T.space.check_vec(x)
-    tx = T.matrix @ x
-    ttx = T.matrix @ tx
-
-    def n2(z):
-        return np.real(np.vdot(z, w * z))
-
-    return float(n2(x) - 2.0 * n2(tx) + n2(ttx))
-
-
-def polarized_defect_entry(T: Op, x, y) -> complex:
-    """<D x, y> for the defect operator D, recovered from the quadratic form.
-
-    Four-term complex polarization:
-        <D x, y> = ( q(x+y) - q(x-y) + i q(x+iy) - i q(x-iy) ) / 4
-    """
-    x = T.space.check_vec(x)
-    y = T.space.check_vec(y)
-    q = defect_quadratic
-    re = q(T, x + y) - q(T, x - y)
-    im = q(T, x + 1j * y) - q(T, x - 1j * y)
-    return complex(0.25 * re, 0.25 * im)
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 2:
+        if x.shape[0] != T.space.dim:
+            raise ValueError(
+                f"block has shape {x.shape}, expected ({T.space.dim}, k)"
+            )
+        x = np.ascontiguousarray(x)
+    else:
+        x = T.space.check_vec(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx = T.matrix @ x
+        ttx = T.matrix @ tx
+        value = _norms2(w, x) - 2.0 * _norms2(w, tx) + _norms2(w, ttx)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(
+            "the defect overflows: the operator or the vector is too large "
+            "for floating point"
+        )
+    return float(value) if x.ndim == 1 else value
 
 
 @dataclass(eq=False)
@@ -362,16 +372,26 @@ def polarized_defect_form(T: Op) -> DefectReport:
 def defect_apply_in_window(T: Op, x) -> np.ndarray:
     """Component of (defect operator) x inside T's safe window, via polarization.
 
-    x must be truncation-safe; then the result agrees with the untruncated
-    defect applied to x and projected onto the window.
+    With E the (dim, r) block of the window's basis e_i / sqrt(w_i),
+    four-term complex polarization gives every entry <D x, e_i / sqrt(w_i)>
+    at once from one block call of :func:`defect_quadratic` per term:
+
+        E^H W D x = ( q(x+E) - q(x-E) + i q(x+iE) - i q(x-iE) ) / 4
+
+    column by column. x must be truncation-safe; then the result agrees with
+    the untruncated defect applied to x and projected onto the window.
     """
     idx = safe_subspace(T)
     x = T.space.check_vec(x)
     require_truncation_safe(T, x)
+    scale = 1.0 / np.sqrt(T.space.weight_array[idx])
+    cols = np.arange(idx.size)
+    block = np.empty((T.space.dim, idx.size), dtype=complex)
+    q = []
+    for s in (1, -1, 1j, -1j):
+        block[...] = x[:, None]
+        block[idx, cols] += s * scale
+        q.append(defect_quadratic(T, block))
     out = T.space.zeros()
-    e = T.space.zeros()
-    for i in idx:
-        e[i] = 1.0 / np.sqrt(T.space.weights[i])
-        out[i] = e[i] * polarized_defect_entry(T, x, e)
-        e[i] = 0.0
+    out[idx] = scale * (0.25 * (q[0] - q[1]) + 0.25j * (q[2] - q[3]))
     return out

@@ -11,7 +11,8 @@ from twoiso import (
     apply,
     defect_quadratic,
     make_coordinate_space,
-    polarized_defect_entry,
+    require_truncation_safe,
+    safe_subspace,
     weighted_gram_schmidt,
 )
 
@@ -72,6 +73,37 @@ def projection_by_expansion(space: WeightedSpace, onb: np.ndarray, x) -> np.ndar
     out = space.zeros()
     for e in onb.T:
         out = out + space.inner(x, e) * e
+    return out
+
+
+def polarized_defect_entry(T: Op, x, y) -> complex:
+    """<D x, y> for the defect operator D, recovered from the quadratic form
+    by four scalar calls.
+
+    Four-term complex polarization:
+        <D x, y> = ( q(x+y) - q(x-y) + i q(x+iy) - i q(x-iy) ) / 4
+    """
+    x = T.space.check_vec(x)
+    y = T.space.check_vec(y)
+    q = defect_quadratic
+    re = q(T, x + y) - q(T, x - y)
+    im = q(T, x + 1j * y) - q(T, x - 1j * y)
+    return complex(0.25 * re, 0.25 * im)
+
+
+def defect_image_by_entries(T: Op, x) -> np.ndarray:
+    """Component of D x inside T's safe window, one polarized entry per
+    window label: the scalar referee of ``defect_apply_in_window``.
+    """
+    idx = safe_subspace(T)
+    x = T.space.check_vec(x)
+    require_truncation_safe(T, x)
+    out = T.space.zeros()
+    e = T.space.zeros()
+    for i in idx:
+        e[i] = 1.0 / np.sqrt(T.space.weights[i])
+        out[i] = e[i] * polarized_defect_entry(T, x, e)
+        e[i] = 0.0
     return out
 
 

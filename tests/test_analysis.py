@@ -1,5 +1,7 @@
 """The branch decision, gamma, condition residuals, and the verdict report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,7 @@ from twoiso.sampling import (
     random_unitary,
 )
 from helpers import (
+    defect_image_by_entries,
     orthogonal_complement,
     polarized_form_by_entries,
     project,
@@ -509,7 +512,7 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     stable = orthogonal_complement(window, gens, tol=problem.tol_rank)
     old = 0.0
     for c in stable.T:
-        img = coords @ defect_apply_in_window(Tt, E @ c)
+        img = coords @ defect_image_by_entries(Tt, E @ c)
         old = max(old, window.norm(img - project(window, stable, img)))
     G = polarized_defect_form(Tt).defect_matrix
     Q = stable_kernel_referee(problem.base, problem.v, safe, problem.tol_rank)
@@ -517,6 +520,55 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     dim_s = stable.shape[1]
     assert dim_s == safe.size - Q.shape[1] == theorem_verdict(problem).s_dim_evaluated
     assert old - 1e-12 <= new <= np.sqrt(dim_s) * old + 1e-12
+
+
+_KERNEL_REFEREE_CASES = {
+    "bidisc-8-off-example": _bidisc_off_example_problem,
+    "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
+    "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
+    "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
+    "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
+    "dirichlet-24-iz": lambda: dirichlet_perturbation_problem(24, PolyCoeffs((1j,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_REFEREE_CASES))
+def test_kernel_residual_matches_entrywise_polarization(case):
+    # Four block calls of the quadratic defect against the scalar referee,
+    # which polarizes one window entry at a time.
+    problem = _KERNEL_REFEREE_CASES[case]()
+    Tt = problem.perturbed()
+    image = defect_image_by_entries(Tt, problem.v)
+    referee = problem.space.norm(image)
+    value = kernel_condition_residual(Tt, problem.v)
+    assert abs(value - referee) <= 1e-12 * max(1.0, referee)
+    batched = defect_apply_in_window(Tt, problem.v)
+    assert problem.space.norm(batched - image) <= 1e-12 * max(1.0, referee)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that numpy and Python allocate while fn(*args) runs."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+def test_kernel_residual_peak_memory_within_the_oracle_form():
+    # The polarization terms go through defect_quadratic one (dim, r) block
+    # at a time; a single (dim, 4r) block holds several times the memory of
+    # the whole-window Gram form.
+    problem = bidisc_example_problem(18)
+    Tt = problem.perturbed()
+    kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)
+    assert kernel <= _traced_peak(polarized_defect_form, Tt)
 
 
 def test_kernel_condition_residuals():

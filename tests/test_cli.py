@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, JSON stability, pipeline identity."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,29 @@ def test_reproduce_n0_overflowing_alpha_is_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the defect form overflows")
+
+
+@pytest.mark.parametrize("alpha", ["1e30", "1e50"])
+def test_reproduce_n0_large_alpha_passes(alpha, capsys):
+    # |alpha|^4 is checked within 1e-10 relative to max(1, |alpha|^4).
+    assert main(["reproduce", "dirichlet-n0", "--alpha", alpha]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_defect_command_overflow_is_input_error(fmt, tmp_path, capsys):
+    space = make_coordinate_space(2)
+    path = write_json(
+        tmp_path / "huge.json", Op.from_exact_matrix(space, 1e200 * np.eye(2)).to_dict()
+    )
+    vec = json.dumps(vec_to_pairs(space.basis_vector(0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["defect", "--operator", path, "--vector", vec, "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the defect overflows")
 
 
 def test_analyze_identity_base_with_phase_rotation(tmp_path, capsys):

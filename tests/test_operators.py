@@ -289,6 +289,42 @@ def test_defect_quadratic_matches_defect_operator_form():
         assert abs(form.imag) <= 1e-10 * max(1.0, abs(form))
 
 
+def test_defect_quadratic_block_matches_column_calls():
+    rng = np.random.default_rng(44)
+    for k in (0, 1, 2, 5):
+        for _ in range(10):
+            space = random_weighted_space(rng)
+            T = random_op(space, rng)
+            block = rng.standard_normal((space.dim, k)) + 1j * rng.standard_normal((space.dim, k))
+            values = defect_quadratic(T, block)
+            assert isinstance(values, np.ndarray) and values.shape == (k,)
+            assert np.array_equal(defect_quadratic(T, np.asfortranarray(block)), values)
+            for j in range(k):
+                expected = defect_quadratic(T, block[:, j])
+                assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_defect_quadratic_shapes():
+    space = make_coordinate_space(3, weights=(1.0, 2.0, 0.5))
+    T = random_op(space, np.random.default_rng(45))
+    value = defect_quadratic(T, space.basis_vector(1))
+    assert type(value) is float
+    with pytest.raises(ValueError):
+        defect_quadratic(T, np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError):
+        defect_quadratic(T, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        defect_quadratic(T, np.zeros(2))
+
+
+def test_defect_quadratic_overflow_is_value_error():
+    space = make_coordinate_space(2)
+    T = Op.from_exact_matrix(space, 1e200 * np.eye(2))
+    for x in (space.basis_vector(0), np.eye(2, dtype=complex)):
+        with pytest.raises(ValueError, match="overflows"):
+            defect_quadratic(T, x)
+
+
 # ---------------------------------------------------------------------------
 # polarization
 
