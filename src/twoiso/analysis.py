@@ -125,7 +125,10 @@ class PerturbationProblem:
     tolerances must be finite and positive. The base operator is validated
     to be a 2-isometry at truncation scale via the defect form on its safe
     window (override with ``allow_non_2_isometric_base`` for exploratory
-    use).
+    use). A zero u or v raises ValueError, and so does a squared norm of v
+    that over- or underflows, a rescaled u that overflows, or a squared
+    norm of u that underflows to zero. A u whose squared norm overflows is
+    left to the defect form, which reports the overflow.
     """
 
     base: Op
@@ -143,12 +146,20 @@ class PerturbationProblem:
         space = self.base.space
         u = space.check_vec(self.u)
         v = space.check_vec(self.v)
-        nv = space.norm(v)
-        if space.norm(u) == 0.0 or nv == 0.0:
+        if not (np.any(u) and np.any(v)):
             raise ValueError("not rank one: u and v must both be nonzero")
-        self.v_was_normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
-        if self.v_was_normalized:
-            u, v = nv * u, v / nv
+        with np.errstate(over="ignore", invalid="ignore"):
+            nv = space.norm(v)
+            if not 0.0 < nv < np.inf:
+                what = "underflows to zero" if nv == 0.0 else "overflows"
+                raise ValueError(f"the squared norm of v {what} in floating point")
+            self.v_was_normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
+            if self.v_was_normalized:
+                u, v = nv * u, v / nv
+                if not np.all(np.isfinite(u)):
+                    raise ValueError("the rescaled u = ||v|| u overflows in floating point")
+            if space.norm(u) == 0.0:
+                raise ValueError("the squared norm of u underflows to zero in floating point")
         self.u = u
         self.v = v
         self.base_defect = polarized_defect_form(self.base).max_residual

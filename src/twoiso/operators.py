@@ -8,14 +8,15 @@ unknown or unbounded; such operators are fine to apply and compose but are
 refused by the truncation-safety machinery.
 
 On a degree-truncated model of an infinite-dimensional space, the adjoint
-matrix W^-1 A^H W is wrong near the top degree, so 2-isometry verdicts are
-never read off the defect operator matrix. Instead the quadratic defect
+matrix W^-1 A^H W is wrong near the top degree, so the defect operator
+I - 2 T*T + T*^2 T^2 is never built from it. Instead the quadratic defect
 
     q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2
 
-is evaluated with forward applications only, which is exact for every x in
-the truncation-safe window: the span of the labels of total degree
-<= max_degree - 2 * degree_growth, held as the index array
+is evaluated with forward applications only, from two matrix products for
+a block of k columns (a vector is a one-column block). It is exact for
+every x in the truncation-safe window: the span of the labels of total
+degree <= max_degree - 2 * degree_growth, held as the index array
 :func:`safe_subspace` returns. So is the form <D x, y> = <x, y> - 2 <Tx, Ty>
 + <T^2 x, T^2 y> of the defect operator D; on the window's orthonormal basis
 E (columns e_i / sqrt(w_i)) it is the sum of three forward Gram products,
@@ -46,7 +47,6 @@ __all__ = [
     "identity",
     "rank_one",
     "scanned_degree_growth",
-    "defect_operator",
     "defect_quadratic",
     "polarized_defect_form",
     "defect_apply_in_window",
@@ -215,27 +215,9 @@ def scanned_degree_growth(A: Op) -> int:
 # the 2-isometry defect
 
 
-def defect_operator(T: Op) -> Op:
-    """I - 2 T*T + T*^2 T^2 as a matrix; vanishes iff T is a 2-isometry.
-
-    Trustworthy on exact spaces. On truncated models the adjoint entries
-    near the top degree are wrong, so verdicts should come from
-    :func:`polarized_defect_form` on the safe window instead.
-    """
-    n = T.space.dim
-    Ts = adjoint(T)
-    TsT = Ts.matrix @ T.matrix
-    T2 = T.matrix @ T.matrix
-    Ts2T2 = Ts.matrix @ Ts.matrix @ T2
-    mat = np.eye(n, dtype=complex) - 2.0 * TsT + Ts2T2
-    return Op(T.space, mat, degree_growth=None)
-
-
-def _norms2(w: np.ndarray, z: np.ndarray):
-    """||z||^2 for a vector z, or the squared norm of each column of a
-    C-contiguous (dim, k) block, summed over its float view re, im, re, ..."""
-    if z.ndim == 1:
-        return np.real(np.vdot(z, w * z))
+def _norms2(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Squared weighted norm of each column of a C-contiguous (dim, k)
+    block, summed over its float view re, im, re, ..."""
     f = z.view(float)
     return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
 
@@ -244,21 +226,19 @@ def defect_quadratic(T: Op, x):
     """q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2 with weighted norms.
 
     Uses forward applications only, so the value is exact whenever x lies
-    in the truncation-safe window of T. A vector gives a float; a (dim, k)
-    block of columns gives the k values as an array, from two matrix
-    products. Raises ValueError when a value overflows to a non-finite
-    number, so that no caller reads a NaN.
+    in the truncation-safe window of T. A (dim, k) block of columns gives
+    the k values as an array, from two matrix products; a vector is a
+    one-column block and gives a float. Raises ValueError when a value
+    overflows to a non-finite number, so that no caller reads a NaN.
     """
     w = T.space.weight_array
     x = np.asarray(x, dtype=complex)
-    if x.ndim == 2:
-        if x.shape[0] != T.space.dim:
-            raise ValueError(
-                f"block has shape {x.shape}, expected ({T.space.dim}, k)"
-            )
-        x = np.ascontiguousarray(x)
-    else:
-        x = T.space.check_vec(x)
+    vector = x.ndim != 2
+    if vector:
+        x = T.space.check_vec(x)[:, None]
+    elif x.shape[0] != T.space.dim:
+        raise ValueError(f"block has shape {x.shape}, expected ({T.space.dim}, k)")
+    x = np.ascontiguousarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
         tx = T.matrix @ x
         ttx = T.matrix @ tx
@@ -268,7 +248,7 @@ def defect_quadratic(T: Op, x):
             "the defect overflows: the operator or the vector is too large "
             "for floating point"
         )
-    return float(value) if x.ndim == 1 else value
+    return float(value[0]) if vector else value
 
 
 @dataclass(eq=False)

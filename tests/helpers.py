@@ -57,6 +57,19 @@ def brute_force_adjoint(A: Op) -> np.ndarray:
     return out
 
 
+def defect_operator(T: Op) -> Op:
+    """I - 2 T*T + T*^2 T^2 as a matrix, built from the adjoint matrix: the
+    adjoint-route referee for the forward-only defect quantities.
+
+    Trustworthy on exact spaces only; on truncated models the adjoint
+    entries near the top degree are wrong.
+    """
+    Ts = adjoint(T).matrix
+    T2 = T.matrix @ T.matrix
+    mat = np.eye(T.space.dim, dtype=complex) - 2.0 * Ts @ T.matrix + Ts @ Ts @ T2
+    return Op(T.space, mat, degree_growth=None)
+
+
 def window_basis(space: WeightedSpace, idx) -> np.ndarray:
     """Orthonormal basis e_i / sqrt(w_i), i in ``idx``, of a monomial window,
     as the columns of a (dim, r) array."""

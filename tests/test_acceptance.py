@@ -14,7 +14,6 @@ from twoiso import (
     adjoint,
     apply,
     compose,
-    defect_operator,
     defect_quadratic,
     gamma_coefficient,
     make_coordinate_space,
@@ -39,7 +38,7 @@ from twoiso.sampling import (
     random_complex_vector,
     random_unitary,
 )
-from helpers import random_op, random_vec, random_weighted_space
+from helpers import defect_operator, random_op, random_vec, random_weighted_space
 
 
 def _report(number: int, ok: bool, detail: str) -> bool:

@@ -15,7 +15,6 @@ from twoiso import (
     condition_iia_residual,
     condition_iib_residual,
     defect_apply_in_window,
-    defect_operator,
     gamma_coefficient,
     identity,
     kernel_condition_residual,

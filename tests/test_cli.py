@@ -327,6 +327,39 @@ def test_analyze_overflow_is_input_error(case, fmt, tmp_path, capsys):
     assert captured.err.startswith("error: the defect form overflows")
 
 
+# Finite u and v whose norms leave floating point at the problem boundary.
+# The first two used to raise numpy RuntimeWarnings (a traceback under
+# -W error), the third was reported as a zero u.
+NORM_RANGE_DOCS = {
+    "v-norm-overflow": (
+        lambda: _c2_doc(_SWAP, -2.0 * _E0, 1e160 * _E1),
+        "the squared norm of v overflows",
+    ),
+    "rescaled-u-overflow": (
+        lambda: _c2_doc(_SWAP, 1e200 * _E0, 1e150 * _E1),
+        "the rescaled u = ||v|| u overflows",
+    ),
+    "u-norm-underflow": (
+        lambda: _c2_doc(_SWAP, 1e-170 * _E0, _E1),
+        "the squared norm of u underflows to zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(NORM_RANGE_DOCS))
+def test_analyze_norm_out_of_range_is_input_error(case, fmt, tmp_path, capsys):
+    make_doc, message = NORM_RANGE_DOCS[case]
+    path = write_json(tmp_path / "norm.json", make_doc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--input", path, "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_reproduce_n0_overflowing_alpha_is_input_error(capsys):
     assert main(["reproduce", "dirichlet-n0", "--alpha", "1e80"]) == 2
     captured = capsys.readouterr()

@@ -11,7 +11,6 @@ from twoiso import (
     apply,
     compose,
     defect_apply_in_window,
-    defect_operator,
     defect_quadratic,
     identity,
     make_bidisc_space,
@@ -34,6 +33,7 @@ from twoiso.function_spaces import (
 )
 from helpers import (
     brute_force_adjoint,
+    defect_operator,
     polarized_form_by_entries,
     random_matrix,
     random_op,
@@ -212,35 +212,49 @@ def test_rank_one_composition_identities():
 
 # ---------------------------------------------------------------------------
 # defect operator and quadratic defect
+#
+# On an exact space the defect operator D is read through its form
+# G = W^{1/2} D W^{-1/2} on the whole space, the library's forward-only route.
 
 
 def test_defect_operator_of_unitary_is_zero():
     space = make_coordinate_space(2)
     U = Op.from_exact_matrix(space, [[0, 1], [1, 0]])
-    assert np.max(np.abs(defect_operator(U).matrix)) <= 1e-14
+    assert polarized_defect_form(U).max_residual <= 1e-14
 
 
 def test_defect_operator_of_perturbed_swap_is_zero():
     space = make_coordinate_space(2)
     V = Op.from_exact_matrix(space, [[0, 1], [1, 0]])
     K = rank_one(space, -2.0 * space.basis_vector(0), space.basis_vector(1))
-    assert np.max(np.abs(defect_operator(add(V, K)).matrix)) <= 1e-14
+    assert polarized_defect_form(add(V, K)).max_residual <= 1e-14
 
 
 def test_defect_operator_scalar_case():
     space = make_coordinate_space(1)
     T = Op.from_exact_matrix(space, [[2.0]])
-    assert defect_operator(T).matrix[0, 0] == pytest.approx(9.0)
+    assert polarized_defect_form(T).defect_matrix[0, 0] == pytest.approx(9.0)
 
 
 def test_defect_operator_self_adjoint():
     rng = np.random.default_rng(36)
     for _ in range(50):
         space = random_weighted_space(rng)
-        D = defect_operator(random_op(space, rng))
-        assert np.max(np.abs(adjoint(D).matrix - D.matrix)) <= 1e-10 * max(
-            1.0, np.max(np.abs(D.matrix))
-        )
+        report = polarized_defect_form(random_op(space, rng))
+        G = report.defect_matrix
+        assert report.safe_dim == space.dim
+        assert np.max(np.abs(G - G.conj().T)) <= 1e-10 * max(1.0, report.max_residual)
+
+
+def test_defect_form_on_exact_space_is_similar_to_the_adjoint_route():
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        space = random_weighted_space(rng)
+        T = random_op(space, rng)
+        root = np.sqrt(space.weight_array)
+        expected = root[:, None] * defect_operator(T).matrix / root[None, :]
+        G = polarized_defect_form(T).defect_matrix
+        assert np.max(np.abs(G - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_defect_quadratic_constant_perturbation():
@@ -302,6 +316,15 @@ def test_defect_quadratic_block_matches_column_calls():
             for j in range(k):
                 expected = defect_quadratic(T, block[:, j])
                 assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_defect_quadratic_vector_is_a_one_column_block():
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        space = random_weighted_space(rng)
+        T = random_op(space, rng)
+        x = random_vec(space, rng)
+        assert defect_quadratic(T, x) == defect_quadratic(T, x[:, None])[0]
 
 
 def test_defect_quadratic_shapes():
