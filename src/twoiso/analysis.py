@@ -19,13 +19,16 @@ operator and exactly one of two mutually exclusive branches holds:
 Every residual reported here is evaluated through forward applications of
 the operator only, so all numbers are exact on the truncation-safe window of
 a degree-truncated model. The gamma formula is folded to
-Re( <u, T P T x> / <v, T x> ). The oracle is the matrix G of the defect form
-over the whole safe window, from three forward Gram products; condition (a)
-is read off the same G in window coordinates sqrt(w_i) x_i, i in the safe
-index set. There the stable kernel is the complement of the coordinates of
-v and the unit witness, which span span{v, T*v}, so the witness norm against
-tol_rank is the one rank decision. Only the kernel residual recovers its
-defect image by polarization of the quadratic form, from four block calls of
+Re( <u, T P T x> / <v, T x> ). The branch decision reads T*v as
+W^-1 A^H (W v), one product with the forward matrix A; that is exact only
+when T*v has no mass above the truncation degree, which nothing certifies
+yet. The oracle is the matrix G of the defect form over the whole safe
+window, from three forward Gram products; condition (a) is read off the
+same G in window coordinates sqrt(w_i) x_i, i in the safe index set. There
+the stable kernel is the complement of the coordinates of v and the unit
+witness, which span span{v, T*v}, so the witness norm against tol_rank is
+the one rank decision. Only the kernel residual recovers its defect image
+by polarization of the quadratic form, from four block calls of
 defect_quadratic, one per polarization term. The oracle verdict
 thresholds the entries of G, the theorem verdict the branch residuals; the
 two must agree and both are in the report.
@@ -41,7 +44,6 @@ from .operators import (
     ROUNDOFF_RTOL,
     Op,
     add,
-    adjoint,
     apply,
     defect_apply_in_window,
     polarized_defect_form,
@@ -74,9 +76,15 @@ def witness_vector(T: Op, v, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray |
 
     For unit v the returned vector x spans the orthocomplement of the
     stable kernel inside ker(u⊗v), and <T*v, x> = ||x||^2 > 0.
+
+    T*v = W^-1 A^H (W v) is read off the truncated matrix A in one product
+    with the forward matrix. On a degree-truncated model that is the
+    projection of T*v onto degrees <= N, so it is exact only when T*v has
+    no mass above degree N; nothing certifies that yet.
     """
     v = T.space.check_vec(v)
-    tstar_v = apply(adjoint(T), v)
+    w = T.space.weight_array
+    tstar_v = np.conj(np.conj(w * v) @ T.matrix) / w
     x = tstar_v - T.space.inner(tstar_v, v) * v
     if T.space.norm(x) <= tol_rank:
         return None

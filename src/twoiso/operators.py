@@ -4,12 +4,14 @@ An :class:`Op` stores the dense matrix of an operator in coefficient
 coordinates (column j is the image of basis monomial j), the owning space,
 and a ``degree_growth`` bound: applying the operator raises the total degree
 of any basis monomial by at most that much. ``degree_growth=None`` means
-unknown or unbounded; such operators are fine to apply and compose but are
-refused by the truncation-safety machinery.
+unknown or unbounded; such operators are refused by the truncation-safety
+machinery.
 
 On a degree-truncated model of an infinite-dimensional space, the adjoint
-matrix W^-1 A^H W is wrong near the top degree, so the defect operator
-I - 2 T*T + T*^2 T^2 is never built from it. Instead the quadratic defect
+matrix W^-1 A^H W is wrong near the top degree, so no adjoint matrix is
+built: T* is only ever applied to one vector, as W^-1 A^H (W v) from one
+product with the forward matrix, and the defect operator
+I - 2 T*T + T*^2 T^2 is never formed. Instead the quadratic defect
 
     q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2
 
@@ -41,10 +43,7 @@ __all__ = [
     "TruncationError",
     "DefectReport",
     "apply",
-    "compose",
     "add",
-    "adjoint",
-    "identity",
     "rank_one",
     "scanned_degree_growth",
     "defect_quadratic",
@@ -144,45 +143,15 @@ def apply(A: Op, x) -> np.ndarray:
     return A.matrix @ x
 
 
-def _require_same_space(A: Op, B: Op):
-    if A.space != B.space:
-        raise ValueError("operators live on different spaces")
-
-
-def compose(A: Op, B: Op) -> Op:
-    """A after B; degree growth bounds add."""
-    _require_same_space(A, B)
-    if A.degree_growth is None or B.degree_growth is None:
-        growth = None
-    else:
-        growth = A.degree_growth + B.degree_growth
-    return Op(A.space, A.matrix @ B.matrix, degree_growth=growth)
-
-
 def add(A: Op, B: Op) -> Op:
     """Sum; the degree growth bound is the max of the two."""
-    _require_same_space(A, B)
+    if A.space != B.space:
+        raise ValueError("operators live on different spaces")
     if A.degree_growth is None or B.degree_growth is None:
         growth = None
     else:
         growth = max(A.degree_growth, B.degree_growth)
     return Op(A.space, A.matrix + B.matrix, degree_growth=growth)
-
-
-def adjoint(A: Op) -> Op:
-    """Adjoint with respect to the weighted inner product: W^-1 A^H W.
-
-    The result carries no degree growth certificate. On a truncated model
-    the adjoint matrix differs from the infinite-dimensional adjoint near
-    the top degree, so it must not feed the truncation-safety machinery.
-    """
-    w = A.space.weight_array
-    mat = (A.matrix.conj().T * w[None, :]) / w[:, None]
-    return Op(A.space, mat, degree_growth=None)
-
-
-def identity(space: WeightedSpace) -> Op:
-    return Op(space, np.eye(space.dim, dtype=complex), degree_growth=0)
 
 
 def rank_one(space: WeightedSpace, u, v) -> Op:
@@ -193,7 +162,7 @@ def rank_one(space: WeightedSpace, u, v) -> Op:
     """
     u = space.check_vec(u)
     v = space.check_vec(v)
-    if space.norm(u) == 0.0 or space.norm(v) == 0.0:
+    if not (np.any(u) and np.any(v)):
         raise ValueError("not rank one: u and v must both be nonzero")
     return Op.from_exact_matrix(space, np.outer(u, space.weight_array * v.conj()))
 

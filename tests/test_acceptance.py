@@ -11,9 +11,7 @@ import pytest
 from twoiso import (
     Op,
     PerturbationProblem,
-    adjoint,
     apply,
-    compose,
     defect_quadratic,
     gamma_coefficient,
     make_coordinate_space,
@@ -38,7 +36,14 @@ from twoiso.sampling import (
     random_complex_vector,
     random_unitary,
 )
-from helpers import defect_operator, random_op, random_vec, random_weighted_space
+from helpers import (
+    adjoint,
+    compose,
+    defect_operator,
+    random_op,
+    random_vec,
+    random_weighted_space,
+)
 
 
 def _report(number: int, ok: bool, detail: str) -> bool:

@@ -10,13 +10,11 @@ from twoiso import (
     Op,
     PerturbationProblem,
     add,
-    adjoint,
     apply,
     condition_iia_residual,
     condition_iib_residual,
     defect_apply_in_window,
     gamma_coefficient,
-    identity,
     kernel_condition_residual,
     make_coordinate_space,
     polarized_defect_form,
@@ -42,11 +40,16 @@ from twoiso.sampling import (
     random_unitary,
 )
 from helpers import (
+    adjoint,
+    brute_force_adjoint,
     defect_image_by_entries,
+    identity,
     orthogonal_complement,
     polarized_form_by_entries,
     project,
+    random_op,
     random_vec,
+    random_weighted_space,
     stable_kernel_referee,
     window_basis,
 )
@@ -197,6 +200,59 @@ def test_witness_vector_parallel_case_is_none():
     v = random_vec(space, rng)
     v = v / space.norm(v)
     assert witness_vector(identity(space), v) is None
+
+
+def test_witness_vector_matches_adjoint_route_on_weighted_spaces():
+    # Non-unit weights: the one-product T*v against the adjoint matrix and
+    # against the adjoint solved from its defining equations. Every third
+    # T has T*v = conj(c) v (branch I): T = c I + b⊗a with b orthogonal to v.
+    rng = np.random.default_rng(56)
+    branches = set()
+    trials = 0
+    while trials < 60:
+        space = random_weighted_space(rng, max_dim=6)
+        if space.dim < 2:
+            continue
+        v = random_vec(space, rng)
+        v = v / space.norm(v)
+        if trials % 3 == 0:
+            b = random_vec(space, rng)
+            b = b - space.inner(b, v) * v
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            T = add(
+                Op.from_exact_matrix(space, c * np.eye(space.dim)),
+                rank_one(space, b, random_vec(space, rng)),
+            )
+        else:
+            T = random_op(space, rng)
+        x = witness_vector(T, v)
+        for tstar in (adjoint(T).matrix, brute_force_adjoint(T)):
+            tstar_v = tstar @ v
+            ref = tstar_v - space.inner(tstar_v, v) * v
+            if space.norm(ref) <= DEFAULT_RANK_TOL:
+                assert x is None
+            else:
+                assert x is not None
+                assert space.norm(x - ref) <= 1e-12 * space.norm(ref)
+        branches.add(x is None)
+        trials += 1
+    assert branches == {True, False}
+
+
+def test_witness_vector_dirichlet_z():
+    # T*z = 2 on the Dirichlet space (weights k + 1), so for v = z / ||z||
+    # the witness is sqrt(2) times the constant: branch II.
+    T = dirichlet_shift(12)
+    z = T.space.monomial((1,))
+    v = z / T.space.norm(z)
+    x = witness_vector(T, v)
+    assert x is not None
+    assert np.count_nonzero(x) == 1
+    assert abs(x[0] - np.sqrt(2.0)) <= 2 * np.spacing(np.sqrt(2.0))
+    report = theorem_verdict(
+        PerturbationProblem(base=T, u=-T.space.monomial((2,)), v=v)
+    )
+    assert report.branch == "II"
 
 
 def test_witness_denominator_positivity():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twoiso import (
-    adjoint,
     apply,
     defect_quadratic,
     polarized_defect_form,
@@ -23,7 +22,7 @@ from twoiso.function_spaces import (
     dirichlet_shift,
     perturbed_dirichlet,
 )
-from helpers import window_basis
+from helpers import adjoint, window_basis
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,9 @@ from twoiso import (
     Op,
     TruncationError,
     add,
-    adjoint,
     apply,
-    compose,
     defect_apply_in_window,
     defect_quadratic,
-    identity,
     make_bidisc_space,
     make_coordinate_space,
     make_dirichlet_space,
@@ -32,8 +29,11 @@ from twoiso.function_spaces import (
     perturbed_dirichlet,
 )
 from helpers import (
+    adjoint,
     brute_force_adjoint,
+    compose,
     defect_operator,
+    identity,
     polarized_form_by_entries,
     random_matrix,
     random_op,
@@ -74,6 +74,13 @@ def test_compose_requires_same_space():
     b = identity(make_coordinate_space(3))
     with pytest.raises(ValueError, match="different spaces"):
         compose(a, b)
+
+
+def test_add_requires_same_space():
+    a = Op(make_coordinate_space(2), np.eye(2), degree_growth=0)
+    b = Op(make_coordinate_space(3), np.eye(3), degree_growth=0)
+    with pytest.raises(ValueError, match="different spaces"):
+        add(a, b)
 
 
 def test_compose_degree_growth_adds():
@@ -171,6 +178,20 @@ def test_rank_one_rejects_zero_vectors():
         rank_one(space, space.zeros(), space.basis_vector(0))
     with pytest.raises(ValueError, match="not rank one"):
         rank_one(space, space.basis_vector(0), space.zeros())
+
+
+def test_rank_one_accepts_vectors_whose_norm_underflows():
+    # ||1e-170 e0||^2 underflows to zero, but the vector is not zero.
+    space = make_coordinate_space(2)
+    e0, e1 = space.basis_vector(0), space.basis_vector(1)
+    for u, v in ((1e-170 * e0, e1), (e0, 1e-170 * e1)):
+        K = rank_one(space, u, v)
+        assert K.matrix[0, 1] == 1e-170
+        assert np.count_nonzero(K.matrix) == 1
+    with pytest.raises(ValueError, match="not rank one"):
+        rank_one(space, space.zeros(), 1e-170 * e1)
+    with pytest.raises(ValueError, match="not rank one"):
+        rank_one(space, 1e-170 * e0, space.zeros())
 
 
 def test_rank_one_scaling_identity():
