@@ -23,19 +23,21 @@ Re( <u, T P T x> / <v, T x> ). The branch decision reads T*v as
 W^-1 A^H (W v), one product with the forward matrix A; that is exact only
 when T*v has no mass above the truncation degree, which nothing certifies
 yet. The oracle is the matrix G of the defect form over the whole safe
-window, from three forward Gram products; condition (a) is read off the
-same G in window coordinates sqrt(w_i) x_i, i in the safe index set. There
-the stable kernel is the complement of the coordinates of v and the unit
-witness, which span span{v, T*v}, so the witness norm against tol_rank is
-the one rank decision. Only the kernel residual recovers its defect image
-by polarization of the quadratic form, from four block calls of
-defect_quadratic, one per polarization term. The oracle verdict
-thresholds the entries of G, the theorem verdict the branch residuals; the
-two must agree and both are in the report.
+window, from three forward Gram products. Condition (a) is read off the
+same G on the witness line alone, in window coordinates sqrt(w_i) x_i, i in
+the safe index set: given the kernel condition, D maps the stable kernel
+into itself exactly when it maps the witness line into itself. The witness
+norm against tol_rank is the one rank decision. Only the kernel residual
+recovers its defect image by polarization of the quadratic form, from four
+block calls of defect_quadratic, one per polarization term. The oracle
+verdict thresholds the entries of G, the theorem verdict the branch
+residuals; the two must agree and both are in the report.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -130,13 +132,14 @@ class PerturbationProblem:
     The pair (u, v) is rescaled at construction to (||v|| u, v / ||v||), so
     that ||v|| = 1 without changing u⊗v; ``v_was_normalized`` records whether
     that happened (||v|| off 1 by more than ``ROUNDOFF_RTOL``). Both
-    tolerances must be finite and positive. The base operator is validated
-    to be a 2-isometry at truncation scale via the defect form on its safe
-    window (override with ``allow_non_2_isometric_base`` for exploratory
-    use). A zero u or v raises ValueError, and so does a squared norm of v
-    that over- or underflows, a rescaled u that overflows, or a squared
-    norm of u that underflows to zero. A u whose squared norm overflows is
-    left to the defect form, which reports the overflow.
+    tolerances must be finite and positive real numbers, not booleans, and
+    are stored as floats. The base operator is validated to be a 2-isometry
+    at truncation scale via the defect form on its safe window (override
+    with ``allow_non_2_isometric_base`` for exploratory use). A zero u or v
+    raises ValueError, and so does a squared norm of v that over- or
+    underflows, a rescaled u that overflows, or a squared norm of u that
+    underflows to zero. A u whose squared norm overflows is left to the
+    defect form, which reports the overflow.
     """
 
     base: Op
@@ -149,25 +152,34 @@ class PerturbationProblem:
     base_defect: float = field(init=False)
 
     def __post_init__(self):
-        if not (0 < self.tol_rank < np.inf and 0 < self.tol_defect < np.inf):
-            raise ValueError("tolerances must be finite and positive")
+        for name in ("tol_rank", "tol_defect"):
+            tol = getattr(self, name)
+            real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
+            try:
+                val = float(tol) if real else math.nan
+            except OverflowError:  # an int beyond the float range
+                val = math.inf
+            if not 0 < val < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+            setattr(self, name, val)
         space = self.base.space
         u = space.check_vec(self.u)
         v = space.check_vec(self.v)
         if not (np.any(u) and np.any(v)):
             raise ValueError("not rank one: u and v must both be nonzero")
-        with np.errstate(over="ignore", invalid="ignore"):
-            nv = space.norm(v)
-            if not 0.0 < nv < np.inf:
-                what = "underflows to zero" if nv == 0.0 else "overflows"
-                raise ValueError(f"the squared norm of v {what} in floating point")
-            self.v_was_normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
-            if self.v_was_normalized:
+        nv = space.norm(v)
+        if not 0.0 < nv * nv < np.inf:
+            what = "underflows to zero" if nv * nv == 0.0 else "overflows"
+            raise ValueError(f"the squared norm of v {what} in floating point")
+        self.v_was_normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
+        if self.v_was_normalized:
+            with np.errstate(over="ignore"):
                 u, v = nv * u, v / nv
-                if not np.all(np.isfinite(u)):
-                    raise ValueError("the rescaled u = ||v|| u overflows in floating point")
-            if space.norm(u) == 0.0:
-                raise ValueError("the squared norm of u underflows to zero in floating point")
+            if not np.all(np.isfinite(u)):
+                raise ValueError("the rescaled u = ||v|| u overflows in floating point")
+        nu = space.norm(u)
+        if nu * nu == 0.0:
+            raise ValueError("the squared norm of u underflows to zero in floating point")
         self.u = u
         self.v = v
         self.base_defect = polarized_defect_form(self.base).max_residual
@@ -229,32 +241,23 @@ def condition_iib_residual(problem: PerturbationProblem, gamma: float) -> float:
     space = problem.space
     u, v = problem.u, problem.v
     tv = apply(problem.base, v)
-    return float(
-        abs(space.norm(u) ** 2 + 2.0 * (gamma + np.real(space.inner(u, tv))))
-    )
+    nu = space.norm(u)
+    return float(abs(nu * nu + 2.0 * (gamma + np.real(space.inner(u, tv)))))
 
 
-def condition_iia_residual(G: np.ndarray, Q: np.ndarray, c_x: np.ndarray | None = None) -> float:
-    """Invariance residual of the perturbed defect on the stable kernel.
+def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
+    """Invariance residual of the perturbed defect on the witness line,
+    ||G c_x - (c_x^H G c_x) c_x||.
 
     ``G[l, j] = <D e_j, e_l>`` is the defect form on the safe window's
-    orthonormal basis, and the stable kernel is the complement of the
-    orthonormal columns of ``Q`` in window coordinates (in branch II, Q
-    spans the coordinates of v and the witness). D maps the stable kernel
-    into itself exactly when the block Q^H G (I - Q Q^H) vanishes; its
-    spectral norm is the residual.
-    When the window coordinates ``c_x`` of the unit witness are given, the
-    same check runs on its line, ||G c_x - (c_x^H G c_x) c_x||, which is the
-    equivalent formulation of the invariance condition; the max of both is
-    returned.
+    orthonormal basis and ``c_x`` the window coordinates of the unit
+    witness. D is self-adjoint, so it maps the stable kernel into itself
+    exactly when it maps the complement span{v, x} into itself; given the
+    kernel condition D v = 0, which the verdict also requires, that is the
+    witness line, because <D x, v> = <x, D v> = 0.
     """
-    block = Q.conj().T @ G
-    block -= (block @ Q) @ Q.conj().T
-    resid = float(np.linalg.norm(block, 2)) if block.size else 0.0
-    if c_x is not None:
-        img = G @ c_x
-        resid = max(resid, float(np.linalg.norm(img - np.vdot(c_x, img) * c_x)))
-    return resid
+    img = G @ c_x
+    return float(np.linalg.norm(img - np.vdot(c_x, img) * c_x))
 
 
 def kernel_condition_residual(Ttilde: Op, v) -> float:
@@ -297,14 +300,12 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         require_truncation_safe(Ttilde, xhat, "witness vector")
         gamma = gamma_coefficient(T, u, v, xhat, problem.tol_rank)
         iib = condition_iib_residual(problem, gamma)
-        # v and xhat are truncation-safe, so their window coordinates carry
-        # all of span{v, T*v} that condition (a) sees; QR because ||v|| may
-        # be off 1 by round-off.
+        # xhat is truncation-safe, so its window coordinates carry all of
+        # the witness line; the stable kernel is the complement of v and xhat.
         idx = safe_subspace(Ttilde)
-        pair = np.sqrt(space.weight_array[idx, None]) * np.stack([v, xhat], 1)[idx]
-        Q = np.linalg.qr(pair)[0]
-        iia = condition_iia_residual(oracle.defect_matrix, Q, pair[:, 1])
-        s_dim = idx.size - Q.shape[1]
+        c_x = np.sqrt(space.weight_array[idx]) * xhat[idx]
+        iia = condition_iia_residual(oracle.defect_matrix, c_x)
+        s_dim = idx.size - 2
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
 
     verdict_oracle = oracle.max_residual <= tol

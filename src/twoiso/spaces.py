@@ -33,6 +33,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -158,9 +159,14 @@ class WeightedSpace:
         return complex(np.vdot(y, self.weight_array * x))
 
     def norm(self, x) -> float:
+        """sqrt(<x, x>), summed after an exact scaling by a power of two near
+        max |x_i|: an in-range norm does not over- or underflow in its squares,
+        and gives the bits of the plain sum wherever that stays in range."""
         x = self.check_vec(x)
-        val = np.real(np.vdot(x, self.weight_array * x))
-        return float(np.sqrt(max(val, 0.0)))
+        scale = 2.0 ** -min(max(math.frexp(abs(x).max())[1], -1022), 1022)
+        y = x * scale
+        val = np.vdot(y, self.weight_array * y).real
+        return math.sqrt(max(val, 0.0)) / scale
 
     # -- serialization -----------------------------------------------------
 

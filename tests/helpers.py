@@ -192,3 +192,18 @@ def stable_kernel_referee(T: Op, v, window_idx, tol_rank: float) -> np.ndarray:
     pair[:, window_idx] = np.stack([v, apply(adjoint(T), v)])[:, window_idx]
     gens = weighted_gram_schmidt(T.space, pair, tol=tol_rank)
     return np.sqrt(T.space.weight_array[window_idx])[:, None] * gens[window_idx]
+
+
+def stable_kernel_block_residual(G: np.ndarray, Q: np.ndarray) -> float:
+    """Condition (a) stated on the stable kernel: the spectral norm of the
+    block Q^H G (I - Q Q^H), the referee of the witness-line residual.
+
+    ``G`` is the defect form on a window's orthonormal basis and the stable
+    kernel is the complement of the orthonormal columns of ``Q`` in window
+    coordinates. D maps the stable kernel into itself exactly when the
+    block vanishes. With the kernel condition the two statements agree up
+    to the kernel residual: |witness - block| <= ||G c_v||.
+    """
+    block = Q.conj().T @ G
+    block -= (block @ Q) @ Q.conj().T
+    return float(np.linalg.norm(block, 2)) if block.size else 0.0

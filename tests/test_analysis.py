@@ -50,6 +50,7 @@ from helpers import (
     random_op,
     random_vec,
     random_weighted_space,
+    stable_kernel_block_residual,
     stable_kernel_referee,
     window_basis,
 )
@@ -424,7 +425,7 @@ def test_condition_iia_over_stable_kernel_only_branch_I():
     c_v = np.sqrt(problem.space.weight_array[safe]) * problem.v[safe]
     Q = (c_v / np.linalg.norm(c_v))[:, None]
     G = polarized_defect_form(Tt).defect_matrix
-    resid = condition_iia_residual(G, Q)
+    resid = stable_kernel_block_residual(G, Q)
     assert resid <= 1e-10
 
 
@@ -537,12 +538,13 @@ def test_condition_iia_matches_polarization_referee(case):
     c_x = window_basis(space, safe).conj().T @ (space.weight_array * x) / space.norm(x)
     img = G_pol @ c_x
     witness = float(np.linalg.norm(img - np.vdot(c_x, img) * c_x))
-    # cond_iia_residual is the larger of the block norm and the witness-line
-    # residual; the block alone is condition_iia_residual without a witness.
+    # cond_iia_residual is the witness-line residual, read off the Gram G;
+    # the block on the stable kernel is the test helper's referee.
     G = polarized_defect_form(Tt).defect_matrix
     tol = 1e-12 * max(1.0, float(np.linalg.norm(G, 2)))
-    assert abs(block_norm - condition_iia_residual(G, Q)) <= tol
-    assert abs(max(block_norm, witness) - report.cond_iia_residual) <= tol
+    assert abs(block_norm - stable_kernel_block_residual(G, Q)) <= tol
+    assert abs(witness - condition_iia_residual(G, c_x)) <= tol
+    assert abs(witness - report.cond_iia_residual) <= tol
 
 
 @pytest.mark.parametrize("case", sorted(_IIA_REFEREE_CASES))
@@ -550,8 +552,10 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     # The former residual: the largest leftover norm of a defect image over
     # a Gram-Schmidt basis of the stable kernel S, each image from
     # polarization. The spectral norm of the block is at least every column
-    # norm and at most the Frobenius norm: old <= new <= sqrt(dim S) old, up
-    # to round-off. S is built in Euclidean window coordinates c = E^H W x.
+    # norm and at most the Frobenius norm: old <= block <= sqrt(dim S) old,
+    # up to round-off. S is built in Euclidean window coordinates
+    # c = E^H W x. The reported witness-line residual is within the kernel
+    # residual of the block.
     problem = _IIA_REFEREE_CASES[case]()
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
@@ -571,10 +575,88 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
         old = max(old, window.norm(img - project(window, stable, img)))
     G = polarized_defect_form(Tt).defect_matrix
     Q = stable_kernel_referee(problem.base, problem.v, safe, problem.tol_rank)
-    new = condition_iia_residual(G, Q)
+    block = stable_kernel_block_residual(G, Q)
+    report = theorem_verdict(problem)
     dim_s = stable.shape[1]
-    assert dim_s == safe.size - Q.shape[1] == theorem_verdict(problem).s_dim_evaluated
-    assert old - 1e-12 <= new <= np.sqrt(dim_s) * old + 1e-12
+    assert dim_s == safe.size - Q.shape[1] == report.s_dim_evaluated
+    assert old - 1e-12 <= block <= np.sqrt(dim_s) * old + 1e-12
+    slack = 1e-12 * max(1.0, float(np.linalg.norm(G, 2)))
+    assert abs(report.cond_iia_residual - block) <= report.kernel_residual + slack
+
+
+def _verdicts_with_block(problem: PerturbationProblem, report) -> tuple:
+    """Branch and both verdicts with condition (a) read as the larger of the
+    block on the stable kernel, Q from a QR of the window coordinates of v
+    and the unit witness, and the witness-line residual."""
+    tol = problem.tol_defect
+    Tt = problem.perturbed()
+    oracle = polarized_defect_form(Tt)
+    x = witness_vector(problem.base, problem.v, problem.tol_rank)
+    if x is None:
+        return "I", report.kernel_residual <= tol, oracle.max_residual <= tol
+    space = problem.space
+    safe = safe_subspace(Tt)
+    pair = np.stack([problem.v, x / space.norm(x)], 1)[safe]
+    Q = np.linalg.qr(np.sqrt(space.weight_array[safe, None]) * pair)[0]
+    iia = max(stable_kernel_block_residual(oracle.defect_matrix, Q), report.cond_iia_residual)
+    theorem = max(report.kernel_residual, iia, report.cond_iib_residual) <= tol
+    return "II", theorem, oracle.max_residual <= tol
+
+
+def _criterion_6_problems(seed: int, trials: int):
+    """Unitary bases on C^2..C^6 with the four kinds of criterion 6: an
+    isometric correction, an invariant kernel, a correction scaled by 1.7,
+    and a random pair."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        dim = 2 + trial % 5
+        V = random_unitary(dim, rng)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        kind = trial % 4
+        if kind in (0, 2):
+            u, v = isometric_correction_pair(V, random_complex_vector(dim, rng), theta)
+            u = 1.7 * u if kind == 2 else u
+        elif kind == 1:
+            u, v = invariant_kernel_pair(V, theta, which=trial % dim)
+        else:
+            u, v = random_complex_vector(dim, rng), random_complex_vector(dim, rng)
+        base = Op.from_exact_matrix(make_coordinate_space(dim), V)
+        yield PerturbationProblem(base=base, u=u, v=v, tol_defect=1e-8)
+
+
+def _bidisc_near_tolerance_problems():
+    """The bidisc N = 8 true case with u -> (1 + delta) u and u + delta w,
+    w two seeded unit vectors of total degree <= 2, delta in [1e-11, 1e-6]:
+    around tol_defect 1e-8 the residuals straddle the tolerance."""
+    problem = bidisc_example_problem(8)
+    space = problem.space
+    rng = np.random.default_rng(63)
+    directions = []
+    for _ in range(2):
+        w = np.where(space.degrees <= 2, random_complex_vector(space.dim, rng), 0.0)
+        directions.append(w / space.norm(w))
+    for delta in np.logspace(-11, -6, 52):
+        for u in [(1.0 + delta) * problem.u] + [problem.u + delta * w for w in directions]:
+            yield PerturbationProblem(base=problem.base, u=u, v=problem.v)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: _criterion_6_problems(20261019, 600), _bidisc_near_tolerance_problems],
+    ids=["c2-c6-criterion-6", "bidisc-8-near-tolerance"],
+)
+def test_witness_line_verdicts_match_the_block_formulation(family):
+    # Condition (a) on the witness line alone gives the same branch and
+    # verdicts as the larger of it and the stable-kernel block: the two
+    # differ by at most the kernel residual, which the verdict also bounds.
+    seen = set()
+    for problem in family():
+        report = theorem_verdict(problem)
+        got = (report.branch, report.verdict_theorem, report.verdict_oracle)
+        assert got == _verdicts_with_block(problem, report)
+        seen.add(got)
+    # Both verdicts occur, so the comparison is not vacuous.
+    assert {v[1] for v in seen} == {True, False}
 
 
 _KERNEL_REFEREE_CASES = {
@@ -684,13 +766,32 @@ def test_problem_rejects_zero_vectors_and_bad_tolerances():
 
 
 @pytest.mark.parametrize("key", ["tol_rank", "tol_defect"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        True,
+        pytest.param(np.bool_(True), id="np-True"),
+        "1e-8",
+        None,
+        pytest.param(10**400, id="int-1e400"),
+    ],
+)
 def test_problem_rejects_non_finite_tolerances(key, value):
     # a NaN tol_defect fails every comparison (both verdicts of this true
     # 2-isometry would read False), and an infinite tol_rank hides the branch
-    # II witness
-    with pytest.raises(ValueError, match="finite and positive"):
+    # II witness; a boolean, a string or None is not a real number, and an
+    # int beyond the float range is not finite as a float
+    with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
         bidisc_example_problem(6, **{key: value})
+
+
+def test_problem_stores_tolerances_as_floats():
+    problem = bidisc_example_problem(6, tol_rank=np.float32(1e-9), tol_defect=1)
+    assert type(problem.tol_rank) is float and type(problem.tol_defect) is float
+    assert problem.tol_defect == 1.0
 
 
 # ---------------------------------------------------------------------------

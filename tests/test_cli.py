@@ -374,6 +374,27 @@ def test_reproduce_n0_large_alpha_passes(alpha, capsys):
     assert "result: PASS" in capsys.readouterr().out
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in the output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("alpha", ["1e30", "1e50"])
+def test_reproduce_n0_large_alpha_json_is_finite(alpha, capsys):
+    # At 1e50 the defect image has entries near 1e200; the kernel residual
+    # is a norm in range whose squares are not, so it must come out finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reproduce", "dirichlet-n0", "--alpha", alpha, "--format", "json"])
+    assert code == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["pass"] is True
+    alpha4 = float(alpha) ** 4
+    assert doc["cases"][0]["report"]["kernel_residual"] == pytest.approx(alpha4, rel=1e-10)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_defect_command_overflow_is_input_error(fmt, tmp_path, capsys):
     space = make_coordinate_space(2)
@@ -407,6 +428,56 @@ def test_analyze_identity_base_with_phase_rotation(tmp_path, capsys):
     assert got["paper_branch"] == "(i)"
     assert got["verdict_theorem"] is True
     assert got["verdict_oracle"] is True
+
+
+def _near_tolerance_doc(**tolerances):
+    """The C^2 swap with u scaled by 1 + 1e-8: the kernel residual and the
+    norm balance read 4e-8, so the verdicts are false at the default
+    tol_defect 1e-8 and true at 1e-7."""
+    doc = _c2_doc(_SWAP, -2.0 * (1.0 + 1e-8) * _E0, _E1)
+    doc.update(tolerances)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc_tol, flags, verdict, tol_defect",
+    [
+        ({}, [], False, 1e-8),
+        ({"tol_defect": 1e-7}, [], True, 1e-7),
+        ({"tol_defect": 1e-7}, ["--tol-defect", "1e-8"], False, 1e-8),
+        ({}, ["--tol-defect", "1e-7"], True, 1e-7),
+        ({"tol_defect": 1}, [], True, 1.0),
+    ],
+    ids=["default", "document", "flag-over-document", "flag", "integer-document"],
+)
+def test_analyze_tolerance_precedence(doc_tol, flags, verdict, tol_defect, tmp_path, capsys):
+    # The flag wins over the document, the document over the default.
+    path = write_json(tmp_path / "near.json", _near_tolerance_doc(**doc_tol))
+    assert main(["analyze", "--input", path, "--format", "json", *flags]) == 0
+    text = capsys.readouterr().out
+    got = json.loads(text)
+    assert got["verdict_theorem"] is verdict
+    assert got["verdict_oracle"] is verdict
+    assert got["tol_defect"] == tol_defect
+    assert type(got["tol_defect"]) is float
+    assert f'"tol_defect": {tol_defect!r}' in text
+
+
+@pytest.mark.parametrize("key", ["tol_defect", "tol_rank"])
+# JSON source text of the value; 1e400 decodes to inf, and a 401-digit
+# integer decodes to an int that no float holds.
+@pytest.mark.parametrize(
+    "token",
+    ["true", '"1e-8"', "0", "-1", "1e400", pytest.param("1" + "0" * 400, id="int-1e400")],
+)
+def test_analyze_bad_document_tolerance_is_input_error(key, token, tmp_path, capsys):
+    doc = json.dumps(_near_tolerance_doc())
+    path = tmp_path / "bad-tol.json"
+    path.write_text(f'{doc[:-1]}, "{key}": {token}}}')
+    assert main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be finite and positive")
 
 
 # ---------------------------------------------------------------------------

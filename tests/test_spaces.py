@@ -134,6 +134,27 @@ def test_inner_positivity():
         assert val.real > 0
 
 
+@pytest.mark.parametrize("size", [1e160, 1e-170, 1e300, 5e-324])
+def test_norm_is_exact_where_its_squares_leave_floating_point(size):
+    space = make_coordinate_space(2)
+    assert space.norm(size * space.basis_vector(0)) == size
+    assert space.norm(-1j * size * space.basis_vector(1)) == size
+    dirichlet = make_dirichlet_space(3)
+    z = size * dirichlet.monomial((1,))
+    assert dirichlet.norm(z) == pytest.approx(np.sqrt(2.0) * size, rel=1e-15)
+
+
+def test_norm_is_bit_identical_to_the_unscaled_sum_in_range():
+    # The scaling is by a power of two, which is exact, so wherever the
+    # squares stay in floating point the plain sum gives the same bits.
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        space = random_weighted_space(rng)
+        x = random_vec(space, rng) * 10.0 ** rng.integers(-100, 101)
+        plain = float(np.sqrt(np.real(np.vdot(x, space.weight_array * x))))
+        assert space.norm(x) == plain
+
+
 def test_inner_second_argument_conjugate_linear():
     space = make_coordinate_space(3)
     rng = np.random.default_rng(13)
