@@ -29,7 +29,8 @@ the safe index set: given the kernel condition, D maps the stable kernel
 into itself exactly when it maps the witness line into itself. The witness
 norm against tol_rank is the one rank decision. Only the kernel residual
 recovers its defect image by polarization of the quadratic form, from four
-block calls of defect_quadratic, one per polarization term. The oracle
+block calls of defect_quadratic, one per polarization term, over the band
+of window labels that D v can reach rather than the whole window. The oracle
 verdict thresholds the entries of G, the theorem verdict the branch
 residuals; the two must agree and both are in the report.
 """
@@ -53,7 +54,7 @@ from .operators import (
     safe_subspace,
     require_truncation_safe,
 )
-from .spaces import WeightedSpace
+from .spaces import WeightedSpace, pow2_scale
 
 __all__ = [
     "DEFAULT_RANK_TOL",
@@ -254,15 +255,19 @@ def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
     witness. D is self-adjoint, so it maps the stable kernel into itself
     exactly when it maps the complement span{v, x} into itself; given the
     kernel condition D v = 0, which the verdict also requires, that is the
-    witness line, because <D x, v> = <x, D v> = 0.
+    witness line, because <D x, v> = <x, D v> = 0. The norm is taken after
+    an exact power-of-two scaling, so it is finite whenever it is in range.
     """
     img = G @ c_x
-    return float(np.linalg.norm(img - np.vdot(c_x, img) * c_x))
+    res = img - np.vdot(c_x, img) * c_x
+    scale = pow2_scale(res)
+    return float(np.linalg.norm(res * scale) / scale)
 
 
 def kernel_condition_residual(Ttilde: Op, v) -> float:
     """|| (perturbed defect) v || read off the safe window by polarization,
-    four block calls of the quadratic defect (:func:`defect_apply_in_window`).
+    four block calls of the quadratic defect over the band of window labels
+    that D v can reach (:func:`defect_apply_in_window`).
 
     Raises when v is not supported on the truncation-safe window.
     """

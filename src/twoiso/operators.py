@@ -27,7 +27,8 @@ oracle and the source of the invariance condition of the decision procedure;
 only a single defect image inside the window, the one the kernel condition
 needs, is recovered from q by four-term complex polarization, in four block
 calls of q: one per term x + s E, s in {1, -1, i, -i}, with the values of
-all r columns from two matrix products.
+all columns from two matrix products. E spans only the band of window
+labels that D x can reach; every other entry of the image is an exact zero.
 """
 
 from __future__ import annotations
@@ -321,18 +322,26 @@ def polarized_defect_form(T: Op) -> DefectReport:
 def defect_apply_in_window(T: Op, x) -> np.ndarray:
     """Component of (defect operator) x inside T's safe window, via polarization.
 
-    With E the (dim, r) block of the window's basis e_i / sqrt(w_i),
-    four-term complex polarization gives every entry <D x, e_i / sqrt(w_i)>
-    at once from one block call of :func:`defect_quadratic` per term:
-
-        E^H W D x = ( q(x+E) - q(x-E) + i q(x+iE) - i q(x-iE) ) / 4
-
-    column by column. x must be truncation-safe; then the result agrees with
-    the untruncated defect applied to x and projected onto the window.
+    With E the (dim, b) block of the basis e_i / sqrt(w_i) over the window
+    labels that D x can reach, one block call of :func:`defect_quadratic`
+    per polarization term gives E^H W D x = ( q(x+E) - q(x-E) + i q(x+iE)
+    - i q(x-iE) ) / 4. The weights are diagonal, so <D x, e_i> = <x, e_i>
+    - 2 <Tx, Te_i> + <T^2 x, T^2 e_i> vanishes once deg e_i > top(x) +
+    2 (degree_growth + drop): top(x) is the top degree of x's nonzero
+    entries, drop the most a column of T lowers degree (truncation removes
+    only rows above the top degree). drop is scanned only when the band
+    stops short of the window without it. x must be truncation-safe; then
+    the result is the untruncated D x projected onto the window.
     """
     idx = safe_subspace(T)
     x = T.space.check_vec(x)
     require_truncation_safe(T, x)
+    degs = T.space.degrees
+    band = int(degs[x != 0].max(initial=-1)) + 2 * T.degree_growth
+    if band < truncation_cutoff(T):
+        low = np.where(T.matrix != 0, degs[:, None], degs.max()).min(axis=0)
+        band += 2 * int(np.max(degs - low, initial=0))
+        idx = idx[degs[idx] <= band]
     scale = 1.0 / np.sqrt(T.space.weight_array[idx])
     cols = np.arange(idx.size)
     block = np.empty((T.space.dim, idx.size), dtype=complex)

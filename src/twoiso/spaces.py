@@ -61,6 +61,11 @@ def _check_dim(dim: int, what: str):
         raise ValueError(f"{what} gives a space of dimension {dim}, more than {MAX_DIM}")
 
 
+def pow2_scale(x: np.ndarray) -> float:
+    """The power of two near 1 / max |x_i| (clamped to the normal range)."""
+    return 2.0 ** -min(max(math.frexp(abs(x).max())[1], -1022), 1022)
+
+
 @dataclass(frozen=True)
 class WeightedSpace:
     """An ordered monomial basis with strictly positive diagonal weights."""
@@ -111,7 +116,7 @@ class WeightedSpace:
         d.setflags(write=False)
         return d
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
@@ -163,7 +168,7 @@ class WeightedSpace:
         max |x_i|: an in-range norm does not over- or underflow in its squares,
         and gives the bits of the plain sum wherever that stays in range."""
         x = self.check_vec(x)
-        scale = 2.0 ** -min(max(math.frexp(abs(x).max())[1], -1022), 1022)
+        scale = pow2_scale(x)
         y = x * scale
         val = np.vdot(y, self.weight_array * y).real
         return math.sqrt(max(val, 0.0)) / scale

@@ -14,6 +14,7 @@ from twoiso import (
     safe_subspace,
     weighted_gram_schmidt,
 )
+from twoiso.sampling import random_complex_vector, random_unitary
 
 
 def random_weighted_space(rng: np.random.Generator, max_dim: int = 8) -> WeightedSpace:
@@ -32,6 +33,16 @@ def random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_op(space: WeightedSpace, rng: np.random.Generator) -> Op:
     return Op.from_exact_matrix(space, random_matrix(space.dim, rng))
+
+
+def huge_u_c4_case() -> tuple[Op, np.ndarray, np.ndarray]:
+    """A seeded unitary base on C^4 with u = 1e60 times a seeded vector and
+    a seeded v: a branch II problem whose defect form has finite entries
+    near 1e243, whose squares overflow."""
+    rng = np.random.default_rng(5)
+    base = Op.from_exact_matrix(make_coordinate_space(4), random_unitary(4, rng))
+    u = 1e60 * random_complex_vector(4, rng)
+    return base, u, random_complex_vector(4, rng)
 
 
 def identity(space: WeightedSpace) -> Op:

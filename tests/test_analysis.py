@@ -1,6 +1,7 @@
 """The branch decision, gamma, condition residuals, and the verdict report."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from twoiso import (
     condition_iia_residual,
     condition_iib_residual,
     defect_apply_in_window,
+    defect_quadratic,
     gamma_coefficient,
     kernel_condition_residual,
     make_coordinate_space,
@@ -26,6 +28,7 @@ from twoiso import (
     weighted_gram_schmidt,
     witness_vector,
 )
+from twoiso import operators
 from twoiso.function_spaces import (
     PolyCoeffs,
     bidisc_example_problem,
@@ -43,6 +46,7 @@ from helpers import (
     adjoint,
     brute_force_adjoint,
     defect_image_by_entries,
+    huge_u_c4_case,
     identity,
     orthogonal_complement,
     polarized_form_by_entries,
@@ -442,6 +446,19 @@ def test_condition_iia_zero_while_verdict_false():
     assert not report.verdict_oracle
 
 
+def test_condition_iia_residual_finite_when_its_squares_overflow():
+    # The window image of the witness has entries past 1e154; an unscaled
+    # norm of it overflowed to inf while every other residual stayed finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = theorem_verdict(PerturbationProblem(*huge_u_c4_case()))
+    assert report.branch == "II"
+    assert 1e200 < report.cond_iia_residual < np.inf
+    assert 1e200 < report.kernel_residual < np.inf
+    assert 1e200 < report.oracle_defect < np.inf
+    assert not report.verdict_theorem and not report.verdict_oracle
+
+
 def test_condition_iia_bidisc_large_window():
     # N = 18: a 153-dimensional safe window and a 151-dimensional stable
     # kernel, read off the window Gram matrix in one block product.
@@ -659,6 +676,21 @@ def test_witness_line_verdicts_match_the_block_formulation(family):
     assert {v[1] for v in seen} == {True, False}
 
 
+def _dirichlet_cubic_problem() -> PerturbationProblem:
+    """M_z + (i z + 0.3 z^3)⊗1 on Dirichlet N = 24: degree growth 3, so the
+    band that D 1 can reach is degree <= 6 inside a window of degree <= 18."""
+    return dirichlet_perturbation_problem(24, PolyCoeffs((1j, 0.0, 0.3)))
+
+
+def _dirichlet_cubic_v_mass_above_band_problem() -> PerturbationProblem:
+    """The cubic Dirichlet problem with 1e-14 of v on z^10, above the band
+    of the constant alone: u⊗v then sends z^10 to degrees 1 and 3, a drop
+    of 9, so the band is the whole window."""
+    problem = _dirichlet_cubic_problem()
+    v = problem.v + 1e-14 * problem.space.monomial((10,))
+    return PerturbationProblem(base=problem.base, u=problem.u, v=v)
+
+
 _KERNEL_REFEREE_CASES = {
     "bidisc-8-off-example": _bidisc_off_example_problem,
     "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
@@ -666,6 +698,8 @@ _KERNEL_REFEREE_CASES = {
     "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
     "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
     "dirichlet-24-iz": lambda: dirichlet_perturbation_problem(24, PolyCoeffs((1j,))),
+    "dirichlet-24-cubic": _dirichlet_cubic_problem,
+    "dirichlet-24-cubic-v-mass-above-band": _dirichlet_cubic_v_mass_above_band_problem,
 }
 
 
@@ -681,6 +715,60 @@ def test_kernel_residual_matches_entrywise_polarization(case):
     assert abs(value - referee) <= 1e-12 * max(1.0, referee)
     batched = defect_apply_in_window(Tt, problem.v)
     assert problem.space.norm(batched - image) <= 1e-12 * max(1.0, referee)
+
+
+def _kernel_block_widths(monkeypatch, Tt, v) -> list:
+    """Column counts of the blocks that the kernel residual passes to
+    defect_quadratic."""
+    widths = []
+
+    def recording(T, x):
+        widths.append(np.shape(x)[1])
+        return defect_quadratic(T, x)
+
+    monkeypatch.setattr(operators, "defect_quadratic", recording)
+    kernel_condition_residual(Tt, v)
+    return widths
+
+
+_BAND_CASES = {
+    # Degree growth 1, no column lowers degree, v = 1: the labels of degree
+    # <= 2 of the n - 1 window labels.
+    **{
+        f"dirichlet-{n}": (
+            lambda n=n: dirichlet_perturbation_problem(n, PolyCoeffs((-2.0,))), 3, n - 1
+        )
+        for n in (12, 24, 48, 96)
+    },
+    # Degree growth 1, no column lowers degree, v = z1: the labels of degree
+    # <= 3 of the (n - 1) n / 2 window labels.
+    **{
+        f"bidisc-{n}": (lambda n=n: bidisc_example_problem(n), 10, (n - 1) * n // 2)
+        for n in (6, 10, 14, 18)
+    },
+    "dirichlet-24-cubic": (_dirichlet_cubic_problem, 7, 19),
+    "dirichlet-24-cubic-v-mass-above-band": (_dirichlet_cubic_v_mass_above_band_problem, 19, 19),
+    # The seeded direction has a constant term, so the perturbed column of
+    # z1 lowers degree by 1: degree <= 1 + 2 (1 + 1) of the window's <= 6.
+    "bidisc-8-off-example": (_bidisc_off_example_problem, 21, 28),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAND_CASES))
+def test_kernel_residual_polarizes_only_the_band(monkeypatch, case):
+    make, width, window = _BAND_CASES[case]
+    problem = make()
+    Tt = problem.perturbed()
+    assert safe_subspace(Tt).size == window
+    assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [width] * 4
+
+
+def test_kernel_residual_keeps_the_whole_weighted_c4_window(monkeypatch):
+    # Every label of C^4 has degree 1, so the band is the whole window.
+    rng = np.random.default_rng(71)
+    space = make_coordinate_space(4, weights=tuple(rng.uniform(0.5, 3.0, size=4)))
+    Tt = Op.from_exact_matrix(space, random_unitary(4, rng))
+    assert _kernel_block_widths(monkeypatch, Tt, random_vec(space, rng)) == [4] * 4
 
 
 def _traced_peak(fn, *args) -> int:

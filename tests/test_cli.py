@@ -22,6 +22,7 @@ from twoiso.cli import (
 from twoiso.function_spaces import dirichlet_shift
 from twoiso.operators import defect_quadratic
 from twoiso.spaces import MAX_DIM
+from helpers import huge_u_c4_case
 
 
 def write_json(path, doc):
@@ -358,6 +359,22 @@ def test_analyze_norm_out_of_range_is_input_error(case, fmt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_analyze_json_condition_iia_finite_when_its_squares_overflow(tmp_path, capsys):
+    # A valid problem whose defect form is finite, with entries near 1e243:
+    # condition (a) used to read inf and the JSON encoder refused it.
+    base, u, v = huge_u_c4_case()
+    doc = {"operator": base.to_dict(), "u": vec_to_pairs(u), "v": vec_to_pairs(v)}
+    path = write_json(tmp_path / "huge-u.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--input", path, "--format", "json"])
+    assert code == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["branch"] == "II"
+    assert 1e200 < out["cond_iia_residual"] < float("inf")
+    assert out["verdict_theorem"] is False and out["verdict_oracle"] is False
 
 
 def test_reproduce_n0_overflowing_alpha_is_input_error(capsys):

@@ -32,6 +32,7 @@ from helpers import (
     adjoint,
     brute_force_adjoint,
     compose,
+    defect_image_by_entries,
     defect_operator,
     identity,
     polarized_form_by_entries,
@@ -436,6 +437,52 @@ def test_polarized_form_perturbed_swap_zero_matrix():
     K = rank_one(space, -2.0 * space.basis_vector(0), space.basis_vector(1))
     report = polarized_defect_form(add(V, K))
     assert np.max(np.abs(report.defect_matrix)) <= 1e-14
+
+
+def _column_lowering_case():
+    # M_z + z⊗z^3 sends z^3 to z^4 + 4z, lowering its degree by 2, so D 1
+    # reaches z^3 although that label lies above top(1) + 2 growth = 2.
+    shift = dirichlet_shift(12)
+    space = shift.space
+    T = add(shift, rank_one(space, space.monomial((1,)), space.monomial((3,))))
+    assert T.degree_growth == 1
+    return T, space.basis_vector(0), 3
+
+
+def _tiny_mass_above_band_case():
+    # 2 M_z has a diagonal defect that vanishes nowhere; 1e-14 of x on z^10
+    # lifts top(x) from 0 to 10, so D x reaches z^10 at about 1e-13.
+    shift = dirichlet_shift(24)
+    T = Op(shift.space, 2.0 * shift.matrix, degree_growth=1)
+    return T, shift.space.basis_vector(0) + 1e-14 * shift.space.monomial((10,)), 10
+
+
+@pytest.mark.parametrize(
+    "make", [_column_lowering_case, _tiny_mass_above_band_case],
+    ids=["column-lowers-degree", "tiny-mass-above-band"],
+)
+def test_defect_apply_in_window_reaches_past_the_plain_band(make):
+    T, x, label = make()
+    referee = defect_image_by_entries(T, x)
+    assert abs(referee[label]) > 0.0
+    image = defect_apply_in_window(T, x)
+    assert np.max(np.abs(image - referee)) <= 1e-3 * abs(referee[label])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dirichlet_shift(12),
+        lambda: perturbed_dirichlet(12, PolyCoeffs((0.0, 0.5))),
+        lambda: Op.from_exact_matrix(make_coordinate_space(3), np.eye(3)),
+    ],
+    ids=["dirichlet-shift", "dirichlet-quadratic", "c3-identity"],
+)
+def test_defect_apply_in_window_of_zero_is_zero(make):
+    op = make()
+    image = defect_apply_in_window(op, op.space.zeros())
+    assert image.shape == (op.space.dim,)
+    assert not np.any(image)
 
 
 def test_defect_apply_in_window_rejects_unsafe_vector():
