@@ -140,7 +140,8 @@ class PerturbationProblem:
     raises ValueError, and so does a squared norm of v that over- or
     underflows, a rescaled u that overflows, or a squared norm of u that
     underflows to zero. A u whose squared norm overflows is left to the
-    defect form, which reports the overflow.
+    defect form, which reports the overflow. :meth:`perturbed` builds T + u⊗v,
+    the one perturbed operator that the verdict and the reference cases read.
     """
 
     base: Op
@@ -196,11 +197,8 @@ class PerturbationProblem:
     def space(self) -> WeightedSpace:
         return self.base.space
 
-    def perturbation(self) -> Op:
-        return rank_one(self.space, self.u, self.v)
-
     def perturbed(self) -> Op:
-        return add(self.base, self.perturbation())
+        return add(self.base, rank_one(self.space, self.u, self.v))
 
 
 @dataclass
@@ -210,8 +208,9 @@ class TheoremReport:
     In branch I the fields gamma, cond_iia_residual and cond_iib_residual
     are None, not zero: the branch conditions are mutually exclusive and
     the branch II conditions are not evaluated when the kernel of the
-    perturbation is invariant. :meth:`to_dict` gives every field, with the
-    space as its own document, plus ``paper_branch``.
+    perturbation is invariant. :meth:`to_dict` gives the fields in the order
+    that ``analyze`` prints them, with ``paper_branch`` after ``branch`` and
+    the space as its own document.
     """
 
     branch: str
@@ -222,17 +221,18 @@ class TheoremReport:
     oracle_defect: float
     verdict_theorem: bool
     verdict_oracle: bool
-    tol_rank: float
-    tol_defect: float
     safe_dim: int
     s_dim_evaluated: int | None
     v_was_normalized: bool
     base_defect: float
+    tol_defect: float
+    tol_rank: float
     space: WeightedSpace
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["paper_branch"] = "(i)" if self.branch == "I" else "(ii)"
+        paper_branch = "(i)" if self.branch == "I" else "(ii)"
+        doc = {"branch": self.branch, "paper_branch": paper_branch}
+        doc.update((f.name, getattr(self, f.name)) for f in fields(self))
         doc["space"] = self.space.to_dict()
         return doc
 
@@ -326,7 +326,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         verdict_oracle=bool(verdict_oracle),
         tol_rank=problem.tol_rank,
         tol_defect=problem.tol_defect,
-        safe_dim=oracle.safe_dim,
+        safe_dim=oracle.defect_matrix.shape[0],
         s_dim_evaluated=s_dim,
         v_was_normalized=problem.v_was_normalized,
         base_defect=problem.base_defect,

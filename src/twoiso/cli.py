@@ -32,7 +32,6 @@ from .analysis import (
 )
 from .function_spaces import (
     PolyCoeffs,
-    bidisc_example_operator,
     bidisc_example_problem,
     constant_perturbed_dirichlet,
     dirichlet_admissibility_residual,
@@ -187,10 +186,10 @@ def _dirichlet_n0(ns, N):
     alpha = complex(ns.alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero for the constant perturbation")
-    op = constant_perturbed_dirichlet(N, alpha)
-    one = op.space.basis_vector(0)
+    base = dirichlet_shift(N)
+    one = base.space.basis_vector(0)
     problem = PerturbationProblem(
-        base=dirichlet_shift(N),
+        base=base,
         u=alpha * one,
         v=one,
         tol_rank=ns.tol_rank,
@@ -202,7 +201,7 @@ def _dirichlet_n0(ns, N):
     return r, [
         (
             "defect on constant",
-            defect_quadratic(op, one),
+            defect_quadratic(problem.perturbed(), one),
             _within(alpha4, 1e-10 * max(1.0, alpha4), "|alpha|^4 = "),
         ),
         ("verdict_theorem", r.verdict_theorem, _equals(False, never)),
@@ -213,7 +212,8 @@ def _dirichlet_n0(ns, N):
 def _bidisc(ns, N):
     problem = bidisc_example_problem(N, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect)
     r = theorem_verdict(problem)
-    op = bidisc_example_operator(N)
+    # Growth 2, the degree of u's range, not the scanned 1: window degree <= N - 4.
+    op = Op(problem.space, problem.perturbed().matrix, degree_growth=2)
     window_defect = polarized_defect_form(op).max_residual
     nu = problem.space.norm(problem.u)
     return r, [
@@ -313,9 +313,17 @@ def cmd_reproduce(ns) -> int:
 # analyze
 
 
+def _parse_json(text: str):
+    """Decode JSON text; nesting too deep for the decoder is an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply to decode") from None
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 def cmd_analyze(ns) -> int:
@@ -341,25 +349,9 @@ def cmd_analyze(ns) -> int:
     if ns.format == "json":
         print(_dumps(report.to_dict()))
     else:
-        d = report.to_dict()
-        for key in (
-            "branch",
-            "paper_branch",
-            "kernel_residual",
-            "gamma",
-            "cond_iia_residual",
-            "cond_iib_residual",
-            "oracle_defect",
-            "verdict_theorem",
-            "verdict_oracle",
-            "safe_dim",
-            "s_dim_evaluated",
-            "v_was_normalized",
-            "base_defect",
-            "tol_defect",
-            "tol_rank",
-        ):
-            print(f"{key}: {_fmt(d[key]) if d[key] is not None else 'absent'}")
+        for key, value in report.to_dict().items():
+            if key != "space":
+                print(f"{key}: {_fmt(value) if value is not None else 'absent'}")
     return 0
 
 
@@ -542,7 +534,7 @@ def cmd_search(ns) -> int:
 def cmd_defect(ns) -> int:
     op = Op.from_dict(_load_json(ns.operator))
     text = ns.vector.strip()
-    pairs = json.loads(text) if text.startswith("[") else _load_json(ns.vector)
+    pairs = _parse_json(text) if text.startswith("[") else _load_json(ns.vector)
     x = op.space.check_vec(vec_from_pairs(pairs))
     value = defect_quadratic(op, x)
     safe = truncation_safe(op, x)

@@ -4,7 +4,8 @@ The Dirichlet shift M_z multiplies by z (weight k+1 on z^k), is a
 2-isometry but not an isometry, and under truncation sends the top
 monomial to zero; the bidisc shifts are isometries. Rank-one perturbations
 M_z + p(z)⊗1 with p(0) = 0 come with a closed-form admissibility residual
-evaluated from the coefficients alone.
+evaluated from the coefficients alone. Each reference example is a
+:class:`PerturbationProblem`; its operator is the problem's ``perturbed()``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "constant_perturbed_dirichlet",
     "dirichlet_admissibility_residual",
     "bidisc_shift",
-    "bidisc_example_operator",
     "dirichlet_perturbation_problem",
     "bidisc_example_problem",
 ]
@@ -149,24 +149,6 @@ def bidisc_shift(N: int, axis: int) -> Op:
     return Op(space, mat, degree_growth=1)
 
 
-def bidisc_example_operator(N: int) -> Op:
-    """M_{z1} + (-z1^2 + z2)⊗z1 on the truncated bidisc space.
-
-    Degree growth is recorded as 2 (the degree of the rank-one range), so
-    the safe window is total degree <= N - 4 and a truncation at N >= 4 is
-    required for any witnesses at all; N = 6 keeps all degree <= 2
-    witnesses safe.
-    """
-    if N < 4:
-        raise ValueError("bidisc_example_operator needs N >= 4")
-    shift = bidisc_shift(N, axis=1)
-    space = shift.space
-    u = -space.monomial((2, 0)) + space.monomial((0, 1))
-    v = space.monomial((1, 0))
-    combined = add(shift, rank_one(space, u, v))
-    return Op(space, combined.matrix, degree_growth=2)
-
-
 def dirichlet_perturbation_problem(
     N: int,
     p: PolyCoeffs,
@@ -188,7 +170,7 @@ def dirichlet_perturbation_problem(
 
 
 def bidisc_example_problem(
-    N: int = 6,
+    N: int,
     tol_rank: float = DEFAULT_RANK_TOL,
     tol_defect: float = DEFAULT_DEFECT_TOL,
 ) -> PerturbationProblem:

@@ -227,13 +227,12 @@ class DefectReport:
 
     ``defect_matrix[l, j] = <D e_j, e_l>`` over the window's orthonormal
     basis; it is Hermitian up to round-off because the defect operator is
-    self-adjoint. ``max_residual`` is the largest entry magnitude and
-    ``safe_dim`` the dimension of the window.
+    self-adjoint, and its size is the dimension of the window.
+    ``max_residual`` is the largest entry magnitude.
     """
 
     defect_matrix: np.ndarray
     max_residual: float
-    safe_dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
             "the defect form overflows: the operator or the vectors are too "
             "large for floating point"
         )
-    return DefectReport(defect_matrix=mat, max_residual=max_residual, safe_dim=idx.size)
+    return DefectReport(defect_matrix=mat, max_residual=max_residual)
 
 
 def defect_apply_in_window(T: Op, x) -> np.ndarray:

@@ -23,7 +23,6 @@ from twoiso import (
 from twoiso.cli import search_dirichlet_alpha
 from twoiso.function_spaces import (
     PolyCoeffs,
-    bidisc_example_operator,
     bidisc_example_problem,
     constant_perturbed_dirichlet,
     dirichlet_admissibility_residual,
@@ -199,7 +198,9 @@ def test_criterion_5_bidisc_example():
         report.gamma + np.real(problem.space.inner(problem.u, tv))
     )
 
-    op = bidisc_example_operator(6)
+    # Degree growth 2, the degree of u's range, instead of the scanned 1:
+    # the window stops at degree N - 4 = 2.
+    op = Op(problem.space, problem.perturbed().matrix, degree_growth=2)
     window_defect = polarized_defect_form(op).max_residual
 
     ok = (

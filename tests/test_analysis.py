@@ -42,6 +42,7 @@ from twoiso.sampling import (
     random_complex_vector,
     random_unitary,
 )
+from twoiso.spaces import pow2_scale
 from helpers import (
     adjoint,
     brute_force_adjoint,
@@ -119,7 +120,7 @@ def test_normalize_pair_preserves_rank_one_operator():
         problem = PerturbationProblem(base=identity(space), u=u, v=v)
         assert abs(space.norm(problem.v) - 1.0) <= 1e-12
         lhs = rank_one(space, u, v).matrix
-        rhs = problem.perturbation().matrix
+        rhs = rank_one(space, problem.u, problem.v).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -691,6 +692,14 @@ def _dirichlet_cubic_v_mass_above_band_problem() -> PerturbationProblem:
     return PerturbationProblem(base=problem.base, u=problem.u, v=v)
 
 
+def _dirichlet_n0_huge_alpha_problem() -> PerturbationProblem:
+    """M_z + (1e50 1)⊗1 on Dirichlet N = 12: the defect form has entries
+    near 1e200, so the squares of the defect image overflow unless scaled."""
+    base = dirichlet_shift(12)
+    one = base.space.basis_vector(0)
+    return PerturbationProblem(base=base, u=1e50 * one, v=one)
+
+
 _KERNEL_REFEREE_CASES = {
     "bidisc-8-off-example": _bidisc_off_example_problem,
     "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
@@ -700,6 +709,7 @@ _KERNEL_REFEREE_CASES = {
     "dirichlet-24-iz": lambda: dirichlet_perturbation_problem(24, PolyCoeffs((1j,))),
     "dirichlet-24-cubic": _dirichlet_cubic_problem,
     "dirichlet-24-cubic-v-mass-above-band": _dirichlet_cubic_v_mass_above_band_problem,
+    "dirichlet-n0-alpha-1e50": _dirichlet_n0_huge_alpha_problem,
 }
 
 
@@ -715,6 +725,15 @@ def test_kernel_residual_matches_entrywise_polarization(case):
     assert abs(value - referee) <= 1e-12 * max(1.0, referee)
     batched = defect_apply_in_window(Tt, problem.v)
     assert problem.space.norm(batched - image) <= 1e-12 * max(1.0, referee)
+    # The same residual off the oracle's G: for a truncation-safe v with
+    # window coordinates c_v, E^H W D v = G c_v. Its norm is taken after the
+    # power-of-two scaling of the library's norms, so 1e200 stays finite.
+    idx = safe_subspace(Tt)
+    c_v = np.sqrt(problem.space.weight_array[idx]) * problem.v[idx]
+    g_image = polarized_defect_form(Tt).defect_matrix @ c_v
+    scale = pow2_scale(g_image)
+    via_g = float(np.linalg.norm(g_image * scale)) / scale
+    assert abs(via_g - value) <= 1e-14 * max(1.0, value)
 
 
 def _kernel_block_widths(monkeypatch, Tt, v) -> list:
@@ -822,7 +841,7 @@ def test_problem_normalizes_v():
     assert space.norm(problem.v) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(problem.u, -2.0 * space.basis_vector(0))
     reference = rank_one(space, -1.0 * space.basis_vector(0), 2.0 * space.basis_vector(1))
-    assert np.allclose(problem.perturbation().matrix, reference.matrix)
+    assert np.allclose(rank_one(space, problem.u, problem.v).matrix, reference.matrix)
 
 
 def test_problem_rejects_non_2_isometric_base():

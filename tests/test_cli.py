@@ -89,6 +89,16 @@ def test_reproduce_n0_zero_alpha_is_input_error(capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["bidisc", "all"])
+def test_reproduce_bidisc_needs_room(name, capsys):
+    # The bidisc check reads the polarized defect on degree <= N - 4, which
+    # is empty at N = 3: an input error, and no case is printed.
+    assert main(["reproduce", name, "-N", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation too small: no labels of degree <= -1\n"
+
+
 def test_reproduce_absent_value_fails_the_check(capsys):
     # A rank tolerance above ||T*v - <T*v, v> v|| = 1 puts the swap example
     # in branch I, so gamma and condition (b) are absent: a missed
@@ -262,6 +272,30 @@ def test_analyze_malformed_json_is_input_error(tmp_path):
     assert main(["analyze", "--input", str(path)]) == 2
 
 
+_DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "where", ["analyze-input", "defect-operator", "defect-vector-file", "defect-vector-inline"]
+)
+def test_deeply_nested_json_is_input_error(where, tmp_path, capsys):
+    # Nesting past the decoder's recursion limit is bad input, not a
+    # RecursionError traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON)
+    shift = write_json(tmp_path / "shift.json", dirichlet_shift(4).to_dict())
+    args = {
+        "analyze-input": ["analyze", "--input", str(deep)],
+        "defect-operator": ["defect", "--operator", str(deep), "--vector", "[[1.0, 0.0]]"],
+        "defect-vector-file": ["defect", "--operator", shift, "--vector", str(deep)],
+        "defect-vector-inline": ["defect", "--operator", shift, "--vector", _DEEP_JSON],
+    }[where]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: JSON document is nested too deeply to decode"]
+
+
 def _nan_u(doc):
     doc["u"][0] = [float("nan"), 0.0]
 
@@ -316,6 +350,61 @@ OVERFLOW_DOCS = {
     "swap-times-1e200": lambda: _c2_doc(1e200 * _SWAP, -2.0 * _E0, _E1),
     "swap-base-huge-u": lambda: _c2_doc(_SWAP, 1e200 * _E0, _E1),
 }
+
+
+# The text report as (document, lines): every key in order, with "absent"
+# for the branch II fields that branch I leaves None. The identity base with
+# v = 2 e1 and u = -e1 is rescaled to v = e1, u = -2 e1, a reflection.
+ANALYZE_TEXT = {
+    "branch-II-swap": (
+        lambda: _c2_doc(_SWAP, -2.0 * _E0, _E1),
+        [
+            "branch: II",
+            "paper_branch: (ii)",
+            "kernel_residual: 0",
+            "gamma: 0",
+            "cond_iia_residual: 0",
+            "cond_iib_residual: 0",
+            "oracle_defect: 0",
+            "verdict_theorem: true",
+            "verdict_oracle: true",
+            "safe_dim: 2",
+            "s_dim_evaluated: 0",
+            "v_was_normalized: false",
+            "base_defect: 0",
+            "tol_defect: 1e-08",
+            "tol_rank: 1e-09",
+        ],
+    ),
+    "branch-I-reflection": (
+        lambda: _c2_doc(np.eye(2), -_E1, 2.0 * _E1),
+        [
+            "branch: I",
+            "paper_branch: (i)",
+            "kernel_residual: 0",
+            "gamma: absent",
+            "cond_iia_residual: absent",
+            "cond_iib_residual: absent",
+            "oracle_defect: 0",
+            "verdict_theorem: true",
+            "verdict_oracle: true",
+            "safe_dim: 2",
+            "s_dim_evaluated: absent",
+            "v_was_normalized: true",
+            "base_defect: 0",
+            "tol_defect: 1e-08",
+            "tol_rank: 1e-09",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_TEXT))
+def test_analyze_text_output_is_pinned(case, tmp_path, capsys):
+    make_doc, lines = ANALYZE_TEXT[case]
+    path = write_json(tmp_path / "doc.json", make_doc())
+    assert main(["analyze", "--input", path]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

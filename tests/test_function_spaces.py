@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoiso import (
+    Op,
     apply,
     defect_quadratic,
     polarized_defect_form,
@@ -13,7 +14,6 @@ from twoiso import (
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
-    bidisc_example_operator,
     bidisc_example_problem,
     bidisc_shift,
     constant_perturbed_dirichlet,
@@ -221,36 +221,34 @@ def test_bidisc_shift_two_isometry_on_safe_window():
 
 
 # ---------------------------------------------------------------------------
-# the bidisc example operator
+# the bidisc example operator, M_{z1} + (-z1^2 + z2)⊗z1
 
 
 def test_bidisc_example_maps_z1_to_z2():
-    op = bidisc_example_operator(6)
+    op = bidisc_example_problem(6).perturbed()
     z1 = op.space.monomial((1, 0))
     z2 = op.space.monomial((0, 1))
     assert np.allclose(apply(op, z1), z2)
 
 
 def test_bidisc_example_square_on_z1():
-    op = bidisc_example_operator(6)
+    op = bidisc_example_problem(6).perturbed()
     z1 = op.space.monomial((1, 0))
     z1z2 = op.space.monomial((1, 1))
     assert np.allclose(apply(op, apply(op, z1)), z1z2)
 
 
 def test_bidisc_example_on_z2():
-    op = bidisc_example_operator(6)
+    op = bidisc_example_problem(6).perturbed()
     z2 = op.space.monomial((0, 1))
     assert np.allclose(apply(op, z2), op.space.monomial((1, 1)))
 
 
-def test_bidisc_example_needs_room():
-    with pytest.raises(ValueError):
-        bidisc_example_operator(3)
-
-
 def test_bidisc_example_growth_and_window():
-    op = bidisc_example_operator(6)
-    assert op.degree_growth == 2
+    # The scanned growth is 1; declaring 2, the degree of u's range, gives
+    # the window of degree <= N - 4 that `reproduce bidisc` checks.
+    perturbed = bidisc_example_problem(6).perturbed()
+    assert perturbed.degree_growth == 1
+    op = Op(perturbed.space, perturbed.matrix, degree_growth=2)
     assert int(op.space.degrees[safe_subspace(op)].max()) <= 2
     assert polarized_defect_form(op).max_residual <= 1e-10

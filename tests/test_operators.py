@@ -21,7 +21,6 @@ from twoiso import (
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
-    bidisc_example_operator,
     bidisc_example_problem,
     bidisc_shift,
     constant_perturbed_dirichlet,
@@ -264,7 +263,7 @@ def test_defect_operator_self_adjoint():
         space = random_weighted_space(rng)
         report = polarized_defect_form(random_op(space, rng))
         G = report.defect_matrix
-        assert report.safe_dim == space.dim
+        assert G.shape == (space.dim, space.dim)
         assert np.max(np.abs(G - G.conj().T)) <= 1e-10 * max(1.0, report.max_residual)
 
 
@@ -427,7 +426,7 @@ def test_gram_form_matches_polarization_bidisc_window():
 def test_polarized_form_dirichlet_shift_two_isometry():
     op = dirichlet_shift(8)
     report = polarized_defect_form(op)
-    assert report.safe_dim == 7
+    assert report.defect_matrix.shape[0] == 7
     assert report.max_residual <= 1e-12
 
 
@@ -508,7 +507,7 @@ def test_safe_subspace_growth_zero_is_whole_space():
     [
         lambda: dirichlet_shift(12),
         lambda: bidisc_shift(8, axis=1),
-        lambda: bidisc_example_operator(8),
+        lambda: bidisc_example_problem(8).perturbed(),
         lambda: random_op(make_coordinate_space(4), np.random.default_rng(44)),
     ],
     ids=["dirichlet-12", "bidisc-shift-8", "bidisc-example-8", "c4-seeded"],
