@@ -22,8 +22,10 @@ a degree-truncated model. The gamma formula is folded to
 Re( <u, T P T x> / <v, T x> ). The branch decision reads T*v as
 W^-1 A^H (W v), one product with the forward matrix A; that is exact only
 when T*v has no mass above the truncation degree, which nothing certifies
-yet. The oracle is the matrix G of the defect form over the whole safe
-window, from three forward Gram products. Condition (a) is read off the
+yet. The oracle is the matrix G of the defect form of T + u⊗v over its
+safe window: the base form, built once from three forward Gram products to
+validate T, plus a rank-4 update from two small products with the conjugate
+transpose of the truncated matrix. Condition (a) is read off the
 same G on the witness line alone, in window coordinates sqrt(w_i) x_i, i in
 the safe index set: given the kernel condition, D maps the stable kernel
 into itself exactly when it maps the witness line into itself. The witness
@@ -45,6 +47,7 @@ import numpy as np
 
 from .operators import (
     ROUNDOFF_RTOL,
+    DefectReport,
     Op,
     add,
     apply,
@@ -126,7 +129,7 @@ def gamma_coefficient(
     return float(np.real(numer / denom))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationProblem:
     """A base 2-isometry with a rank-one perturbation direction.
 
@@ -140,8 +143,10 @@ class PerturbationProblem:
     raises ValueError, and so does a squared norm of v that over- or
     underflows, a rescaled u that overflows, or a squared norm of u that
     underflows to zero. A u whose squared norm overflows is left to the
-    defect form, which reports the overflow. :meth:`perturbed` builds T + u⊗v,
-    the one perturbed operator that the verdict and the reference cases read.
+    defect form, which reports the overflow. The base's form is kept as
+    ``base_form``, and the verdict reads the oracle off it, so the problem is
+    frozen. :meth:`perturbed` builds T + u⊗v, the one perturbed operator that
+    the verdict and the reference cases read.
     """
 
     base: Op
@@ -152,6 +157,7 @@ class PerturbationProblem:
     allow_non_2_isometric_base: bool = False
     v_was_normalized: bool = field(init=False)
     base_defect: float = field(init=False)
+    base_form: DefectReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("tol_rank", "tol_defect"):
@@ -163,7 +169,7 @@ class PerturbationProblem:
                 val = math.inf
             if not 0 < val < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {tol!r}")
-            setattr(self, name, val)
+            object.__setattr__(self, name, val)
         space = self.base.space
         u = space.check_vec(self.u)
         v = space.check_vec(self.v)
@@ -173,8 +179,8 @@ class PerturbationProblem:
         if not 0.0 < nv * nv < np.inf:
             what = "underflows to zero" if nv * nv == 0.0 else "overflows"
             raise ValueError(f"the squared norm of v {what} in floating point")
-        self.v_was_normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
-        if self.v_was_normalized:
+        normalized = abs(nv - 1.0) > ROUNDOFF_RTOL
+        if normalized:
             with np.errstate(over="ignore"):
                 u, v = nv * u, v / nv
             if not np.all(np.isfinite(u)):
@@ -182,9 +188,10 @@ class PerturbationProblem:
         nu = space.norm(u)
         if nu * nu == 0.0:
             raise ValueError("the squared norm of u underflows to zero in floating point")
-        self.u = u
-        self.v = v
-        self.base_defect = polarized_defect_form(self.base).max_residual
+        form = polarized_defect_form(self.base)
+        for name, value in (("u", u), ("v", v), ("v_was_normalized", normalized),
+                            ("base_form", form), ("base_defect", form.max_residual)):
+            object.__setattr__(self, name, value)
         if not self.allow_non_2_isometric_base and self.base_defect > self.tol_defect:
             raise ValueError(
                 "base operator is not a 2-isometry at truncation scale "
@@ -274,13 +281,47 @@ def kernel_condition_residual(Ttilde: Op, v) -> float:
     return Ttilde.space.norm(defect_apply_in_window(Ttilde, v))
 
 
+def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> DefectReport:
+    """Defect form of T + u⊗v on its safe window ``idx``, a subset of the
+    base's: the base form on ``idx`` plus the rank-4 update R M R^H.
+
+    With E the window basis, c = E^H W v and y = Tu + <u, v> u, the blocks
+    are TE + u c^H and T^2 E + u b^H + y c^H, where b, p, s, t are E^H of
+    A^H W v, A^H W u, (A^H)^2 W u, (A^H)^2 W y and A is the truncated matrix,
+    as in the direct build. The Gram products change by (t - 2p) c^H + (||y||^2
+    - 2||u||^2) c c^H + <y, u> b c^H + s b^H + ||u||^2 b b^H and the adjoints
+    of the off-diagonal terms: R M R^H for R = [c, b, p, s, t] and the
+    Hermitian M below, of rank 4 since p and t enter as t - 2p. The rows of
+    R^H are z A = conj(A^H z^H). Raises ValueError on an overflow.
+    """
+    A = problem.base.matrix
+    w = problem.space.weight_array
+    u, v = problem.u, problem.v
+    G = problem.base_form.defect_matrix
+    if idx.size < len(G):
+        k = np.searchsorted(safe_subspace(problem.base), idx)
+        G = G[np.ix_(k, k)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = A @ u + np.vdot(v, w * u) * u
+        vuy = np.array([v, u, y])
+        z = np.conj(w * vuy)
+        gram = z @ vuy.T  # gram[i, j] = <vuy[j], vuy[i]>
+        za = z @ A
+        Rh = np.concatenate((z[:1], za[:2], za[1:] @ A))[:, idx] / np.sqrt(w[idx])
+        nu2, ny2, yu = gram[1, 1].real, gram[2, 2].real, gram[1, 2]
+        M = np.array([[ny2 - 2.0 * nu2, np.conj(yu), -2, 0, 1], [yu, nu2, 0, 1, 0],
+                      [-2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+        return DefectReport.of(G + Rh.conj().T @ M @ Rh)
+
+
 def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     """Run the full decision procedure and cross-validate with the oracle.
 
     The theorem verdict combines the kernel condition with the branch
-    conditions; the oracle verdict thresholds the defect form (forward Gram
-    products) of the perturbed operator over the whole safe window, which
-    condition (a) reads too. The two must agree; both are reported.
+    conditions; the oracle verdict thresholds the defect form of the
+    perturbed operator over its whole safe window, read as the base form
+    plus a rank-4 update, which condition (a) reads too. The two must agree;
+    both are reported.
     """
     T = problem.base
     space = problem.space
@@ -288,7 +329,8 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     tol = problem.tol_defect
 
     Ttilde = problem.perturbed()
-    oracle = polarized_defect_form(Ttilde)
+    idx = safe_subspace(Ttilde)
+    oracle = _perturbed_defect_form(problem, idx)
     kernel_residual = kernel_condition_residual(Ttilde, v)
 
     x = witness_vector(T, v, problem.tol_rank)
@@ -307,7 +349,6 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         iib = condition_iib_residual(problem, gamma)
         # xhat is truncation-safe, so its window coordinates carry all of
         # the witness line; the stable kernel is the complement of v and xhat.
-        idx = safe_subspace(Ttilde)
         c_x = np.sqrt(space.weight_array[idx]) * xhat[idx]
         iia = condition_iia_residual(oracle.defect_matrix, c_x)
         s_dim = idx.size - 2
@@ -326,7 +367,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         verdict_oracle=bool(verdict_oracle),
         tol_rank=problem.tol_rank,
         tol_defect=problem.tol_defect,
-        safe_dim=oracle.defect_matrix.shape[0],
+        safe_dim=idx.size,
         s_dim_evaluated=s_dim,
         v_was_normalized=problem.v_was_normalized,
         base_defect=problem.base_defect,

@@ -234,6 +234,16 @@ class DefectReport:
     defect_matrix: np.ndarray
     max_residual: float
 
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "DefectReport":
+        """Report ``mat``; raises ValueError on an entry that overflowed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            max_residual = float(abs(mat).max())
+        if not max_residual < np.inf:
+            raise ValueError("the defect form overflows: the operator or the vectors "
+                             "are too large for floating point")
+        return cls(defect_matrix=mat, max_residual=max_residual)
+
 
 # ---------------------------------------------------------------------------
 # truncation bookkeeping
@@ -309,13 +319,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
         mat += fwd.T @ buf
         # E^H W E, diagonal: w_i scale_i^2 with the same rounded scale as E.
         mat[np.diag_indices(idx.size)] += w[idx, 0] * scale * scale
-        max_residual = float(np.max(np.abs(mat)))
-    if not np.isfinite(max_residual):
-        raise ValueError(
-            "the defect form overflows: the operator or the vectors are too "
-            "large for floating point"
-        )
-    return DefectReport(defect_matrix=mat, max_residual=max_residual)
+    return DefectReport.of(mat)
 
 
 def defect_apply_in_window(T: Op, x) -> np.ndarray:

@@ -10,6 +10,7 @@ from twoiso import (
     DEFAULT_RANK_TOL,
     Op,
     PerturbationProblem,
+    WeightedSpace,
     add,
     apply,
     condition_iia_residual,
@@ -28,7 +29,7 @@ from twoiso import (
     weighted_gram_schmidt,
     witness_vector,
 )
-from twoiso import operators
+from twoiso import analysis, operators
 from twoiso.function_spaces import (
     PolyCoeffs,
     bidisc_example_problem,
@@ -692,12 +693,13 @@ def _dirichlet_cubic_v_mass_above_band_problem() -> PerturbationProblem:
     return PerturbationProblem(base=problem.base, u=problem.u, v=v)
 
 
-def _dirichlet_n0_huge_alpha_problem() -> PerturbationProblem:
-    """M_z + (1e50 1)⊗1 on Dirichlet N = 12: the defect form has entries
-    near 1e200, so the squares of the defect image overflow unless scaled."""
+def _dirichlet_n0_problem(alpha: float = 1e50) -> PerturbationProblem:
+    """M_z + (alpha 1)⊗1 on Dirichlet N = 12: at alpha = 1e50 the defect form
+    has entries near 1e200, so the squares of the defect image overflow
+    unless scaled."""
     base = dirichlet_shift(12)
     one = base.space.basis_vector(0)
-    return PerturbationProblem(base=base, u=1e50 * one, v=one)
+    return PerturbationProblem(base=base, u=alpha * one, v=one)
 
 
 _KERNEL_REFEREE_CASES = {
@@ -709,7 +711,7 @@ _KERNEL_REFEREE_CASES = {
     "dirichlet-24-iz": lambda: dirichlet_perturbation_problem(24, PolyCoeffs((1j,))),
     "dirichlet-24-cubic": _dirichlet_cubic_problem,
     "dirichlet-24-cubic-v-mass-above-band": _dirichlet_cubic_v_mass_above_band_problem,
-    "dirichlet-n0-alpha-1e50": _dirichlet_n0_huge_alpha_problem,
+    "dirichlet-n0-alpha-1e50": _dirichlet_n0_problem,
 }
 
 
@@ -825,6 +827,177 @@ def test_kernel_condition_residuals():
     op = constant_perturbed_dirichlet(10, 1.0)
     one = op.space.basis_vector(0)
     assert kernel_condition_residual(op, one) >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# the oracle as the base form plus a rank-4 update
+
+
+def _non_2_isometric_base_problem() -> PerturbationProblem:
+    """A seeded random operator on weighted C^5, far from a 2-isometry, so
+    that the base form G(T) that the update starts from is not zero."""
+    rng = np.random.default_rng(64)
+    space = make_coordinate_space(5, weights=tuple(rng.uniform(0.5, 3.0, size=5)))
+    problem = PerturbationProblem(
+        base=random_op(space, rng),
+        u=random_vec(space, rng),
+        v=random_vec(space, rng),
+        allow_non_2_isometric_base=True,
+    )
+    assert problem.base_defect > 1.0
+    return problem
+
+
+def _dirichlet_z3_reversed_labels_problem() -> PerturbationProblem:
+    """1.1 M_z + z^3⊗1 on Dirichlet N = 12 with the basis listed from z^12
+    down to 1: the window of T + u⊗v (degree <= 6) is not a leading block of
+    the base's window (degree <= 10), and the base form, which is not zero,
+    differs from one degree to the next."""
+    problem = dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0)))
+    space = problem.space
+    rev = np.arange(space.dim)[::-1]
+    flipped = WeightedSpace(space.labels[::-1], space.weights[::-1], kind=space.kind)
+    base = Op(flipped, 1.1 * problem.base.matrix[np.ix_(rev, rev)], degree_growth=1)
+    return PerturbationProblem(
+        base=base, u=problem.u[rev], v=problem.v[rev], allow_non_2_isometric_base=True
+    )
+
+
+_UPDATE_REFEREE_CASES = {
+    **{f"ladder-dirichlet-{N}": (lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((-2.0,))))
+       for N in (12, 24, 48, 96)},
+    **{f"ladder-bidisc-{N}": (lambda N=N: bidisc_example_problem(N)) for N in (6, 10, 14, 18)},
+    **{f"dirichlet-{N}-z3": (lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((0.0, 0.0, 1.0))))
+       for N in (12, 40)},
+    **{f"dirichlet-{N}-0.3iz-0.2z3": (
+        lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((0.3j, 0.0, -0.2))))
+       for N in (12, 40)},
+    "dirichlet-12-z3-reversed-labels": _dirichlet_z3_reversed_labels_problem,
+    "bidisc-8-off-example": _bidisc_off_example_problem,
+    "non-2-isometric-base": _non_2_isometric_base_problem,
+    "dirichlet-n0-alpha-1e50": _dirichlet_n0_problem,
+}
+
+
+def _weighted_spread_problems(seed: int, trials: int):
+    """Weighted-unitary bases on weighted C^2..C^6 with an isometric
+    correction or a random pair, ||u|| spread over 1e-3..1e3."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        dim = 2 + trial % 5
+        w = rng.uniform(0.5, 3.0, size=dim)
+        s = np.sqrt(w)
+        U = random_unitary(dim, rng)
+        if trial % 2 == 0:
+            u, v = isometric_correction_pair(
+                U, random_complex_vector(dim, rng), rng.uniform(0.0, 2.0 * np.pi)
+            )
+        else:
+            u, v = random_complex_vector(dim, rng), random_complex_vector(dim, rng)
+        u = 10.0 ** rng.uniform(-3.0, 3.0) * u / np.linalg.norm(u)
+        space = make_coordinate_space(dim, weights=tuple(w))
+        base = Op.from_exact_matrix(space, U * s[None, :] / s[:, None])
+        yield PerturbationProblem(base=base, u=u / s, v=v / s)
+
+
+def _assert_verdict_form_matches_direct_build(monkeypatch, problems) -> int:
+    """Run theorem_verdict on each problem, catching the form that it reads,
+    and compare that form and the report's oracle_defect with the direct
+    build of G(T + u⊗v); returns how many problems changed the window."""
+    forms = []
+    update = analysis._perturbed_defect_form
+    monkeypatch.setattr(
+        analysis, "_perturbed_defect_form", lambda *args: forms.append(update(*args)) or forms[-1]
+    )
+    shrunk = 0
+    for problem in problems:
+        report = theorem_verdict(problem)
+        direct = polarized_defect_form(problem.perturbed())
+        G, H = forms.pop().defect_matrix, direct.defect_matrix
+        assert G.shape == H.shape == (report.safe_dim,) * 2
+        slack = 1e-13 * max(1.0, direct.max_residual)
+        assert float(np.max(np.abs(G - H))) <= slack
+        assert abs(report.oracle_defect - direct.max_residual) <= slack
+        shrunk += report.safe_dim < problem.base_form.defect_matrix.shape[0]
+    return shrunk
+
+
+@pytest.mark.parametrize("case", list(_UPDATE_REFEREE_CASES))
+def test_oracle_update_matches_the_direct_build(monkeypatch, case):
+    # The direct build of the perturbed form is the referee of the rank-4
+    # update; where u⊗v grows degree more than T, the window shrinks.
+    problem = _UPDATE_REFEREE_CASES[case]()
+    shrunk = _assert_verdict_form_matches_direct_build(monkeypatch, [problem])
+    assert shrunk == ("z3" in case)
+
+
+def test_oracle_update_matches_the_direct_build_weighted_spread(monkeypatch):
+    _assert_verdict_form_matches_direct_build(monkeypatch, _weighted_spread_problems(65, 200))
+
+
+def test_one_full_defect_form_per_problem(monkeypatch):
+    # The base form is built once, to validate the base; the perturbed form
+    # is read off it.
+    calls = []
+    direct = analysis.polarized_defect_form
+    monkeypatch.setattr(
+        analysis, "polarized_defect_form", lambda T: calls.append(T) or direct(T)
+    )
+    for build in (lambda: bidisc_example_problem(8), swap_problem,
+                  lambda: dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0)))):
+        calls.clear()
+        theorem_verdict(build())
+        assert len(calls) == 1
+
+
+def test_problem_is_frozen_so_its_base_form_stays_the_bases():
+    # A base swapped in after construction would leave the kept form stale,
+    # and the oracle would read the old base's form with the new matrix.
+    problem = bidisc_example_problem(8)
+    with pytest.raises(AttributeError):
+        problem.base = Op(problem.space, 1.5 * problem.base.matrix, degree_growth=1)
+
+
+def test_oracle_update_peak_memory_below_the_direct_build():
+    # The update allocates r x r and (5, r) arrays; the direct build holds
+    # two (dim, r) buffers as well.
+    problem = bidisc_example_problem(18)
+    Tt = problem.perturbed()
+    idx = safe_subspace(Tt)
+    update = _traced_peak(analysis._perturbed_defect_form, problem, idx)
+    assert update < _traced_peak(polarized_defect_form, Tt)
+
+
+def _c2_identity_problem(a: float) -> PerturbationProblem:
+    space = make_coordinate_space(2)
+    return PerturbationProblem(
+        base=identity(space), u=a * space.basis_vector(0), v=space.basis_vector(1)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, scale, overflows",
+    [(_dirichlet_n0_problem, alpha, alpha > 1e77) for alpha in (1e50, 1e76, 1e77, 1e78)]
+    + [(_c2_identity_problem, a, a > 1e150) for a in (1e150, 1e154)],
+)
+def test_oracle_update_overflows_with_the_direct_build(build, scale, overflows):
+    # Near the top of the float range the update and the direct build raise
+    # the same ValueError or agree, and neither warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = build(scale)
+        Tt = problem.perturbed()
+        if overflows:
+            for form in (lambda: analysis._perturbed_defect_form(problem, safe_subspace(Tt)),
+                         lambda: polarized_defect_form(Tt)):
+                with pytest.raises(ValueError, match="the defect form overflows"):
+                    form()
+            return
+        direct = polarized_defect_form(Tt)
+        update = analysis._perturbed_defect_form(problem, safe_subspace(Tt))
+    slack = 1e-13 * direct.max_residual
+    assert float(np.max(np.abs(update.defect_matrix - direct.defect_matrix))) <= slack
+    assert abs(update.max_residual - direct.max_residual) <= slack
 
 
 # ---------------------------------------------------------------------------
