@@ -23,9 +23,9 @@ Re( <u, T P T x> / <v, T x> ). The branch decision reads T*v as
 W^-1 A^H (W v), one product with the forward matrix A; that is exact only
 when T*v has no mass above the truncation degree, which nothing certifies
 yet. The oracle is the matrix G of the defect form of T + u⊗v over its
-safe window: the base form, built once from three forward Gram products to
-validate T, plus a rank-4 update from two small products with the conjugate
-transpose of the truncated matrix. Condition (a) is read off the
+safe window: the base form, built once per operator and cached on the frozen
+``Op`` (it validates T), plus a rank-4 update from two small products with the
+conjugate transpose of the truncated matrix. Condition (a) is read off the
 same G on the witness line alone, in window coordinates sqrt(w_i) x_i, i in
 the safe index set: given the kernel condition, D maps the stable kernel
 into itself exactly when it maps the witness line into itself. The witness
@@ -52,7 +52,6 @@ from .operators import (
     add,
     apply,
     defect_apply_in_window,
-    polarized_defect_form,
     rank_one,
     safe_subspace,
     require_truncation_safe,
@@ -138,15 +137,15 @@ class PerturbationProblem:
     that happened (||v|| off 1 by more than ``ROUNDOFF_RTOL``). Both
     tolerances must be finite and positive real numbers, not booleans, and
     are stored as floats. The base operator is validated to be a 2-isometry
-    at truncation scale via the defect form on its safe window (override
-    with ``allow_non_2_isometric_base`` for exploratory use). A zero u or v
-    raises ValueError, and so does a squared norm of v that over- or
-    underflows, a rescaled u that overflows, or a squared norm of u that
-    underflows to zero. A u whose squared norm overflows is left to the
-    defect form, which reports the overflow. The base's form is kept as
-    ``base_form``, and the verdict reads the oracle off it, so the problem is
-    frozen. :meth:`perturbed` builds T + u⊗v, the one perturbed operator that
-    the verdict and the reference cases read.
+    at truncation scale via ``base.defect_form``, built once per base, on
+    its safe window (override with ``allow_non_2_isometric_base`` for
+    exploratory use). A zero u or v raises ValueError, and so does a squared
+    norm of v that over- or underflows, a rescaled u that overflows, or a
+    squared norm of u that underflows to zero. A u whose squared norm
+    overflows is left to the defect form, which reports the overflow. The
+    verdict reads the oracle off the base's form, so the problem is frozen
+    like its base. :meth:`perturbed` builds T + u⊗v, the one perturbed
+    operator that the verdict and the reference cases read.
     """
 
     base: Op
@@ -157,7 +156,6 @@ class PerturbationProblem:
     allow_non_2_isometric_base: bool = False
     v_was_normalized: bool = field(init=False)
     base_defect: float = field(init=False)
-    base_form: DefectReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("tol_rank", "tol_defect"):
@@ -188,9 +186,8 @@ class PerturbationProblem:
         nu = space.norm(u)
         if nu * nu == 0.0:
             raise ValueError("the squared norm of u underflows to zero in floating point")
-        form = polarized_defect_form(self.base)
         for name, value in (("u", u), ("v", v), ("v_was_normalized", normalized),
-                            ("base_form", form), ("base_defect", form.max_residual)):
+                            ("base_defect", self.base.defect_form.max_residual)):
             object.__setattr__(self, name, value)
         if not self.allow_non_2_isometric_base and self.base_defect > self.tol_defect:
             raise ValueError(
@@ -297,7 +294,7 @@ def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> Def
     A = problem.base.matrix
     w = problem.space.weight_array
     u, v = problem.u, problem.v
-    G = problem.base_form.defect_matrix
+    G = problem.base.defect_form.defect_matrix
     if idx.size < len(G):
         k = np.searchsorted(safe_subspace(problem.base), idx)
         G = G[np.ix_(k, k)]

@@ -35,14 +35,12 @@ from .function_spaces import (
     bidisc_example_problem,
     constant_perturbed_dirichlet,
     dirichlet_admissibility_residual,
-    dirichlet_perturbation_problem,
     dirichlet_shift,
     perturbed_dirichlet,
 )
 from .operators import (
     Op,
     defect_quadratic,
-    polarized_defect_form,
     truncation_cutoff,
     truncation_safe,
 )
@@ -155,15 +153,15 @@ _PPER_POLYNOMIALS = (
 
 
 def _dirichlet_pper(ns, N):
+    base = dirichlet_shift(N)  # one base for the three, so one defect form
+    one = base.space.basis_vector(0)
     reports, checks = {}, []
     for label, p, admissible in _PPER_POLYNOMIALS:
         residual = dirichlet_admissibility_residual(p)
-        problem = dirichlet_perturbation_problem(
-            N, p, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect
-        )
+        problem = PerturbationProblem(base, p.to_vector(base.space), one,
+                                      tol_rank=ns.tol_rank, tol_defect=ns.tol_defect)
         r = reports[label] = theorem_verdict(problem)
-        op = problem.perturbed()
-        closed_form_gap = defect_quadratic(op, op.space.basis_vector(0)) + residual
+        closed_form_gap = defect_quadratic(problem.perturbed(), one) + residual
         checks += [
             (f"{label}: branch", r.branch, _equals("I")),
             (
@@ -214,7 +212,7 @@ def _bidisc(ns, N):
     r = theorem_verdict(problem)
     # Growth 2, the degree of u's range, not the scanned 1: window degree <= N - 4.
     op = Op(problem.space, problem.perturbed().matrix, degree_growth=2)
-    window_defect = polarized_defect_form(op).max_residual
+    window_defect = op.defect_form.max_residual
     nu = problem.space.norm(problem.u)
     return r, [
         ("branch", r.branch, _equals("II")),
@@ -440,7 +438,7 @@ def search_dirichlet_alpha(
                 coeffs = [0.0] * n
                 coeffs[n - 1] = alpha
                 op = perturbed_dirichlet(N, PolyCoeffs(tuple(coeffs)))
-            oracle = polarized_defect_form(op).max_residual
+            oracle = op.defect_form.max_residual
             if oracle <= tol:
                 hits.append(
                     {

@@ -34,6 +34,7 @@ labels that D x can reach; every other entry of the image is an exact zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "apply",
     "add",
     "rank_one",
-    "scanned_degree_growth",
     "defect_quadratic",
     "polarized_defect_form",
     "defect_apply_in_window",
@@ -67,9 +67,10 @@ class TruncationError(ValueError):
     """Raised when a computation would leave the truncation-exact window."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Op:
-    """A dense operator: columns are images of basis monomials."""
+    """A dense operator: columns are images of basis monomials. Frozen, with
+    a read-only matrix, so the cached :attr:`defect_form` stays its own."""
 
     space: WeightedSpace
     matrix: np.ndarray
@@ -90,13 +91,15 @@ class Op:
 
     @classmethod
     def from_exact_matrix(cls, space: WeightedSpace, matrix) -> "Op":
-        """Wrap a matrix that IS the whole operator (no truncation behind it).
+        """Wrap a matrix that IS the whole operator (no truncation behind it),
+        its degree growth certified by scanning the columns."""
+        matrix = np.asarray(matrix, dtype=complex)
+        return cls(space, matrix, degree_growth=_scanned_degree_growth(space, matrix))
 
-        The degree growth is certified by scanning the columns.
-        """
-        op = cls(space, matrix)
-        op.degree_growth = scanned_degree_growth(op)
-        return op
+    @cached_property
+    def defect_form(self) -> "DefectReport":
+        """:func:`polarized_defect_form` of this operator, built on first use."""
+        return polarized_defect_form(self)
 
     def __repr__(self) -> str:
         return (
@@ -168,16 +171,16 @@ def rank_one(space: WeightedSpace, u, v) -> Op:
     return Op.from_exact_matrix(space, np.outer(u, space.weight_array * v.conj()))
 
 
-def scanned_degree_growth(A: Op) -> int:
-    """Tight degree-growth bound read off the matrix columns.
-
-    For each column j with any nonzero entry, the growth is the largest
-    label degree carrying a nonzero coefficient minus the degree of label j;
-    the result is the max over columns, floored at zero. A zero column reads
-    as top degree -1, so it never raises the bound.
-    """
-    degs = A.space.degrees
-    top = np.where(A.matrix != 0, degs[:, None], -1).max(axis=0)
+def _scanned_degree_growth(space: WeightedSpace, matrix: np.ndarray) -> int:
+    """Tight degree-growth bound read off the matrix columns: for each column
+    j with any nonzero entry, the largest label degree carrying a nonzero
+    coefficient minus the degree of label j, maxed over columns and floored
+    at zero. A zero column reads as top degree -1, so it never raises the
+    bound; a wrong shape reads 0, for :class:`Op` to refuse."""
+    degs = space.degrees
+    if matrix.shape != (degs.size, degs.size):
+        return 0
+    top = np.where(matrix != 0, degs[:, None], -1).max(axis=0)
     return int(np.max(top - degs, initial=0))
 
 
@@ -221,14 +224,14 @@ def defect_quadratic(T: Op, x):
     return float(value[0]) if vector else value
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class DefectReport:
     """Defect form restricted to the safe window.
 
     ``defect_matrix[l, j] = <D e_j, e_l>`` over the window's orthonormal
-    basis; it is Hermitian up to round-off because the defect operator is
-    self-adjoint, and its size is the dimension of the window.
-    ``max_residual`` is the largest entry magnitude.
+    basis, read-only since an operator caches its form; it is Hermitian up
+    to round-off because the defect operator is self-adjoint, and its size
+    is the dimension of the window. ``max_residual`` is the largest entry.
     """
 
     defect_matrix: np.ndarray
@@ -242,6 +245,7 @@ class DefectReport:
         if not max_residual < np.inf:
             raise ValueError("the defect form overflows: the operator or the vectors "
                              "are too large for floating point")
+        mat.setflags(write=False)
         return cls(defect_matrix=mat, max_residual=max_residual)
 
 

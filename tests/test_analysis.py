@@ -1,5 +1,6 @@
 """The branch decision, gamma, condition residuals, and the verdict report."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -30,6 +31,7 @@ from twoiso import (
     witness_vector,
 )
 from twoiso import analysis, operators
+from twoiso.cli import main
 from twoiso.function_spaces import (
     PolyCoeffs,
     bidisc_example_problem,
@@ -903,7 +905,8 @@ def _weighted_spread_problems(seed: int, trials: int):
 def _assert_verdict_form_matches_direct_build(monkeypatch, problems) -> int:
     """Run theorem_verdict on each problem, catching the form that it reads,
     and compare that form and the report's oracle_defect with the direct
-    build of G(T + u⊗v); returns how many problems changed the window."""
+    build of G(T + u⊗v), and the base's cached form with a fresh build of
+    G(T); returns how many problems changed the window."""
     forms = []
     update = analysis._perturbed_defect_form
     monkeypatch.setattr(
@@ -918,7 +921,9 @@ def _assert_verdict_form_matches_direct_build(monkeypatch, problems) -> int:
         slack = 1e-13 * max(1.0, direct.max_residual)
         assert float(np.max(np.abs(G - H))) <= slack
         assert abs(report.oracle_defect - direct.max_residual) <= slack
-        shrunk += report.safe_dim < problem.base_form.defect_matrix.shape[0]
+        base_form = problem.base.defect_form.defect_matrix
+        assert np.array_equal(base_form, polarized_defect_form(problem.base).defect_matrix)
+        shrunk += report.safe_dim < base_form.shape[0]
     return shrunk
 
 
@@ -935,27 +940,56 @@ def test_oracle_update_matches_the_direct_build_weighted_spread(monkeypatch):
     _assert_verdict_form_matches_direct_build(monkeypatch, _weighted_spread_problems(65, 200))
 
 
-def test_one_full_defect_form_per_problem(monkeypatch):
-    # The base form is built once, to validate the base; the perturbed form
-    # is read off it.
+def _count_defect_form_builds(monkeypatch) -> list:
     calls = []
-    direct = analysis.polarized_defect_form
+    direct = operators.polarized_defect_form
     monkeypatch.setattr(
-        analysis, "polarized_defect_form", lambda T: calls.append(T) or direct(T)
+        operators, "polarized_defect_form", lambda T: calls.append(T) or direct(T)
     )
+    return calls
+
+
+def test_one_full_defect_form_per_problem(monkeypatch):
+    # The base form is built once, to validate the base, and cached on it;
+    # the perturbed form is read off it, and a second problem on the same
+    # base builds nothing.
+    calls = _count_defect_form_builds(monkeypatch)
     for build in (lambda: bidisc_example_problem(8), swap_problem,
                   lambda: dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0)))):
         calls.clear()
-        theorem_verdict(build())
+        problem = build()
+        theorem_verdict(problem)
+        assert len(calls) == 1
+        again = PerturbationProblem(base=problem.base, u=2.0 * problem.u, v=problem.v)
+        theorem_verdict(again)
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "dirichlet-pper", "--format", "json"],
+    ["search", "c2-rankone", "--trials", "8", "--format", "json"],
+])
+def test_one_full_defect_form_per_command_base(monkeypatch, capsys, argv):
+    # dirichlet-pper runs three problems on one shift, and the c2-rankone
+    # search runs every trial on one swap.
+    calls = _count_defect_form_builds(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_problem_is_frozen_so_its_base_form_stays_the_bases():
-    # A base swapped in after construction would leave the kept form stale,
-    # and the oracle would read the old base's form with the new matrix.
+    # A base swapped in, or a base matrix rescaled, after construction would
+    # leave the kept form stale, and the oracle would read the old base's
+    # form with the new matrix: 2.25 against 1.5625 from a direct build.
     problem = bidisc_example_problem(8)
     with pytest.raises(AttributeError):
         problem.base = Op(problem.space, 1.5 * problem.base.matrix, degree_growth=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.base.matrix = 1.5 * problem.base.matrix
+    report = theorem_verdict(problem)
+    direct = polarized_defect_form(problem.perturbed()).max_residual
+    assert abs(report.oracle_defect - direct) <= 1e-13 * max(1.0, direct)
 
 
 def test_oracle_update_peak_memory_below_the_direct_build():

@@ -1,5 +1,7 @@
 """Operator algebra: adjoints, rank-one maps, defects, polarization, safety."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from twoiso import (
     polarized_defect_form,
     rank_one,
     safe_subspace,
-    scanned_degree_growth,
     truncation_safe,
 )
 from twoiso.function_spaces import (
@@ -276,6 +277,28 @@ def test_defect_form_on_exact_space_is_similar_to_the_adjoint_route():
         expected = root[:, None] * defect_operator(T).matrix / root[None, :]
         G = polarized_defect_form(T).defect_matrix
         assert np.max(np.abs(G - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_op_refuses_assignment():
+    # The cached defect form is the form of the operator as built.
+    op = dirichlet_shift(6)
+    for name, value in (("matrix", 1.5 * op.matrix), ("degree_growth", 2),
+                        ("space", make_dirichlet_space(6))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[1, 0] = 2.0
+
+
+def test_defect_form_is_cached_and_read_only():
+    op = bidisc_shift(8, axis=1)
+    report = op.defect_form
+    assert op.defect_form is report
+    assert np.array_equal(report.defect_matrix, polarized_defect_form(op).defect_matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        report.defect_matrix[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.max_residual = 0.0
 
 
 def test_defect_quadratic_constant_perturbation():
@@ -576,13 +599,16 @@ def test_truncation_safe_flags_top_degree():
 
 def test_scanned_degree_growth():
     shift = dirichlet_shift(6)
-    assert scanned_degree_growth(shift) == 1
     space = shift.space
+    assert Op.from_exact_matrix(space, shift.matrix).degree_growth == 1
     p = PolyCoeffs((0.0, 0.0, 1.0))
     K = rank_one(space, p.to_vector(space), space.basis_vector(0))
     assert K.degree_growth == 3
-    assert scanned_degree_growth(Op(space, np.zeros((space.dim, space.dim)))) == 0
-    assert scanned_degree_growth(adjoint(shift)) == 0
+    assert Op.from_exact_matrix(space, np.zeros((space.dim, space.dim))).degree_growth == 0
+    assert Op.from_exact_matrix(space, adjoint(shift).matrix).degree_growth == 0
+    # the scan runs before construction; the constructor refuses the shape
+    with pytest.raises(ValueError, match="matrix has shape"):
+        Op.from_exact_matrix(space, np.eye(space.dim + 1))
 
 
 def test_scanned_degree_growth_matches_column_scan():
@@ -598,7 +624,6 @@ def test_scanned_degree_growth_matches_column_scan():
             rows = np.flatnonzero(mat[:, j])
             if rows.size:
                 want = max(want, int(degs[rows].max() - degs[j]))
-        assert scanned_degree_growth(Op(space, mat)) == want
         assert Op.from_exact_matrix(space, mat).degree_growth == want
 
 
