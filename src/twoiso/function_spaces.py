@@ -79,8 +79,8 @@ def dirichlet_shift(N: int) -> Op:
         raise ValueError("dirichlet_shift needs N >= 2")
     space = make_dirichlet_space(N)
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(N):
-        mat[k + 1, k] = 1.0
+    k = np.arange(N)
+    mat[k + 1, k] = 1.0
     return Op(space, mat, degree_growth=1)
 
 
@@ -141,11 +141,11 @@ def bidisc_shift(N: int, axis: int) -> Op:
         raise ValueError("axis must be 1 or 2")
     space = make_bidisc_space(N)
     mat = np.zeros((space.dim, space.dim), dtype=complex)
-    step = (1, 0) if axis == 1 else (0, 1)
-    for j, lab in enumerate(space.labels):
-        m, n = lab
-        if m + n < N:
-            mat[space.index_of((m + step[0], n + step[1])), j] = 1.0
+    # In the graded layout label (m, n) of degree d sits at d(d+1)/2 + n, so
+    # (m+1, n) sits d+1 places on and (m, n+1) sits d+2 places on.
+    degs = space.degrees
+    j = np.flatnonzero(degs < N)
+    mat[j + degs[j] + axis, j] = 1.0
     return Op(space, mat, degree_growth=1)
 
 

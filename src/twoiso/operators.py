@@ -29,6 +29,12 @@ needs, is recovered from q by four-term complex polarization, in four block
 calls of q: one per term x + s E, s in {1, -1, i, -i}, with the values of
 all columns from two matrix products. E spans only the band of window
 labels that D x can reach; every other entry of the image is an exact zero.
+
+The forward products of the form and of q run in the field of the matrix
+entries. The shifts and their real perturbations have real matrices: their
+form is real, T E and its two Gram products are real products, and a complex
+block of q is multiplied through its float view, re and im columns side by
+side. A matrix with any nonzero imaginary part keeps complex products.
 """
 
 from __future__ import annotations
@@ -70,7 +76,11 @@ class TruncationError(ValueError):
 @dataclass(eq=False, frozen=True)
 class Op:
     """A dense operator: columns are images of basis monomials. Frozen, with
-    a read-only matrix, so the cached :attr:`defect_form` stays its own."""
+    a read-only matrix, so the cached :attr:`defect_form` stays its own.
+
+    ``matrix`` is complex. When all its imaginary parts are zero the forward
+    products of the defect form run on a cached float64 copy, one more
+    dim x dim array (32 MB at ``MAX_DIM``)."""
 
     space: WeightedSpace
     matrix: np.ndarray
@@ -95,6 +105,17 @@ class Op:
         its degree growth certified by scanning the columns."""
         matrix = np.asarray(matrix, dtype=complex)
         return cls(space, matrix, degree_growth=_scanned_degree_growth(space, matrix))
+
+    @cached_property
+    def _field_matrix(self) -> np.ndarray:
+        """``matrix`` in the field of its entries: a read-only C-contiguous
+        float64 copy when every imaginary part is exactly zero, else
+        ``matrix`` itself. The forward products of the defect form read it."""
+        if self.matrix.imag.any():
+            return self.matrix
+        real = np.ascontiguousarray(self.matrix.real)
+        real.setflags(write=False)
+        return real
 
     @cached_property
     def defect_form(self) -> "DefectReport":
@@ -189,8 +210,9 @@ def _scanned_degree_growth(space: WeightedSpace, matrix: np.ndarray) -> int:
 
 
 def _norms2(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Squared weighted norm of each column of a C-contiguous (dim, k)
-    block, summed over its float view re, im, re, ..."""
+    """Squared weighted norm of each column of a C-contiguous complex
+    (dim, k) block, or of its float view (dim, 2k), summed over the float
+    view re, im, re, ..."""
     f = z.view(float)
     return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
 
@@ -211,10 +233,13 @@ def defect_quadratic(T: Op, x):
         x = T.space.check_vec(x)[:, None]
     elif x.shape[0] != T.space.dim:
         raise ValueError(f"block has shape {x.shape}, expected ({T.space.dim}, k)")
-    x = np.ascontiguousarray(x)
+    # A real operator acts on the float view (dim, 2k) of the block, its re
+    # and im columns interleaved, in real arithmetic.
+    A = T._field_matrix
+    x = np.ascontiguousarray(x).view(A.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        tx = T.matrix @ x
-        ttx = T.matrix @ tx
+        tx = A @ x
+        ttx = A @ tx
         value = _norms2(w, x) - 2.0 * _norms2(w, tx) + _norms2(w, ttx)
     if not np.all(np.isfinite(value)):
         raise ValueError(
@@ -230,8 +255,9 @@ class DefectReport:
 
     ``defect_matrix[l, j] = <D e_j, e_l>`` over the window's orthonormal
     basis, read-only since an operator caches its form; it is Hermitian up
-    to round-off because the defect operator is self-adjoint, and its size
-    is the dimension of the window. ``max_residual`` is the largest entry.
+    to round-off because the defect operator is self-adjoint, real (float64)
+    for a real operator, and its size is the dimension of the window.
+    ``max_residual`` is the largest entry.
     """
 
     defect_matrix: np.ndarray
@@ -310,14 +336,15 @@ def polarized_defect_form(T: Op) -> DefectReport:
     non-finite number, so that no verdict reads a NaN.
     """
     idx = safe_subspace(T)
+    A = T._field_matrix
     w = T.space.weight_array[:, None]
     scale = 1.0 / np.sqrt(w[idx, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = np.take(T.matrix, idx, axis=1) * scale
+        fwd = np.take(A, idx, axis=1) * scale
         buf = np.conjugate(fwd)
         buf *= w
         mat = -2.0 * (buf.T @ fwd)
-        np.matmul(T.matrix, fwd, out=buf)
+        np.matmul(A, fwd, out=buf)
         np.conjugate(buf, out=fwd)
         fwd *= w
         mat += fwd.T @ buf

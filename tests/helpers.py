@@ -6,14 +6,18 @@ import numpy as np
 
 from twoiso import (
     Op,
+    PerturbationProblem,
     WeightedSpace,
     apply,
     defect_quadratic,
+    make_bidisc_space,
     make_coordinate_space,
+    make_dirichlet_space,
     require_truncation_safe,
     safe_subspace,
     weighted_gram_schmidt,
 )
+from twoiso.function_spaces import bidisc_example_problem
 from twoiso.sampling import random_complex_vector, random_unitary
 
 
@@ -43,6 +47,40 @@ def huge_u_c4_case() -> tuple[Op, np.ndarray, np.ndarray]:
     base = Op.from_exact_matrix(make_coordinate_space(4), random_unitary(4, rng))
     u = 1e60 * random_complex_vector(4, rng)
     return base, u, random_complex_vector(4, rng)
+
+
+def bidisc_off_example_problem() -> PerturbationProblem:
+    """The bidisc N = 8 example with u moved by 1e-3 along a seeded complex
+    vector of total degree <= 2, so that condition (a) fails by a nonzero
+    amount."""
+    problem = bidisc_example_problem(8)
+    space = problem.space
+    rng = np.random.default_rng(62)
+    w = np.where(space.degrees <= 2, random_complex_vector(space.dim, rng), 0.0)
+    return PerturbationProblem(base=problem.base, u=problem.u + 1e-3 * w, v=problem.v)
+
+
+def dirichlet_shift_by_labels(N: int) -> np.ndarray:
+    """Matrix of M_z on the Dirichlet space truncated at degree N, one
+    entry per monomial: the label-by-label referee of ``dirichlet_shift``."""
+    space = make_dirichlet_space(N)
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for k in range(N):
+        mat[k + 1, k] = 1.0
+    return mat
+
+
+def bidisc_shift_by_labels(N: int, axis: int) -> np.ndarray:
+    """Matrix of M_z1 (axis 1) or M_z2 (axis 2) on the bidisc space truncated
+    at degree N, each image found by its label: the referee of
+    ``bidisc_shift``."""
+    space = make_bidisc_space(N)
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    step = (1, 0) if axis == 1 else (0, 1)
+    for j, (m, n) in enumerate(space.labels):
+        if m + n < N:
+            mat[space.index_of((m + step[0], n + step[1])), j] = 1.0
+    return mat
 
 
 def identity(space: WeightedSpace) -> Op:
@@ -112,6 +150,17 @@ def window_basis(space: WeightedSpace, idx) -> np.ndarray:
     """Orthonormal basis e_i / sqrt(w_i), i in ``idx``, of a monomial window,
     as the columns of a (dim, r) array."""
     return np.eye(space.dim, dtype=complex)[:, idx] / np.sqrt(space.weight_array[idx])
+
+
+def dense_defect_form(T: Op) -> np.ndarray:
+    """E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E) on the orthonormal
+    basis E of T's safe window, from dense complex products with the complex
+    ``matrix``: the complex-arithmetic referee of ``polarized_defect_form``."""
+    E = window_basis(T.space, safe_subspace(T))
+    W = np.diag(T.space.weight_array).astype(complex)
+    TE = T.matrix @ E
+    T2E = T.matrix @ TE
+    return E.conj().T @ W @ E - 2.0 * TE.conj().T @ W @ TE + T2E.conj().T @ W @ T2E
 
 
 def project(space: WeightedSpace, onb: np.ndarray, x) -> np.ndarray:

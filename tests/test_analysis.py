@@ -48,6 +48,7 @@ from twoiso.sampling import (
 from twoiso.spaces import pow2_scale
 from helpers import (
     adjoint,
+    bidisc_off_example_problem,
     brute_force_adjoint,
     defect_image_by_entries,
     huge_u_c4_case,
@@ -494,21 +495,11 @@ def _weighted_c6_problem(scale: float) -> PerturbationProblem:
     return PerturbationProblem(base=base, u=scale * u0 / s, v=v0 / s)
 
 
-def _bidisc_off_example_problem() -> PerturbationProblem:
-    """The bidisc N = 8 example with u moved by 1e-3 along a seeded vector
-    of total degree <= 2, so that condition (a) fails by a nonzero amount."""
-    problem = bidisc_example_problem(8)
-    space = problem.space
-    rng = np.random.default_rng(62)
-    w = np.where(space.degrees <= 2, random_complex_vector(space.dim, rng), 0.0)
-    return PerturbationProblem(base=problem.base, u=problem.u + 1e-3 * w, v=problem.v)
-
-
 def _bidisc_v_off_unit_problem() -> PerturbationProblem:
     """The off-example bidisc problem with ||v|| = 1 + 5e-13: within round-off
     of 1, so v is not renormalized and the witness is orthogonal to it only
     up to round-off."""
-    problem = _bidisc_off_example_problem()
+    problem = bidisc_off_example_problem()
     out = PerturbationProblem(base=problem.base, u=problem.u, v=(1 + 5e-13) * problem.v)
     assert not out.v_was_normalized
     return out
@@ -518,7 +509,7 @@ def _bidisc_v_mass_above_window_problem() -> PerturbationProblem:
     """The off-example bidisc problem with 1e-14 of v on z1 z2^7, above the
     safe window but within the round-off that truncation_safe forgives; T*v
     carries it to z2^7, also above the window."""
-    problem = _bidisc_off_example_problem()
+    problem = bidisc_off_example_problem()
     v = problem.v + 1e-14 * problem.space.monomial((1, 7))
     out = PerturbationProblem(base=problem.base, u=problem.u, v=v)
     Tt = out.perturbed()
@@ -530,7 +521,7 @@ def _bidisc_v_mass_above_window_problem() -> PerturbationProblem:
 _IIA_REFEREE_CASES = {
     "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
     "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
-    "bidisc-8-off-example": _bidisc_off_example_problem,
+    "bidisc-8-off-example": bidisc_off_example_problem,
     "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
     "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
     "c3-tight-rank": _c3_tight_rank_problem,
@@ -705,7 +696,7 @@ def _dirichlet_n0_problem(alpha: float = 1e50) -> PerturbationProblem:
 
 
 _KERNEL_REFEREE_CASES = {
-    "bidisc-8-off-example": _bidisc_off_example_problem,
+    "bidisc-8-off-example": bidisc_off_example_problem,
     "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
     "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
     "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
@@ -773,7 +764,7 @@ _BAND_CASES = {
     "dirichlet-24-cubic-v-mass-above-band": (_dirichlet_cubic_v_mass_above_band_problem, 19, 19),
     # The seeded direction has a constant term, so the perturbed column of
     # z1 lowers degree by 1: degree <= 1 + 2 (1 + 1) of the window's <= 6.
-    "bidisc-8-off-example": (_bidisc_off_example_problem, 21, 28),
+    "bidisc-8-off-example": (bidisc_off_example_problem, 21, 28),
 }
 
 
@@ -875,7 +866,7 @@ _UPDATE_REFEREE_CASES = {
         lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((0.3j, 0.0, -0.2))))
        for N in (12, 40)},
     "dirichlet-12-z3-reversed-labels": _dirichlet_z3_reversed_labels_problem,
-    "bidisc-8-off-example": _bidisc_off_example_problem,
+    "bidisc-8-off-example": bidisc_off_example_problem,
     "non-2-isometric-base": _non_2_isometric_base_problem,
     "dirichlet-n0-alpha-1e50": _dirichlet_n0_problem,
 }

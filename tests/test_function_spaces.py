@@ -22,7 +22,7 @@ from twoiso.function_spaces import (
     dirichlet_shift,
     perturbed_dirichlet,
 )
-from helpers import adjoint, window_basis
+from helpers import adjoint, bidisc_shift_by_labels, dirichlet_shift_by_labels, window_basis
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,13 @@ def test_dirichlet_shift_defect_on_z_small_truncation():
     op = dirichlet_shift(3)
     z = op.space.monomial((1,))
     assert defect_quadratic(op, z) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("N", [2, 6, 18])
+def test_shift_matrices_match_the_label_by_label_build(N):
+    assert np.array_equal(dirichlet_shift(N).matrix, dirichlet_shift_by_labels(N))
+    for axis in (1, 2):
+        assert np.array_equal(bidisc_shift(N, axis).matrix, bidisc_shift_by_labels(N, axis))
 
 
 def test_dirichlet_shift_needs_two_degrees():

@@ -1,6 +1,7 @@
 """Operator algebra: adjoints, rank-one maps, defects, polarization, safety."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -25,15 +26,19 @@ from twoiso.function_spaces import (
     bidisc_example_problem,
     bidisc_shift,
     constant_perturbed_dirichlet,
+    dirichlet_perturbation_problem,
     dirichlet_shift,
     perturbed_dirichlet,
 )
+from twoiso.sampling import random_unitary
 from helpers import (
     adjoint,
+    bidisc_off_example_problem,
     brute_force_adjoint,
     compose,
     defect_image_by_entries,
     defect_operator,
+    dense_defect_form,
     identity,
     polarized_form_by_entries,
     random_matrix,
@@ -385,11 +390,19 @@ def test_defect_quadratic_shapes():
 
 
 def test_defect_quadratic_overflow_is_value_error():
+    # 1e200 I runs in real arithmetic and 1e200 e^{i pi/4} I in complex; both
+    # refuse the same way, with no warning on the way.
     space = make_coordinate_space(2)
-    T = Op.from_exact_matrix(space, 1e200 * np.eye(2))
-    for x in (space.basis_vector(0), np.eye(2, dtype=complex)):
-        with pytest.raises(ValueError, match="overflows"):
-            defect_quadratic(T, x)
+    for phase in (1.0, np.exp(0.25j * np.pi)):
+        T = Op.from_exact_matrix(space, 1e200 * phase * np.eye(2))
+        assert (T._field_matrix is T.matrix) == (phase != 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (space.basis_vector(0), np.eye(2, dtype=complex)):
+                with pytest.raises(ValueError, match="overflows"):
+                    defect_quadratic(T, x)
+            with pytest.raises(ValueError, match="overflows"):
+                polarized_defect_form(T)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +524,104 @@ def test_defect_apply_in_window_rejects_unsafe_vector():
     op = dirichlet_shift(4)
     with pytest.raises(TruncationError):
         defect_apply_in_window(op, op.space.monomial((4,)))
+
+
+# ---------------------------------------------------------------------------
+# real operators in real arithmetic
+#
+# An operator whose entries are all real multiplies in float64; the dense
+# complex products of ``dense_defect_form`` and the complex matrix itself
+# are the referees.
+
+
+def _real_field_cases() -> dict:
+    rungs = {f"dirichlet-{N}": dirichlet_perturbation_problem(N, PolyCoeffs((-2.0,)))
+             for N in (12, 24, 48, 96)}
+    rungs.update({f"bidisc-{N}": bidisc_example_problem(N) for N in (6, 10, 14, 18)})
+    rungs["dirichlet-40-z3"] = dirichlet_perturbation_problem(40, PolyCoeffs((0.0, 0.0, 1.0)))
+    cases = {}
+    for name, problem in rungs.items():
+        cases[f"{name}-base"] = problem.base
+        cases[f"{name}-perturbed"] = problem.perturbed()
+    return cases
+
+
+def _form_matches_dense_referee(T: Op) -> np.ndarray:
+    G = polarized_defect_form(T).defect_matrix
+    H = dense_defect_form(T)
+    assert G.shape == H.shape
+    assert np.max(np.abs(G - H)) <= 1e-13 * max(1.0, np.max(np.abs(H)))
+    return G
+
+
+def test_real_operators_form_in_real_arithmetic_matches_complex_referee():
+    for name, T in _real_field_cases().items():
+        assert T._field_matrix.dtype == np.float64, name
+        assert _form_matches_dense_referee(T).dtype == np.float64, name
+
+
+def test_complex_operators_form_matches_complex_referee():
+    # The off-example u of bidisc N = 8 has complex entries, so its perturbed
+    # operator keeps complex arithmetic; its base is real.
+    problem = bidisc_off_example_problem()
+    Tt = problem.perturbed()
+    assert problem.base._field_matrix.dtype == np.float64
+    assert Tt._field_matrix is Tt.matrix
+    for T in (problem.base, Tt):
+        _form_matches_dense_referee(T)
+
+
+@pytest.mark.parametrize("name", ["dirichlet-12-perturbed", "bidisc-18-perturbed",
+                                  "dirichlet-40-z3-perturbed"])
+def test_real_defect_quadratic_blocks_match_column_calls(name):
+    T = _real_field_cases()[name]
+    rng = np.random.default_rng(72)
+    dim = T.space.dim
+    A = T.matrix
+
+    def norms2(z):
+        return np.einsum("i,ij,ij->j", T.space.weight_array, z.conj(), z).real
+
+    for k in (0, 1, 10):
+        block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        values = defect_quadratic(T, block)
+        assert isinstance(values, np.ndarray) and values.shape == (k,)
+        assert np.array_equal(defect_quadratic(T, np.asfortranarray(block)), values)
+        # the same values in complex arithmetic on the complex matrix
+        tx = A @ block
+        direct = norms2(block) - 2.0 * norms2(tx) + norms2(A @ tx)
+        for j in range(k):
+            expected = defect_quadratic(T, block[:, j])
+            assert type(expected) is float
+            assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
+            assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
+
+
+def test_field_matrix_is_real_read_only_on_shifts_and_complex_otherwise():
+    for op in (dirichlet_shift(12), bidisc_shift(8, axis=1), bidisc_shift(8, axis=2)):
+        real = op._field_matrix
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        assert op._field_matrix is real
+        assert np.array_equal(real, op.matrix.real)
+        with pytest.raises(ValueError, match="read-only"):
+            real[1, 0] = 2.0
+    rng = np.random.default_rng(73)
+    for dim in (2, 4, 6):
+        U = Op.from_exact_matrix(make_coordinate_space(dim), random_unitary(dim, rng))
+        assert U._field_matrix is U.matrix
+    complex_p = dirichlet_perturbation_problem(12, PolyCoeffs((0.5j,))).perturbed()
+    assert complex_p._field_matrix is complex_p.matrix
+
+
+def test_tiny_imaginary_part_keeps_complex_arithmetic():
+    # 1e-300 is a real imaginary part, not round-off: the operator stays
+    # complex, and the form still matches the referee.
+    shift = bidisc_shift(6, axis=1)
+    mat = shift.matrix.copy()
+    mat[1, 0] += 1e-300j
+    T = Op(shift.space, mat, degree_growth=1)
+    assert T._field_matrix is T.matrix
+    assert _form_matches_dense_referee(T).dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
