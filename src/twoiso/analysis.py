@@ -139,13 +139,13 @@ class PerturbationProblem:
     are stored as floats. The base operator is validated to be a 2-isometry
     at truncation scale via ``base.defect_form``, built once per base, on
     its safe window (override with ``allow_non_2_isometric_base`` for
-    exploratory use). A zero u or v raises ValueError, and so does a squared
-    norm of v that over- or underflows, a rescaled u that overflows, or a
-    squared norm of u that underflows to zero. A u whose squared norm
-    overflows is left to the defect form, which reports the overflow. The
-    verdict reads the oracle off the base's form, so the problem is frozen
-    like its base. :meth:`perturbed` builds T + u⊗v, the one perturbed
-    operator that the verdict and the reference cases read.
+    exploratory use). A non-finite or zero u or v raises ValueError, and so
+    does a squared norm of v that over- or underflows, a rescaled u that
+    overflows, or a squared norm of u that underflows to zero. A u whose
+    squared norm overflows is left to the defect form, which reports the
+    overflow. The verdict reads the oracle off the base's form, so the
+    problem is frozen like its base. :meth:`perturbed` builds T + u⊗v, the
+    one perturbed operator that the verdict and the reference cases read.
     """
 
     base: Op
@@ -171,6 +171,8 @@ class PerturbationProblem:
         space = self.base.space
         u = space.check_vec(self.u)
         v = space.check_vec(self.v)
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("u and v must be finite")
         if not (np.any(u) and np.any(v)):
             raise ValueError("not rank one: u and v must both be nonzero")
         nv = space.norm(v)

@@ -45,12 +45,13 @@ from .operators import (
     truncation_safe,
 )
 from .sampling import isometric_correction_pair, random_complex_vector
-from .spaces import make_coordinate_space, vec_from_pairs, vec_to_pairs
+from .spaces import (make_coordinate_space, make_dirichlet_space, vec_from_pairs,
+                     vec_to_pairs)
 
 DEFAULT_DIRICHLET_N = 12
 DEFAULT_BIDISC_N = 6
 # Largest grid `search dirichlet-alpha` scans (the default grid has 6,561
-# points); a step that asks for more is an input error.
+# points) and most `search c2-rankone --trials`; more is an input error.
 MAX_SEARCH_POINTS = 1_000_000
 
 
@@ -357,29 +358,27 @@ def cmd_analyze(ns) -> int:
 # search
 
 
-def constant_defect_row(base: Op, n: int, alphas: np.ndarray) -> np.ndarray:
-    """q(1) for the candidates T_alpha = S + (alpha z^n)⊗1, one per alpha.
+def constant_defect(n: int, alphas: np.ndarray) -> np.ndarray:
+    """q(1) of T_alpha = M_z + (alpha z^n)⊗1 for each entry of ``alphas``.
 
-    ``base`` is the shift S, and T_alpha x = S x + alpha x_0 e_n. The images
-    are forward applications only, as in :func:`defect_quadratic`:
+    T_alpha x = M_z x + alpha x_0 z^n and ||z^k||^2 = k + 1, so
+    q(1) = ||1||^2 - 2 ||T1||^2 + ||T^2 1||^2 is
 
-        T1 = S e_0 + alpha e_n,    T^2 1 = S(T1) + alpha (T1)_0 e_n,
+        |alpha|^4 (n = 0),   1 - |1 + alpha|^2 (n = 1),   -n |alpha|^2 (n >= 2),
 
-    so q(1) = ||1||^2 - 2 ||T1||^2 + ||T^2 1||^2 comes out for the whole row
-    from two (len(alphas), dim) arrays.
+    minus :func:`dirichlet_admissibility_residual` of alpha z^n for n >= 1.
+    T^2 1 has degree n + 1, so this is exact for every N >= n + 1. An
+    overflow reads as an infinity. As a prefilter it is sound: the constant
+    has unit norm and starts the orthonormal basis of the safe window, so
+    q(1) is the (0, 0) entry of the oracle form.
     """
-    w = base.space.weight_array
-    alphas = np.asarray(alphas, dtype=complex)
-    tx = np.zeros((alphas.size, base.space.dim), dtype=complex)
-    tx += base.matrix[:, 0]
-    tx[:, n] += alphas
-    ttx = tx @ base.matrix.T
-    ttx[:, n] += alphas * tx[:, 0]
-
-    def n2(z):
-        return (np.abs(z) ** 2) @ w
-
-    return w[0] - 2.0 * n2(tx) + n2(ttx)
+    re, im = alphas.real, alphas.imag
+    with np.errstate(over="ignore"):
+        if n == 0:
+            return (re**2 + im**2) ** 2
+        if n == 1:
+            return 1.0 - ((1.0 + re) ** 2 + im**2)
+        return 0.0 - n * (re**2 + im**2)  # 0.0 - 0.0 is +0.0, never -0.0
 
 
 def search_dirichlet_alpha(
@@ -392,18 +391,15 @@ def search_dirichlet_alpha(
 ) -> list[dict]:
     """Grid search over alpha for 2-isometric M_z + (alpha z^n)⊗1.
 
-    A cheap, sound prefilter evaluates the quadratic defect q(1) at the
-    constant function, which has unit norm. q(1) is a diagonal entry of the
-    oracle form: the constant lies in the safe window, whose orthonormal
-    basis starts with it, so a candidate with |q(1)| > tol would fail the
-    oracle too. The prefilter runs one grid row (fixed Re alpha) at a time
-    through :func:`constant_defect_row`, without building an operator per
-    point. Only the points with |q(1)| <= tol are built and confirmed
-    against the oracle form on the whole safe window, the three forward Gram
-    products of :func:`polarized_defect_form`. The unperturbed
-    point alpha = 0 is skipped. Hits come in row-major order. An inverted
-    range, or a grid of more than ``MAX_SEARCH_POINTS`` points, is refused
-    with a ValueError.
+    Each axis has round((max - min) / step) + 1 evenly spaced points, both
+    ends included. The sound prefilter :func:`constant_defect` evaluates
+    q(1) over the whole grid at once and builds no operator. Only the points
+    with |q(1)| <= tol are built and confirmed against the oracle form on
+    the whole safe window, the three forward Gram products of
+    :func:`polarized_defect_form`. The unperturbed point alpha = 0 is
+    skipped. Hits come in row-major order. An inverted range, a grid of
+    more than ``MAX_SEARCH_POINTS`` points or a dimension above ``MAX_DIM``
+    is refused with a ValueError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -412,7 +408,7 @@ def search_dirichlet_alpha(
     for part, (lo, hi) in (("re", re_range), ("im", im_range)):
         if lo > hi:
             raise ValueError(f"--{part}-min {lo:g} is greater than --{part}-max {hi:g}")
-    base = dirichlet_shift(N)
+    make_dirichlet_space(N)  # refuses a dimension above MAX_DIM
 
     def count(lo, hi):
         return float(np.rint((hi - lo) / step)) + 1
@@ -425,29 +421,28 @@ def search_dirichlet_alpha(
         )
     res = np.linspace(re_range[0], re_range[1], int(n_re))
     ims = np.linspace(im_range[0], im_range[1], int(n_im))
+    alphas = res[:, None] + 1j * ims[None, :]
+    q = constant_defect(n, alphas)
     hits = []
-    for re in res:
-        row = re + 1j * ims
-        q_row = constant_defect_row(base, n, row)
-        for j in np.flatnonzero((np.abs(q_row) <= tol) & (row != 0)):
-            im = ims[j]
-            alpha = complex(re, im)
-            if n == 0:
-                op = constant_perturbed_dirichlet(N, alpha)
-            else:
-                coeffs = [0.0] * n
-                coeffs[n - 1] = alpha
-                op = perturbed_dirichlet(N, PolyCoeffs(tuple(coeffs)))
-            oracle = op.defect_form.max_residual
-            if oracle <= tol:
-                hits.append(
-                    {
-                        "alpha": [float(re), float(im)],
-                        "defect_on_constant": float(q_row[j]),
-                        "oracle_defect": oracle,
-                        "circle_residual": float(abs(abs(alpha + 1.0) - 1.0)),
-                    }
-                )
+    for i, j in np.argwhere((np.abs(q) <= tol) & (alphas != 0)):
+        re, im = res[i], ims[j]
+        alpha = complex(re, im)
+        if n == 0:
+            op = constant_perturbed_dirichlet(N, alpha)
+        else:
+            coeffs = [0.0] * n
+            coeffs[n - 1] = alpha
+            op = perturbed_dirichlet(N, PolyCoeffs(tuple(coeffs)))
+        oracle = op.defect_form.max_residual
+        if oracle <= tol:
+            hits.append(
+                {
+                    "alpha": [float(re), float(im)],
+                    "defect_on_constant": float(q[i, j]),
+                    "oracle_defect": oracle,
+                    "circle_residual": float(abs(abs(alpha + 1.0) - 1.0)),
+                }
+            )
     return hits
 
 
@@ -457,8 +452,10 @@ def search_c2_rank_one(trials: int, seed: int, tol: float) -> list[dict]:
     Half the trials draw u on the analytic correction locus (a rotation of
     the image line), the other half jitter it off the locus; hits are the
     samples whose full defect passes the oracle, cross-checked against the
-    branch decision.
+    branch decision. More than ``MAX_SEARCH_POINTS`` trials is a ValueError.
     """
+    if trials > MAX_SEARCH_POINTS:
+        raise ValueError(f"--trials {trials} is more than {MAX_SEARCH_POINTS}")
     rng = np.random.default_rng(seed)
     space = make_coordinate_space(2)
     V = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -1070,6 +1070,24 @@ def test_problem_rejects_zero_vectors_and_bad_tolerances():
         )
 
 
+@pytest.mark.parametrize("which", ["u", "v"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf),
+            complex(0, -np.inf)],
+    ids=["nan", "inf", "-inf", "nan-imag", "inf-imag", "-inf-imag"],
+)
+def test_problem_rejects_non_finite_vectors(which, bad):
+    # A NaN used to be reported as an overflow of the defect form or of
+    # ||v||^2, and an infinity escaped as a warning from the norm.
+    space = make_coordinate_space(2)
+    vecs = {"u": space.basis_vector(0), "v": space.basis_vector(1)}
+    vecs[which][0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^u and v must be finite$"):
+            PerturbationProblem(base=identity(space), **vecs)
+
+
 @pytest.mark.parametrize("key", ["tol_rank", "tol_defect"])
 @pytest.mark.parametrize(
     "value",

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, JSON stability, pipeline identity."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,13 +14,20 @@ from twoiso import (
     theorem_verdict,
     vec_to_pairs,
 )
+from twoiso import cli
 from twoiso.cli import (
     MAX_SEARCH_POINTS,
-    constant_defect_row,
+    constant_defect,
     main,
     search_dirichlet_alpha,
 )
-from twoiso.function_spaces import dirichlet_shift
+from twoiso.function_spaces import (
+    PolyCoeffs,
+    constant_perturbed_dirichlet,
+    dirichlet_admissibility_residual,
+    dirichlet_shift,
+    perturbed_dirichlet,
+)
 from twoiso.operators import defect_quadratic
 from twoiso.spaces import MAX_DIM
 from helpers import huge_u_c4_case
@@ -613,21 +621,28 @@ def test_search_dirichlet_alpha_hits_lie_on_circle(capsys):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_constant_defect_row_matches_defect_quadratic(n):
-    N = 2 * n + 4
-    base = dirichlet_shift(N)
-    one = base.space.basis_vector(0)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_constant_defect_matches_defect_quadratic(n):
+    # The closed form against the forward defect of the candidate the search
+    # builds, on the smallest truncation the search allows and a larger one.
     on_circle = [-1.0 + np.exp(1j * t) for t in (0.3, 2.0, np.pi, -1.1)]
     off_circle = [0.3 + 0.7j, -2.5 - 1.0j, 1e-3, 4.0j]
     alphas = np.array(on_circle + off_circle)
-    row = constant_defect_row(base, n, alphas)
-    for alpha, q in zip(alphas, row):
-        mat = np.array(base.matrix)
-        mat[n, 0] += alpha
-        cand = Op(base.space, mat, degree_growth=max(1, n))
-        expected = defect_quadratic(cand, one)
-        assert abs(q - expected) <= 1e-12 * max(1.0, abs(expected))
+    q = constant_defect(n, alphas.reshape(2, 4))
+    assert q.shape == (2, 4)
+    # a q(1) that rounds to zero is +0.0, so no hit prints -0.0
+    assert not np.signbit(constant_defect(n, np.array([1e-200, 1e-200j]))).any()
+    for N in (2 * max(1, n) + 1, 2 * n + 4):
+        for alpha, got in zip(alphas, q.ravel()):
+            if n == 0:
+                cand = constant_perturbed_dirichlet(N, alpha)
+            else:
+                p = PolyCoeffs((0.0,) * (n - 1) + (alpha,))
+                cand = perturbed_dirichlet(N, p)
+                residual = dirichlet_admissibility_residual(p)
+                assert abs(got + residual) <= 1e-12 * max(1.0, abs(residual))
+            expected = defect_quadratic(cand, cand.space.basis_vector(0))
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_search_dirichlet_alpha_default_grid_hits_exactly_the_circle():
@@ -704,6 +719,46 @@ def test_search_grid_above_the_cap_is_input_error(step, capsys):
     assert captured.out == ""
     assert "--step" in captured.err
     assert f"more than {MAX_SEARCH_POINTS} points" in captured.err
+
+
+@pytest.mark.parametrize("n, alpha", [("1", "1e200"), ("0", "1e100"), ("2", "-1e200")])
+def test_search_overflowing_defect_on_constant_is_pruned(n, alpha, capsys):
+    # q(1) overflows to an infinity, which the prefilter prunes: no warning,
+    # no hit, strict JSON.
+    args = ["search", "dirichlet-alpha", "--n", n, f"--re-min={alpha}", f"--re-max={alpha}",
+            "--im-min", "0", "--im-max", "0", "--step", "1", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    assert code == 0
+    assert _strict_json(capsys.readouterr().out)["hits"] == []
+
+
+def test_search_prefilter_memory_does_not_grow_with_the_truncation():
+    # A 5,000-point row at N = 400: the prefilter holds a few arrays of the
+    # grid's size; (points, dim) forward images would take about 80 MB.
+    tracemalloc.start()
+    try:
+        hits = search_dirichlet_alpha(
+            n=1, re_range=(0.0, 0.0), im_range=(1.0, 5000.0), step=1.0, N=400, tol=1e-8
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == []
+    assert peak < 16 * 2**20
+
+
+def test_search_trials_above_the_cap_is_input_error(monkeypatch, capsys):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "random_complex_vector", no_trial)
+    args = ["search", "c2-rankone", "--trials", str(MAX_SEARCH_POINTS + 1)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trials 1000001 is more than {MAX_SEARCH_POINTS}\n"
 
 
 def test_search_c2_rankone_deterministic(capsys):
