@@ -30,9 +30,10 @@ same G on the witness line alone, in window coordinates sqrt(w_i) x_i, i in
 the safe index set: given the kernel condition, D maps the stable kernel
 into itself exactly when it maps the witness line into itself. The witness
 norm against tol_rank is the one rank decision. Only the kernel residual
-recovers its defect image by polarization of the quadratic form, from four
-block calls of defect_quadratic, one per polarization term, over the band
-of window labels that D v can reach rather than the whole window. The oracle
+recovers its defect image by polarization of the quadratic form, from one
+block call of defect_quadratic on the four polarization terms side by side,
+over the band of window labels that D v can reach rather than the whole
+window; it reads T + u⊗v, built once by ``perturb``. The oracle
 verdict thresholds the entries of G, the theorem verdict the branch
 residuals; the two must agree and both are in the report.
 """
@@ -49,10 +50,9 @@ from .operators import (
     ROUNDOFF_RTOL,
     DefectReport,
     Op,
-    add,
     apply,
     defect_apply_in_window,
-    rank_one,
+    perturb,
     safe_subspace,
     require_truncation_safe,
 )
@@ -204,7 +204,7 @@ class PerturbationProblem:
         return self.base.space
 
     def perturbed(self) -> Op:
-        return add(self.base, rank_one(self.space, self.u, self.v))
+        return perturb(self.base, self.u, self.v)
 
 
 @dataclass
@@ -272,8 +272,9 @@ def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
 
 def kernel_condition_residual(Ttilde: Op, v) -> float:
     """|| (perturbed defect) v || read off the safe window by polarization,
-    four block calls of the quadratic defect over the band of window labels
-    that D v can reach (:func:`defect_apply_in_window`).
+    one block call of the quadratic defect on the four polarization terms
+    over the band of window labels that D v can reach
+    (:func:`defect_apply_in_window`).
 
     Raises when v is not supported on the truncation-safe window.
     """

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -550,8 +551,19 @@ def cmd_defect(ns) -> int:
 # parser and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting '-' or '-.' then a digit
+    as a value, -1e-3 and -0.5+1j too: stock argparse takes those two for
+    option names. No option here starts with a digit; the subcommand parsers
+    share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twoiso",
         description=(
             "Decide whether rank-one perturbations of 2-isometries on "

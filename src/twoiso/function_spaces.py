@@ -19,7 +19,7 @@ from .analysis import (
     DEFAULT_RANK_TOL,
     PerturbationProblem,
 )
-from .operators import Op, add, rank_one
+from .operators import Op, perturb
 from .spaces import WeightedSpace, make_bidisc_space, make_dirichlet_space
 
 __all__ = [
@@ -90,7 +90,7 @@ def perturbed_dirichlet(N: int, p: PolyCoeffs) -> Op:
     The constant function has weight 1, hence unit norm, so 1 is already a
     valid normalized perturbation direction. A zero polynomial gives back
     the plain shift. Degree growth is max(1, deg p): the shift's 1 and the
-    scanned deg p of the rank-one part, combined by :func:`add`.
+    deg p that :func:`perturb` scans off the rank-one part.
     """
     shift = dirichlet_shift(N)
     if p.is_zero:
@@ -101,7 +101,7 @@ def perturbed_dirichlet(N: int, p: PolyCoeffs) -> Op:
         )
     space = shift.space
     one = space.basis_vector(0)
-    return add(shift, rank_one(space, p.to_vector(space), one))
+    return perturb(shift, p.to_vector(space), one)
 
 
 def constant_perturbed_dirichlet(N: int, alpha: complex) -> Op:
@@ -111,8 +111,7 @@ def constant_perturbed_dirichlet(N: int, alpha: complex) -> Op:
         return shift
     space = shift.space
     one = space.basis_vector(0)
-    pert = rank_one(space, complex(alpha) * one, one)
-    return add(shift, pert)
+    return perturb(shift, complex(alpha) * one, one)
 
 
 def dirichlet_admissibility_residual(p: PolyCoeffs) -> float:

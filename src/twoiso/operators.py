@@ -25,10 +25,12 @@ E (columns e_i / sqrt(w_i)) it is the sum of three forward Gram products,
 E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
 oracle and the source of the invariance condition of the decision procedure;
 only a single defect image inside the window, the one the kernel condition
-needs, is recovered from q by four-term complex polarization, in four block
-calls of q: one per term x + s E, s in {1, -1, i, -i}, with the values of
-all columns from two matrix products. E spans only the band of window
-labels that D x can reach; every other entry of the image is an exact zero.
+needs, is recovered from q by four-term complex polarization, in one block
+call of q: the terms x + s E, s in {1, -1, i, -i}, side by side, with the
+values of all columns from two matrix products. E spans only the band of
+window labels that D x can reach; every other entry of the image is an
+exact zero. The perturbed operator T + u⊗v is built by :func:`perturb`,
+which adds the rank-one part on the block supp u x supp v of a copy of T.
 
 The forward products of the form and of q run in the field of the matrix
 entries. The shifts and their real perturbations have real matrices: their
@@ -51,8 +53,7 @@ __all__ = [
     "TruncationError",
     "DefectReport",
     "apply",
-    "add",
-    "rank_one",
+    "perturb",
     "defect_quadratic",
     "polarized_defect_form",
     "defect_apply_in_window",
@@ -102,9 +103,13 @@ class Op:
     @classmethod
     def from_exact_matrix(cls, space: WeightedSpace, matrix) -> "Op":
         """Wrap a matrix that IS the whole operator (no truncation behind it),
-        its degree growth certified by scanning the columns."""
+        its degree growth certified by scanning the columns; a wrong shape
+        reads growth 0, for the constructor to refuse."""
         matrix = np.asarray(matrix, dtype=complex)
-        return cls(space, matrix, degree_growth=_scanned_degree_growth(space, matrix))
+        degs = space.degrees
+        square = matrix.shape == (degs.size, degs.size)
+        growth = _scanned_degree_growth(degs, degs, matrix) if square else 0
+        return cls(space, matrix, degree_growth=growth)
 
     @cached_property
     def _field_matrix(self) -> np.ndarray:
@@ -168,41 +173,40 @@ def apply(A: Op, x) -> np.ndarray:
     return A.matrix @ x
 
 
-def add(A: Op, B: Op) -> Op:
-    """Sum; the degree growth bound is the max of the two."""
-    if A.space != B.space:
-        raise ValueError("operators live on different spaces")
-    if A.degree_growth is None or B.degree_growth is None:
-        growth = None
-    else:
-        growth = max(A.degree_growth, B.degree_growth)
-    return Op(A.space, A.matrix + B.matrix, degree_growth=growth)
+def perturb(T: Op, u, v) -> Op:
+    """T + u⊗v, the operator x -> Tx + <x, v> u; errors on zero u or v.
 
-
-def rank_one(space: WeightedSpace, u, v) -> Op:
-    """The operator x -> <x, v> u; errors on zero u or v.
-
-    Matrix entries: K[i, j] = u_i * w_j * conj(v_j). The degree growth is
-    certified by scanning the columns.
+    The rank-one part u_i * w_j * conj(v_j) is added to a copy of T's
+    matrix on the block supp u x supp v only, where all its nonzero entries
+    lie. The degree growth is the max of T's and the growth scanned off that
+    block, where a product that underflows to zero counts as zero, as in a
+    scan of the whole rank-one matrix; it is None when T's is.
     """
+    space = T.space
     u = space.check_vec(u)
     v = space.check_vec(v)
-    if not (np.any(u) and np.any(v)):
+    su, sv = np.flatnonzero(u), np.flatnonzero(v)
+    if not (su.size and sv.size):
         raise ValueError("not rank one: u and v must both be nonzero")
-    return Op.from_exact_matrix(space, np.outer(u, space.weight_array * v.conj()))
-
-
-def _scanned_degree_growth(space: WeightedSpace, matrix: np.ndarray) -> int:
-    """Tight degree-growth bound read off the matrix columns: for each column
-    j with any nonzero entry, the largest label degree carrying a nonzero
-    coefficient minus the degree of label j, maxed over columns and floored
-    at zero. A zero column reads as top degree -1, so it never raises the
-    bound; a wrong shape reads 0, for :class:`Op` to refuse."""
+    block = np.outer(u[su], space.weight_array[sv] * v[sv].conj())
+    mat = np.array(T.matrix)
+    mat[su[:, None], sv] += block
     degs = space.degrees
-    if matrix.shape != (degs.size, degs.size):
-        return 0
-    top = np.where(matrix != 0, degs[:, None], -1).max(axis=0)
-    return int(np.max(top - degs, initial=0))
+    growth = T.degree_growth
+    if growth is not None:
+        growth = max(growth, _scanned_degree_growth(degs[su], degs[sv], block))
+    return Op(space, mat, degree_growth=growth)
+
+
+def _scanned_degree_growth(row_degs: np.ndarray, col_degs: np.ndarray, block) -> int:
+    """Tight degree-growth bound read off the columns of a matrix block whose
+    rows and columns carry the label degrees ``row_degs`` and ``col_degs``:
+    for each column with any nonzero entry, the largest row degree carrying
+    a nonzero entry minus the column's degree, maxed over columns and floored
+    at zero. A zero column reads as top degree -1, so it never raises the
+    bound."""
+    top = np.where(block != 0, row_degs[:, None], -1).max(axis=0)
+    return int(np.max(top - col_degs, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +361,16 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
     """Component of (defect operator) x inside T's safe window, via polarization.
 
     With E the (dim, b) block of the basis e_i / sqrt(w_i) over the window
-    labels that D x can reach, one block call of :func:`defect_quadratic`
-    per polarization term gives E^H W D x = ( q(x+E) - q(x-E) + i q(x+iE)
-    - i q(x-iE) ) / 4. The weights are diagonal, so <D x, e_i> = <x, e_i>
-    - 2 <Tx, Te_i> + <T^2 x, T^2 e_i> vanishes once deg e_i > top(x) +
-    2 (degree_growth + drop): top(x) is the top degree of x's nonzero
-    entries, drop the most a column of T lowers degree (truncation removes
-    only rows above the top degree). drop is scanned only when the band
-    stops short of the window without it. x must be truncation-safe; then
-    the result is the untruncated D x projected onto the window.
+    labels that D x can reach, E^H W D x = ( q(x+E) - q(x-E) + i q(x+iE)
+    - i q(x-iE) ) / 4, from one call of :func:`defect_quadratic` on the four
+    terms x + s E side by side in a (dim, 4b) block. The weights are
+    diagonal, so <D x, e_i> = <x, e_i> - 2 <Tx, Te_i> + <T^2 x, T^2 e_i>
+    vanishes once deg e_i > top(x) + 2 (degree_growth + drop): top(x) is
+    the top degree of x's nonzero entries, drop the most a column of T
+    lowers degree (truncation removes only rows above the top degree). drop
+    is scanned only when the band stops short of the window without it. x
+    must be truncation-safe; then the result is the untruncated D x
+    projected onto the window.
     """
     idx = safe_subspace(T)
     x = T.space.check_vec(x)
@@ -376,14 +381,12 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
         low = np.where(T.matrix != 0, degs[:, None], degs.max()).min(axis=0)
         band += 2 * int(np.max(degs - low, initial=0))
         idx = idx[degs[idx] <= band]
+    b = idx.size
     scale = 1.0 / np.sqrt(T.space.weight_array[idx])
-    cols = np.arange(idx.size)
-    block = np.empty((T.space.dim, idx.size), dtype=complex)
-    q = []
-    for s in (1, -1, 1j, -1j):
-        block[...] = x[:, None]
-        block[idx, cols] += s * scale
-        q.append(defect_quadratic(T, block))
+    block = np.empty((T.space.dim, 4, b), dtype=complex)
+    block[...] = x[:, None, None]
+    block[idx, :, np.arange(b)] += np.outer(scale, (1, -1, 1j, -1j))
+    q = defect_quadratic(T, block.reshape(T.space.dim, 4 * b)).reshape(4, b)
     out = T.space.zeros()
     out[idx] = scale * (0.25 * (q[0] - q[1]) + 0.25j * (q[2] - q[3]))
     return out

@@ -87,6 +87,31 @@ def identity(space: WeightedSpace) -> Op:
     return Op(space, np.eye(space.dim, dtype=complex), degree_growth=0)
 
 
+def add(A: Op, B: Op) -> Op:
+    """Sum; the degree growth bound is the max of the two. With
+    :func:`rank_one`, the two-step referee of ``perturb``."""
+    if A.space != B.space:
+        raise ValueError("operators live on different spaces")
+    if A.degree_growth is None or B.degree_growth is None:
+        growth = None
+    else:
+        growth = max(A.degree_growth, B.degree_growth)
+    return Op(A.space, A.matrix + B.matrix, degree_growth=growth)
+
+
+def rank_one(space: WeightedSpace, u, v) -> Op:
+    """The operator x -> <x, v> u; errors on zero u or v.
+
+    Matrix entries: K[i, j] = u_i * w_j * conj(v_j), the whole dim x dim
+    outer product. The degree growth is certified by scanning its columns.
+    """
+    u = space.check_vec(u)
+    v = space.check_vec(v)
+    if not (np.any(u) and np.any(v)):
+        raise ValueError("not rank one: u and v must both be nonzero")
+    return Op.from_exact_matrix(space, np.outer(u, space.weight_array * v.conj()))
+
+
 def compose(A: Op, B: Op) -> Op:
     """A after B; degree growth bounds add."""
     if A.space != B.space:

@@ -16,7 +16,6 @@ from twoiso import (
     gamma_coefficient,
     make_coordinate_space,
     polarized_defect_form,
-    rank_one,
     theorem_verdict,
     witness_vector,
 )
@@ -42,6 +41,7 @@ from helpers import (
     random_op,
     random_vec,
     random_weighted_space,
+    rank_one,
 )
 
 

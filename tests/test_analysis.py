@@ -12,7 +12,6 @@ from twoiso import (
     Op,
     PerturbationProblem,
     WeightedSpace,
-    add,
     apply,
     condition_iia_residual,
     condition_iib_residual,
@@ -21,8 +20,9 @@ from twoiso import (
     gamma_coefficient,
     kernel_condition_residual,
     make_coordinate_space,
+    make_dirichlet_space,
+    perturb,
     polarized_defect_form,
-    rank_one,
     safe_subspace,
     theorem_verdict,
     truncation_cutoff,
@@ -47,6 +47,7 @@ from twoiso.sampling import (
 )
 from twoiso.spaces import pow2_scale
 from helpers import (
+    add,
     adjoint,
     bidisc_off_example_problem,
     brute_force_adjoint,
@@ -59,6 +60,7 @@ from helpers import (
     random_op,
     random_vec,
     random_weighted_space,
+    rank_one,
     stable_kernel_block_residual,
     stable_kernel_referee,
     window_basis,
@@ -733,7 +735,7 @@ def test_kernel_residual_matches_entrywise_polarization(case):
 
 def _kernel_block_widths(monkeypatch, Tt, v) -> list:
     """Column counts of the blocks that the kernel residual passes to
-    defect_quadratic."""
+    defect_quadratic: one block, the four polarization terms side by side."""
     widths = []
 
     def recording(T, x):
@@ -774,7 +776,7 @@ def test_kernel_residual_polarizes_only_the_band(monkeypatch, case):
     problem = make()
     Tt = problem.perturbed()
     assert safe_subspace(Tt).size == window
-    assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [width] * 4
+    assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [4 * width]
 
 
 def test_kernel_residual_keeps_the_whole_weighted_c4_window(monkeypatch):
@@ -782,7 +784,7 @@ def test_kernel_residual_keeps_the_whole_weighted_c4_window(monkeypatch):
     rng = np.random.default_rng(71)
     space = make_coordinate_space(4, weights=tuple(rng.uniform(0.5, 3.0, size=4)))
     Tt = Op.from_exact_matrix(space, random_unitary(4, rng))
-    assert _kernel_block_widths(monkeypatch, Tt, random_vec(space, rng)) == [4] * 4
+    assert _kernel_block_widths(monkeypatch, Tt, random_vec(space, rng)) == [16]
 
 
 def _traced_peak(fn, *args) -> int:
@@ -801,8 +803,9 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_kernel_residual_peak_memory_within_the_oracle_form():
-    # The polarization terms go through defect_quadratic one (dim, r) block
-    # at a time; a single (dim, 4r) block holds several times the memory of
+    # The polarization terms go through defect_quadratic as one (dim, 4b)
+    # block over the band of b labels that D v can reach, not over the whole
+    # window of r labels, where it would hold several times the memory of
     # the whole-window Gram form.
     problem = bidisc_example_problem(18)
     Tt = problem.perturbed()
@@ -991,6 +994,66 @@ def test_oracle_update_peak_memory_below_the_direct_build():
     idx = safe_subspace(Tt)
     update = _traced_peak(analysis._perturbed_defect_form, problem, idx)
     assert update < _traced_peak(polarized_defect_form, Tt)
+
+
+# ---------------------------------------------------------------------------
+# T + u⊗v in one pass
+
+
+def _assert_perturb_matches_add_of_rank_one(T: Op, u, v) -> Op:
+    """perturb(T, u, v) against the two-step build add(T, rank_one(u, v)):
+    the same matrix bit for bit and the same degree growth."""
+    got = perturb(T, u, v)
+    referee = add(T, rank_one(T.space, u, v))
+    assert np.array_equal(got.matrix, referee.matrix)
+    assert got.degree_growth == referee.degree_growth
+    return got
+
+
+@pytest.mark.parametrize("case", list(_UPDATE_REFEREE_CASES))
+def test_perturb_matches_add_of_rank_one(case):
+    # The ladder rungs, the reversed-label Dirichlet basis and the off-example
+    # bidisc problem are among the cases.
+    problem = _UPDATE_REFEREE_CASES[case]()
+    _assert_perturb_matches_add_of_rank_one(problem.base, problem.u, problem.v)
+
+
+def test_perturb_matches_add_of_rank_one_weighted_spread():
+    problems = list(_weighted_spread_problems(65, 200))
+    assert {p.space.dim for p in problems} == {2, 3, 4, 5, 6}
+    for problem in problems:
+        _assert_perturb_matches_add_of_rank_one(problem.base, problem.u, problem.v)
+
+
+def test_perturb_growth_skips_entries_that_underflow():
+    # u_5 w_0 conj(v_0) = 1e-200 * 1e-200 underflows to 0, so column 0 grows
+    # degree by 1 (from u_1), not by 5; the block scan reads the same 1 as
+    # the scan of the whole rank-one matrix.
+    space = make_dirichlet_space(8)
+    T = Op(space, np.eye(space.dim), degree_growth=0)
+    u = 1e-200 * space.basis_vector(5) + space.basis_vector(1)
+    v = 1e-200 * space.basis_vector(0) + space.basis_vector(4)
+    got = _assert_perturb_matches_add_of_rank_one(T, u, v)
+    assert got.matrix[5, 0] == 0 and got.matrix[1, 0] != 0
+    assert got.degree_growth == 1
+    assert perturb(Op(space, np.eye(space.dim)), u, v).degree_growth is None
+
+
+def test_perturb_refuses_a_zero_direction():
+    T = dirichlet_shift(6)
+    one = T.space.basis_vector(0)
+    for u, v in ((T.space.zeros(), one), (one, T.space.zeros())):
+        with pytest.raises(ValueError, match="not rank one"):
+            perturb(T, u, v)
+
+
+def test_perturb_peak_memory_is_two_matrices_at_dirichlet_1999():
+    # A copy of T's matrix, then the copy that Op keeps: two dim x dim
+    # complex arrays. The sum of T and a whole outer product held three.
+    T = dirichlet_shift(1999)
+    one = T.space.basis_vector(0)
+    peak = _traced_peak(perturb, T, -2.0 * T.space.basis_vector(1), one)
+    assert peak < 2 * 16 * T.space.dim ** 2 + 2**20
 
 
 def _c2_identity_problem(a: float) -> PerturbationProblem:

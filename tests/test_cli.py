@@ -857,3 +857,60 @@ def test_search_negative_trials_is_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-negative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, dest, value",
+    [
+        (["search", "dirichlet-alpha", "--re-min", "-1e-3"], "re_min", -1e-3),
+        (["search", "dirichlet-alpha", "--im-max", "-2e0"], "im_max", -2.0),
+        (["search", "dirichlet-alpha", "--re-min", "-1E+2"], "re_min", -100.0),
+        (["reproduce", "dirichlet-n0", "--alpha", "-1e-3"], "alpha", complex(-1e-3)),
+        (["reproduce", "dirichlet-n0", "--alpha", "-0.5+1j"], "alpha", complex(-0.5, 1.0)),
+        (["reproduce", "dirichlet-n0", "--alpha", "-1j"], "alpha", complex(-1j)),
+        (["reproduce", "dirichlet-n0", "--alpha", "-.5"], "alpha", complex(-0.5)),
+        (["reproduce", "dirichlet-n0", "--alpha", "-2"], "alpha", complex(-2)),
+        (["reproduce", "bidisc", "-N", "12"], "N", 12),
+        (["search", "dirichlet-alpha", "-N", "12", "--re-min", "-1e-3"], "N", 12),
+    ],
+    ids=lambda arg: " ".join(arg) if isinstance(arg, list) else None,
+)
+def test_negative_values_in_exponent_or_complex_form_parse(args, dest, value):
+    # argparse reads only -2 and -.5 style tokens as negative numbers, so
+    # -1e-3 and -0.5+1j after a space were taken for option names.
+    ns = cli.build_parser().parse_args(args)
+    assert getattr(ns, dest) == value
+    assert type(getattr(ns, dest)) is type(value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["search", "dirichlet-alpha", "--re-min", "-1e-3", "--re-max", "0",
+         "--im-min", "0", "--im-max", "0", "--step", "1"],
+        ["search", "dirichlet-alpha", "--im-min", "-3", "--im-max", "-2e0"],
+        ["reproduce", "dirichlet-n0", "--alpha", "-1e-3"],
+        ["reproduce", "dirichlet-n0", "--alpha", "-0.5+1j"],
+    ],
+    ids=" ".join,
+)
+def test_negative_value_after_a_space_runs_as_after_an_equals_sign(args, capsys):
+    # The same exit code and output as the "--opt=-1e-3" form, which always
+    # parsed. At alpha = -1e-3 the defect 1e-12 is below tol, so
+    # dirichlet-n0 misses its "never a 2-isometry" check and exits 1.
+    joined = args[:2] + [f"{args[i]}={args[i + 1]}" for i in range(2, len(args), 2)]
+    codes, outputs = [], []
+    for argv in (args, joined):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes.append(main(argv + ["--format", "json"]))
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(_strict_json(captured.out))
+    assert codes[0] == codes[1] == (1 if args[-1] == "-1e-3" else 0)
+    assert outputs[0] == outputs[1]
+
+
+def test_an_option_name_after_an_option_is_still_refused(capsys):
+    assert main(["search", "dirichlet-alpha", "--re-min", "--re-max", "0"]) == 2
+    assert "expected one argument" in capsys.readouterr().err

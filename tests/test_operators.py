@@ -9,7 +9,6 @@ import pytest
 from twoiso import (
     Op,
     TruncationError,
-    add,
     apply,
     defect_apply_in_window,
     defect_quadratic,
@@ -17,7 +16,6 @@ from twoiso import (
     make_coordinate_space,
     make_dirichlet_space,
     polarized_defect_form,
-    rank_one,
     safe_subspace,
     truncation_safe,
 )
@@ -32,6 +30,7 @@ from twoiso.function_spaces import (
 )
 from twoiso.sampling import random_unitary
 from helpers import (
+    add,
     adjoint,
     bidisc_off_example_problem,
     brute_force_adjoint,
@@ -45,6 +44,7 @@ from helpers import (
     random_op,
     random_vec,
     random_weighted_space,
+    rank_one,
     window_basis,
 )
 
