@@ -18,23 +18,25 @@ operator and exactly one of two mutually exclusive branches holds:
 
 Every residual reported here is evaluated through forward applications of
 the operator only, so all numbers are exact on the truncation-safe window of
-a degree-truncated model. The gamma formula is folded to
-Re( <u, T P T x> / <v, T x> ). The branch decision reads T*v as
-W^-1 A^H (W v), one product with the forward matrix A; that is exact only
-when T*v has no mass above the truncation degree, which nothing certifies
-yet. The oracle is the matrix G of the defect form of T + u⊗v over its
-safe window: the base form, built once per operator and cached on the frozen
-``Op`` (it validates T), plus a rank-4 update from two small products with the
-conjugate transpose of the truncated matrix. Condition (a) is read off the
-same G on the witness line alone, in window coordinates sqrt(w_i) x_i, i in
-the safe index set: given the kernel condition, D maps the stable kernel
-into itself exactly when it maps the witness line into itself. The witness
-norm against tol_rank is the one rank decision. Only the kernel residual
-recovers its defect image by polarization of the quadratic form, from one
-block call of defect_quadratic on the four polarization terms side by side,
-over the band of window labels that D v can reach rather than the whole
-window; it reads T + u⊗v, built once by ``perturb``. The oracle
-verdict thresholds the entries of G, the theorem verdict the branch
+a degree-truncated model. The oracle is the matrix G of the defect form of
+T + u⊗v over its safe window: the base form, built once per operator and
+cached on the frozen ``Op`` (it validates T), plus a rank-4 update R^H M R
+whose five rows R = [c, b, p, s, t] are products of conj(W v), conj(W u)
+and conj(W y) with the truncated matrix A, built once per problem
+(``PerturbationProblem.update``). A row times a vector is an inner product,
+b x = <Tx, v>, p x = <Tx, u>, s x = <T^2 x, u>, so the branch II quantities
+are read off the same rows: T*v = W^-1 conj(b), gamma = Re( (s x - (b x)(p v))
+/ (b x) ) and the norm balance from Re(p v). T*v is exact only when it has
+no mass above the truncation degree, which nothing certifies yet. Condition
+(a) is read off G on the witness line alone, in window coordinates
+sqrt(w_i) x_i, i in the safe index set: given the kernel condition, D maps
+the stable kernel into itself exactly when it maps the witness line into
+itself. The witness norm against tol_rank is the one rank decision. Only the
+kernel residual recovers its defect image by polarization of the quadratic
+form, from one block call of defect_quadratic on the four polarization
+terms side by side, over the band of window labels that D v can reach
+rather than the whole window; it reads T + u⊗v, built once by ``perturb``.
+The oracle verdict thresholds the entries of G, the theorem verdict the branch
 residuals; the two must agree and both are in the report.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +53,6 @@ from .operators import (
     ROUNDOFF_RTOL,
     DefectReport,
     Op,
-    apply,
     defect_apply_in_window,
     perturb,
     safe_subspace,
@@ -76,56 +78,39 @@ DEFAULT_RANK_TOL = 1e-9
 DEFAULT_DEFECT_TOL = 1e-8
 
 
-def witness_vector(T: Op, v, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray | None:
-    """Component of T*v orthogonal to v, or None when they are parallel.
-
-    For unit v the returned vector x spans the orthocomplement of the
+def witness_vector(problem: PerturbationProblem) -> np.ndarray | None:
+    """Component of T*v orthogonal to v, or None when they are parallel at
+    ``problem.tol_rank``. For unit v, x spans the orthocomplement of the
     stable kernel inside ker(u⊗v), and <T*v, x> = ||x||^2 > 0.
 
-    T*v = W^-1 A^H (W v) is read off the truncated matrix A in one product
-    with the forward matrix. On a degree-truncated model that is the
-    projection of T*v onto degrees <= N, so it is exact only when T*v has
-    no mass above degree N; nothing certifies that yet.
+    T*v = W^-1 conj(b), b = conj(W v) A the second row of ``problem.update``:
+    the projection of T*v onto degrees <= N, exact only when T*v has no mass
+    above degree N, which nothing certifies yet.
     """
-    v = T.space.check_vec(v)
-    w = T.space.weight_array
-    tstar_v = np.conj(np.conj(w * v) @ T.matrix) / w
-    x = tstar_v - T.space.inner(tstar_v, v) * v
-    if T.space.norm(x) <= tol_rank:
+    space, v = problem.space, problem.v
+    tstar_v = np.conj(problem.update[0][1]) / space.weight_array
+    x = tstar_v - space.inner(tstar_v, v) * v
+    if space.norm(x) <= problem.tol_rank:
         return None
     return x
 
 
-def gamma_coefficient(
-    T: Op, u, v, x, tol_rank: float = DEFAULT_RANK_TOL
-) -> float:
-    """The coupling constant Re( <T* P T* u, x> / <T*v, x> ).
-
-    P is the orthogonal projection onto the orthocomplement of v, and x is
-    any nonzero vector in the witness line; the value does not depend on
-    the choice of x because the scale factors cancel in the ratio. Both
-    inner products are folded onto forward applications,
-
-        <T* P T* u, x> = <u, T P T x>,    <T*v, x> = <v, T x>,
-
-    so the value is truncation-exact for safe x. Requires ||v|| = 1.
-    Raises on a degenerate denominator, which cannot happen for the
-    canonical witness but guards user-supplied x.
+def gamma_coefficient(problem: PerturbationProblem, x) -> float:
+    """The coupling constant Re( <T* P T* u, x> / <T*v, x> ), P the projection
+    onto the orthocomplement of v and x any nonzero vector in the witness
+    line; the scale of x cancels in the ratio. With the rows of
+    ``problem.update``, b x = <Tx, v>, p x = <Tx, u> and s x = <T^2 x, u>, the
+    ratio is the conjugate of ( s x - (b x)(p v) ) / (b x), so the value is
+    exact for truncation-safe x and v. Raises when |<T*v, x>| <= tol_rank ||x||,
+    which cannot happen for the canonical witness but guards user-supplied x.
     """
-    space = T.space
-    u = space.check_vec(u)
-    v = space.check_vec(v)
-    x = space.check_vec(x)
-    tx = apply(T, x)
-    denom = space.inner(v, tx)
-    if abs(denom) <= tol_rank:
-        raise ValueError(
-            "degenerate denominator: <T*v, x> is numerically zero, "
-            "x does not witness branch II"
-        )
-    ptx = tx - space.inner(tx, v) * v
-    numer = space.inner(u, apply(T, ptx))
-    return float(np.real(numer / denom))
+    _, b, p, s, _ = problem.update[0]
+    floor = problem.tol_rank * problem.space.norm(x)  # checks the shape of x
+    bx = b @ x
+    if abs(bx) <= floor:
+        raise ValueError("degenerate denominator: <T*v, x> is numerically zero, "
+                         "x does not witness branch II")
+    return float(np.real((s @ x - bx * (p @ problem.v)) / bx))
 
 
 @dataclass(frozen=True)
@@ -206,6 +191,31 @@ class PerturbationProblem:
     def perturbed(self) -> Op:
         return perturb(self.base, self.u, self.v)
 
+    @cached_property
+    def update(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows R = [c, b, p, s, t] = conj(W [v, v, u, u, y]) times
+        [1, A, A, A^2, A^2], y = Tu + <u, v> u, A the truncated matrix, and the
+        Hermitian M of the oracle's rank-4 update R^H M R: built once, read-only.
+        A row times a vector is an inner product, c x = <x, v>, b x = <Tx, v>,
+        p x = <Tx, u>, s x = <T^2 x, u>. Overflow is left to the readers.
+        """
+        A = self.base.matrix
+        w = self.space.weight_array
+        u, v = self.u, self.v
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = A @ u + np.vdot(v, w * u) * u
+            vuy = np.array([v, u, y])
+            z = np.conj(w * vuy)
+            gram = z @ vuy.T  # gram[i, j] = <vuy[j], vuy[i]>
+            za = z @ A
+            R = np.concatenate((z[:1], za[:2], za[1:] @ A))
+            nu2, ny2, yu = gram[1, 1].real, gram[2, 2].real, gram[1, 2]
+            M = np.array([[ny2 - 2.0 * nu2, np.conj(yu), -2, 0, 1], [yu, nu2, 0, 1, 0],
+                          [-2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+        R.setflags(write=False)
+        M.setflags(write=False)
+        return R, M
+
 
 @dataclass
 class TheoremReport:
@@ -244,12 +254,11 @@ class TheoremReport:
 
 
 def condition_iib_residual(problem: PerturbationProblem, gamma: float) -> float:
-    """| ||u||^2 + 2 (gamma + Re <u, Tv>) |, the branch II norm balance."""
-    space = problem.space
-    u, v = problem.u, problem.v
-    tv = apply(problem.base, v)
-    nu = space.norm(u)
-    return float(abs(nu * nu + 2.0 * (gamma + np.real(space.inner(u, tv)))))
+    """| ||u||^2 + 2 (gamma + Re <u, Tv>) |, the branch II norm balance, with
+    <Tv, u> = p v read off the oracle update's row p."""
+    p = problem.update[0][2]
+    nu = problem.space.norm(problem.u)
+    return float(abs(nu * nu + 2.0 * (gamma + np.real(p @ problem.v))))
 
 
 def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
@@ -283,34 +292,25 @@ def kernel_condition_residual(Ttilde: Op, v) -> float:
 
 def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> DefectReport:
     """Defect form of T + u⊗v on its safe window ``idx``, a subset of the
-    base's: the base form on ``idx`` plus the rank-4 update R M R^H.
+    base's: the base form on ``idx`` plus the rank-4 update R^H M R, R the
+    rows of ``problem.update`` on ``idx`` over sqrt(w).
 
     With E the window basis, c = E^H W v and y = Tu + <u, v> u, the blocks
     are TE + u c^H and T^2 E + u b^H + y c^H, where b, p, s, t are E^H of
-    A^H W v, A^H W u, (A^H)^2 W u, (A^H)^2 W y and A is the truncated matrix,
+    A^H W v, A^H W u, (A^H)^2 W u, (A^H)^2 W y (the conjugates of the rows),
     as in the direct build. The Gram products change by (t - 2p) c^H + (||y||^2
     - 2||u||^2) c c^H + <y, u> b c^H + s b^H + ||u||^2 b b^H and the adjoints
-    of the off-diagonal terms: R M R^H for R = [c, b, p, s, t] and the
-    Hermitian M below, of rank 4 since p and t enter as t - 2p. The rows of
-    R^H are z A = conj(A^H z^H). Raises ValueError on an overflow.
+    of the off-diagonal terms, which is R^H M R; M has rank 4 since p and t
+    enter as t - 2p. Raises ValueError on an overflow.
     """
-    A = problem.base.matrix
+    R, M = problem.update
     w = problem.space.weight_array
-    u, v = problem.u, problem.v
     G = problem.base.defect_form.defect_matrix
     if idx.size < len(G):
         k = np.searchsorted(safe_subspace(problem.base), idx)
         G = G[np.ix_(k, k)]
     with np.errstate(over="ignore", invalid="ignore"):
-        y = A @ u + np.vdot(v, w * u) * u
-        vuy = np.array([v, u, y])
-        z = np.conj(w * vuy)
-        gram = z @ vuy.T  # gram[i, j] = <vuy[j], vuy[i]>
-        za = z @ A
-        Rh = np.concatenate((z[:1], za[:2], za[1:] @ A))[:, idx] / np.sqrt(w[idx])
-        nu2, ny2, yu = gram[1, 1].real, gram[2, 2].real, gram[1, 2]
-        M = np.array([[ny2 - 2.0 * nu2, np.conj(yu), -2, 0, 1], [yu, nu2, 0, 1, 0],
-                      [-2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+        Rh = R[:, idx] / np.sqrt(w[idx])
         return DefectReport.of(G + Rh.conj().T @ M @ Rh)
 
 
@@ -320,32 +320,25 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     The theorem verdict combines the kernel condition with the branch
     conditions; the oracle verdict thresholds the defect form of the
     perturbed operator over its whole safe window, read as the base form
-    plus a rank-4 update, which condition (a) reads too. The two must agree;
+    plus a rank-4 update. Condition (a) reads that form; the witness, gamma
+    and condition (b) read the update's rows. The two verdicts must agree;
     both are reported.
     """
-    T = problem.base
-    space = problem.space
-    u, v = problem.u, problem.v
-    tol = problem.tol_defect
-
+    space, tol = problem.space, problem.tol_defect
     Ttilde = problem.perturbed()
     idx = safe_subspace(Ttilde)
     oracle = _perturbed_defect_form(problem, idx)
-    kernel_residual = kernel_condition_residual(Ttilde, v)
+    kernel_residual = kernel_condition_residual(Ttilde, problem.v)
 
-    x = witness_vector(T, v, problem.tol_rank)
+    x = witness_vector(problem)
     if x is None:
-        branch = "I"
-        gamma = None
-        iia = None
-        iib = None
-        s_dim = None
+        branch, gamma, iia, iib, s_dim = "I", None, None, None, None
         verdict_theorem = kernel_residual <= tol
     else:
         branch = "II"
         xhat = x / space.norm(x)
         require_truncation_safe(Ttilde, xhat, "witness vector")
-        gamma = gamma_coefficient(T, u, v, xhat, problem.tol_rank)
+        gamma = gamma_coefficient(problem, xhat)
         iib = condition_iib_residual(problem, gamma)
         # xhat is truncation-safe, so its window coordinates carry all of
         # the witness line; the stable kernel is the complement of v and xhat.
@@ -353,8 +346,6 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         iia = condition_iia_residual(oracle.defect_matrix, c_x)
         s_dim = idx.size - 2
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
-
-    verdict_oracle = oracle.max_residual <= tol
 
     return TheoremReport(
         branch=branch,
@@ -364,7 +355,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         cond_iib_residual=iib,
         oracle_defect=oracle.max_residual,
         verdict_theorem=bool(verdict_theorem),
-        verdict_oracle=bool(verdict_oracle),
+        verdict_oracle=bool(oracle.max_residual <= tol),
         tol_rank=problem.tol_rank,
         tol_defect=problem.tol_defect,
         safe_dim=idx.size,

@@ -189,6 +189,8 @@ class WeightedSpace:
         if not isinstance(doc, dict):
             raise ValueError("space document must be a JSON object")
         kind = doc.get("kind", "custom")
+        if not isinstance(kind, str):
+            raise ValueError("space kind must be a string")
         labels, weights = doc["labels"], doc["weights"]
         if not isinstance(labels, list) or not all(
             isinstance(ix, list) and all(type(k) is int and k < 2**31 for k in ix)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from twoiso import (
+    DEFAULT_RANK_TOL,
     Op,
     PerturbationProblem,
     WeightedSpace,
@@ -47,6 +48,14 @@ def huge_u_c4_case() -> tuple[Op, np.ndarray, np.ndarray]:
     base = Op.from_exact_matrix(make_coordinate_space(4), random_unitary(4, rng))
     u = 1e60 * random_complex_vector(4, rng)
     return base, u, random_complex_vector(4, rng)
+
+
+def stage_problem(T: Op, v, u=None, tol_rank: float = DEFAULT_RANK_TOL) -> PerturbationProblem:
+    """The problem (T, u, v) whose update rows ``witness_vector`` and
+    ``gamma_coefficient`` read; u defaults to v, and T need not be a
+    2-isometry."""
+    return PerturbationProblem(T, v if u is None else u, v, tol_rank=tol_rank,
+                               allow_non_2_isometric_base=True)
 
 
 def bidisc_off_example_problem() -> PerturbationProblem:

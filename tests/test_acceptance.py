@@ -42,6 +42,7 @@ from helpers import (
     random_vec,
     random_weighted_space,
     rank_one,
+    stage_problem,
 )
 
 
@@ -331,12 +332,13 @@ def test_criterion_7_algebraic_identities():
         u = random_complex_vector(dim, rng)
         v = random_complex_vector(dim, rng)
         v = v / space.norm(v)
-        x = witness_vector(T, v)
+        problem = stage_problem(T, v, u)
+        x = witness_vector(problem)
         if x is None:
             continue
         c = complex(rng.uniform(0.2, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        g1 = gamma_coefficient(T, u, v, x)
-        g2 = gamma_coefficient(T, u, v, c * x)
+        g1 = gamma_coefficient(problem, x)
+        g2 = gamma_coefficient(problem, c * x)
         worst_gamma = max(worst_gamma, abs(g1 - g2) / max(1.0, abs(g1)))
         count += 1
 

@@ -1,8 +1,10 @@
 """The branch decision, gamma, condition residuals, and the verdict report."""
 
 import dataclasses
+import sys
 import tracemalloc
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -61,6 +63,7 @@ from helpers import (
     random_vec,
     random_weighted_space,
     rank_one,
+    stage_problem,
     stable_kernel_block_residual,
     stable_kernel_referee,
     window_basis,
@@ -194,7 +197,7 @@ def test_stable_kernel_uses_the_branch_rank_tolerance():
 def test_witness_vector_swap_case():
     space = make_coordinate_space(2)
     base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    x = witness_vector(base, space.basis_vector(1))
+    x = witness_vector(stage_problem(base, space.basis_vector(1)))
     assert np.allclose(x, space.basis_vector(0))
 
 
@@ -202,7 +205,7 @@ def test_witness_vector_bidisc_case():
     from twoiso.function_spaces import bidisc_shift
 
     base = bidisc_shift(3, axis=1)
-    x = witness_vector(base, base.space.monomial((1, 0)))
+    x = witness_vector(stage_problem(base, base.space.monomial((1, 0))))
     assert np.allclose(x, base.space.monomial((0, 0)))
 
 
@@ -211,7 +214,7 @@ def test_witness_vector_parallel_case_is_none():
     rng = np.random.default_rng(53)
     v = random_vec(space, rng)
     v = v / space.norm(v)
-    assert witness_vector(identity(space), v) is None
+    assert witness_vector(stage_problem(identity(space), v)) is None
 
 
 def test_witness_vector_matches_adjoint_route_on_weighted_spaces():
@@ -237,7 +240,7 @@ def test_witness_vector_matches_adjoint_route_on_weighted_spaces():
             )
         else:
             T = random_op(space, rng)
-        x = witness_vector(T, v)
+        x = witness_vector(stage_problem(T, v))
         for tstar in (adjoint(T).matrix, brute_force_adjoint(T)):
             tstar_v = tstar @ v
             ref = tstar_v - space.inner(tstar_v, v) * v
@@ -257,7 +260,7 @@ def test_witness_vector_dirichlet_z():
     T = dirichlet_shift(12)
     z = T.space.monomial((1,))
     v = z / T.space.norm(z)
-    x = witness_vector(T, v)
+    x = witness_vector(stage_problem(T, v))
     assert x is not None
     assert np.count_nonzero(x) == 1
     assert abs(x[0] - np.sqrt(2.0)) <= 2 * np.spacing(np.sqrt(2.0))
@@ -276,7 +279,7 @@ def test_witness_denominator_positivity():
         T = Op.from_exact_matrix(space, random_unitary(dim, rng))
         v = random_complex_vector(dim, rng)
         v = v / space.norm(v)
-        x = witness_vector(T, v)
+        x = witness_vector(stage_problem(T, v))
         if x is None:
             continue
         val = space.inner(apply(adjoint(T), v), x)
@@ -291,7 +294,7 @@ def test_witness_denominator_positivity():
 
 def test_branch_I_for_perturbed_dirichlet_setup():
     problem = dirichlet_perturbation_problem(8, PolyCoeffs((-2.0,)))
-    assert witness_vector(problem.base, problem.v, problem.tol_rank) is None
+    assert witness_vector(problem) is None
     assert theorem_verdict(problem).branch == "I"
 
 
@@ -301,7 +304,7 @@ def test_branch_II_for_bidisc_setup():
 
 def test_branch_II_for_swap_setup():
     problem = swap_problem()
-    assert witness_vector(problem.base, problem.v, problem.tol_rank) is not None
+    assert witness_vector(problem) is not None
     assert theorem_verdict(problem).branch == "II"
 
 
@@ -321,7 +324,7 @@ def test_branch_consistency_two_computations():
             v = random_complex_vector(dim, rng)
         v = v / space.norm(v)
 
-        by_witness = witness_vector(T, v, tol) is None
+        by_witness = witness_vector(stage_problem(T, v, tol_rank=tol)) is None
         kernel = orthogonal_complement(space, weighted_gram_schmidt(space, [v], tol), tol=tol)
         worst = 0.0
         for s in kernel.T:
@@ -336,15 +339,15 @@ def test_branch_consistency_two_computations():
 
 def test_gamma_zero_for_swap_example():
     problem = swap_problem()
-    x = witness_vector(problem.base, problem.v)
-    g = gamma_coefficient(problem.base, problem.u, problem.v, x)
+    x = witness_vector(problem)
+    g = gamma_coefficient(problem, x)
     assert g == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gamma_zero_for_bidisc_example():
     problem = bidisc_example_problem(6)
-    x = witness_vector(problem.base, problem.v)
-    g = gamma_coefficient(problem.base, problem.u, problem.v, x)
+    x = witness_vector(problem)
+    g = gamma_coefficient(problem, x)
     assert g == pytest.approx(0.0, abs=1e-12)
 
 
@@ -358,12 +361,13 @@ def test_gamma_scaling_invariance():
         u = random_complex_vector(dim, rng)
         v = random_complex_vector(dim, rng)
         v = v / space.norm(v)
-        x = witness_vector(T, v)
+        problem = stage_problem(T, v, u)
+        x = witness_vector(problem)
         if x is None:
             continue
         c = complex(rng.uniform(0.1, 3.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        g1 = gamma_coefficient(T, u, v, x)
-        g2 = gamma_coefficient(T, u, v, c * x)
+        g1 = gamma_coefficient(problem, x)
+        g2 = gamma_coefficient(problem, c * x)
         assert abs(g1 - g2) <= 1e-12 * max(1.0, abs(g1))
         count += 1
 
@@ -380,7 +384,8 @@ def test_gamma_forward_formula_matches_adjoint_route():
         u = random_complex_vector(dim, rng)
         v = random_complex_vector(dim, rng)
         v = v / space.norm(v)
-        x = witness_vector(T, v)
+        problem = stage_problem(T, v, u)
+        x = witness_vector(problem)
         if x is None:
             continue
         Ts = adjoint(T)
@@ -388,7 +393,7 @@ def test_gamma_forward_formula_matches_adjoint_route():
         w = w - space.inner(w, v) * v
         w = apply(Ts, w)
         literal = np.real(space.inner(w, x) / space.inner(apply(Ts, v), x))
-        folded = gamma_coefficient(T, u, v, x)
+        folded = gamma_coefficient(problem, x)
         assert folded == pytest.approx(float(literal), abs=1e-10)
         count += 1
 
@@ -400,7 +405,24 @@ def test_gamma_degenerate_denominator():
     v = space.basis_vector(1)
     x = space.basis_vector(2)  # orthogonal to T*v = v
     with pytest.raises(ValueError, match="degenerate denominator"):
-        gamma_coefficient(T, u, v, x)
+        gamma_coefficient(stage_problem(T, v, u), x)
+
+
+def test_gamma_guard_does_not_depend_on_the_scale_of_x():
+    # The guard compares |<T*v, x>| with tol_rank ||x||: 1e-10 times the unit
+    # witness gives the gamma of the unit witness, and an x orthogonal to
+    # T*v raises at every scale.
+    problem = bidisc_example_problem(6)
+    space = problem.space
+    x = witness_vector(problem)
+    xhat = x / space.norm(x)
+    assert gamma_coefficient(problem, 1e-10 * xhat) == pytest.approx(
+        gamma_coefficient(problem, xhat), abs=1e-12)
+    ortho = space.basis_vector(space.dim - 1)
+    assert space.inner(apply(adjoint(problem.base), problem.v), ortho) == 0
+    for scale in (1e-10, 1.0, 1e10):
+        with pytest.raises(ValueError, match="degenerate denominator"):
+            gamma_coefficient(problem, scale * ortho)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +499,14 @@ def test_condition_iia_bidisc_large_window():
     assert report.verdict_theorem and report.verdict_oracle
 
 
-def _weighted_c6_problem(scale: float) -> PerturbationProblem:
-    """A weighted-unitary base on weighted C^6 with an isometric correction
+def _weighted_unitary_problem(scale: float, dim: int = 6) -> PerturbationProblem:
+    """A weighted-unitary base on weighted C^dim with an isometric correction
     scaled by ``scale``: a true branch II instance at 1, a false one at 1.7.
 
     With S = diag(sqrt(w)), S^-1 U S is unitary for the weighted inner
     product, and the Euclidean pair (u', v') for U maps to (S^-1 u', S^-1 v').
     """
     rng = np.random.default_rng(61)
-    dim = 6
     w = rng.uniform(0.5, 3.0, size=dim)
     s = np.sqrt(w)
     U = random_unitary(dim, rng)
@@ -521,8 +542,8 @@ def _bidisc_v_mass_above_window_problem() -> PerturbationProblem:
 
 
 _IIA_REFEREE_CASES = {
-    "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
-    "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
+    "weighted-c6-true": lambda: _weighted_unitary_problem(1.0),
+    "weighted-c6-false": lambda: _weighted_unitary_problem(1.7),
     "bidisc-8-off-example": bidisc_off_example_problem,
     "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
     "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
@@ -547,7 +568,7 @@ def test_condition_iia_matches_polarization_referee(case):
     block = Q.conj().T @ G_pol @ (np.eye(r) - Q @ Q.conj().T)
     assert block.shape == (k, r)
     block_norm = float(np.linalg.norm(block, 2))
-    x = witness_vector(problem.base, problem.v, problem.tol_rank)
+    x = witness_vector(problem)
     space = problem.space
     c_x = window_basis(space, safe).conj().T @ (space.weight_array * x) / space.norm(x)
     img = G_pol @ c_x
@@ -605,7 +626,7 @@ def _verdicts_with_block(problem: PerturbationProblem, report) -> tuple:
     tol = problem.tol_defect
     Tt = problem.perturbed()
     oracle = polarized_defect_form(Tt)
-    x = witness_vector(problem.base, problem.v, problem.tol_rank)
+    x = witness_vector(problem)
     if x is None:
         return "I", report.kernel_residual <= tol, oracle.max_residual <= tol
     space = problem.space
@@ -701,8 +722,8 @@ _KERNEL_REFEREE_CASES = {
     "bidisc-8-off-example": bidisc_off_example_problem,
     "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
     "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
-    "weighted-c6-true": lambda: _weighted_c6_problem(1.0),
-    "weighted-c6-false": lambda: _weighted_c6_problem(1.7),
+    "weighted-c6-true": lambda: _weighted_unitary_problem(1.0),
+    "weighted-c6-false": lambda: _weighted_unitary_problem(1.7),
     "dirichlet-24-iz": lambda: dirichlet_perturbation_problem(24, PolyCoeffs((1j,))),
     "dirichlet-24-cubic": _dirichlet_cubic_problem,
     "dirichlet-24-cubic-v-mass-above-band": _dirichlet_cubic_v_mass_above_band_problem,
@@ -844,19 +865,33 @@ def _non_2_isometric_base_problem() -> PerturbationProblem:
     return problem
 
 
+def _reversed_labels(problem: PerturbationProblem, scale: float = 1.0) -> PerturbationProblem:
+    """``problem`` with its basis listed in reverse order and its base scaled
+    by ``scale``."""
+    space = problem.space
+    rev = np.arange(space.dim)[::-1]
+    flipped = WeightedSpace(space.labels[::-1], space.weights[::-1], kind=space.kind)
+    base = Op(flipped, scale * problem.base.matrix[np.ix_(rev, rev)],
+              degree_growth=problem.base.degree_growth)
+    return PerturbationProblem(
+        base=base, u=problem.u[rev], v=problem.v[rev], allow_non_2_isometric_base=True
+    )
+
+
 def _dirichlet_z3_reversed_labels_problem() -> PerturbationProblem:
     """1.1 M_z + z^3⊗1 on Dirichlet N = 12 with the basis listed from z^12
     down to 1: the window of T + u⊗v (degree <= 6) is not a leading block of
     the base's window (degree <= 10), and the base form, which is not zero,
     differs from one degree to the next."""
-    problem = dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0)))
-    space = problem.space
-    rev = np.arange(space.dim)[::-1]
-    flipped = WeightedSpace(space.labels[::-1], space.weights[::-1], kind=space.kind)
-    base = Op(flipped, 1.1 * problem.base.matrix[np.ix_(rev, rev)], degree_growth=1)
-    return PerturbationProblem(
-        base=base, u=problem.u[rev], v=problem.v[rev], allow_non_2_isometric_base=True
-    )
+    return _reversed_labels(dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0))), 1.1)
+
+
+def _dirichlet_z_reversed_labels_problem() -> PerturbationProblem:
+    """M_z - z^2⊗z on Dirichlet N = 12 with the basis listed from z^12 down
+    to 1: branch II, with the constant as its witness."""
+    T = dirichlet_shift(12)
+    z, z2 = T.space.monomial((1,)), T.space.monomial((2,))
+    return _reversed_labels(PerturbationProblem(base=T, u=-z2, v=z))
 
 
 _UPDATE_REFEREE_CASES = {
@@ -932,6 +967,80 @@ def test_oracle_update_matches_the_direct_build(monkeypatch, case):
 
 def test_oracle_update_matches_the_direct_build_weighted_spread(monkeypatch):
     _assert_verdict_form_matches_direct_build(monkeypatch, _weighted_spread_problems(65, 200))
+
+
+def _condition_iib_referee_problems():
+    yield from _criterion_6_problems(20261020, 200)
+    yield _weighted_unitary_problem(1.0, dim=4)
+    yield _weighted_unitary_problem(1.7, dim=4)
+    yield from _bidisc_near_tolerance_problems()
+    yield _dirichlet_z_reversed_labels_problem()
+
+
+def test_gamma_and_condition_iib_match_the_apply_referee():
+    # The report reads gamma and (b) off the oracle update's rows; the
+    # referee folds gamma to Re(<u, T P T x> / <v, T x>) and takes <u, Tv>,
+    # each from forward applications of T, independent of those rows.
+    verdicts = set()
+    for problem in _condition_iib_referee_problems():
+        report = theorem_verdict(problem)
+        if report.branch == "I":
+            continue
+        space, T, u, v = problem.space, problem.base, problem.u, problem.v
+        x = witness_vector(problem)
+        tx = apply(T, x / space.norm(x))
+        ptx = tx - space.inner(tx, v) * v
+        gamma = float(np.real(space.inner(u, apply(T, ptx)) / space.inner(v, tx)))
+        nu2 = space.norm(u) ** 2
+        iib = abs(nu2 + 2.0 * (gamma + np.real(space.inner(u, apply(T, v)))))
+        assert abs(report.gamma - gamma) <= 1e-12 * max(1.0, abs(gamma))
+        assert abs(report.cond_iib_residual - iib) <= 1e-12 * max(1.0, nu2)
+        verdicts.add(report.verdict_theorem)
+    assert verdicts == {True, False}
+
+
+def test_verdict_makes_no_apply_call(monkeypatch):
+    # The witness, gamma and (b) read the rows that the oracle update builds,
+    # so a verdict applies no operator to a vector on its own.
+    calls = []
+    real = operators.apply
+
+    def counted(A, x):
+        calls.append(A)
+        return real(A, x)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "twoiso"]:
+        if getattr(module, "apply", None) is real:
+            monkeypatch.setattr(module, "apply", counted)
+    for build in (lambda: bidisc_example_problem(8), swap_problem, _dirichlet_z_reversed_labels_problem,
+                  lambda: _weighted_unitary_problem(1.7),
+                  lambda: dirichlet_perturbation_problem(12, PolyCoeffs((-2.0,)))):
+        theorem_verdict(build())
+    assert calls == []
+    operators.apply(swap_problem().base, [1.0, 0.0])
+    assert len(calls) == 1
+
+
+def test_update_rows_are_built_once_per_problem_and_read_only(monkeypatch):
+    builds = []
+    build = PerturbationProblem.__dict__["update"].func
+    counted = cached_property(lambda self: builds.append(self) or build(self))
+    counted.__set_name__(PerturbationProblem, "update")
+    monkeypatch.setattr(PerturbationProblem, "update", counted)
+    problem = bidisc_example_problem(8)
+    first = theorem_verdict(problem)
+    x = witness_vector(problem)
+    condition_iib_residual(problem, gamma_coefficient(problem, x))
+    assert theorem_verdict(problem) == first
+    assert len(builds) == 1 and builds[0] is problem
+    R, M = problem.update
+    assert R.shape == (5, problem.space.dim) and M.shape == (5, 5)
+    assert np.array_equal(M, M.conj().T)
+    for arr in (R, M):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    theorem_verdict(PerturbationProblem(base=problem.base, u=problem.u, v=problem.v))
+    assert len(builds) == 2
 
 
 def _count_defect_form_builds(monkeypatch) -> list:

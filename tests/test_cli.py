@@ -337,6 +337,24 @@ def test_analyze_malformed_document_is_input_error(corrupt, tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+_NESTED_KIND = json.loads("[" * 900 + "]" * 900)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind", [_NESTED_KIND, 7, None, {"kind": "custom"}],
+                         ids=["nested-list", "number", "null", "object"])
+def test_analyze_non_string_space_kind_is_input_error(kind, fmt, tmp_path, capsys):
+    # The space kind is echoed in every report: any JSON value but a string
+    # is refused, not echoed back.
+    doc = swap_input_doc()
+    doc["operator"]["space"]["kind"] = kind
+    path = write_json(tmp_path / "kind.json", doc)
+    assert main(["analyze", "--input", path, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: space kind must be a string"]
+
+
 def _c2_doc(matrix, u, v):
     space = make_coordinate_space(2)
     return {
