@@ -396,8 +396,8 @@ def search_dirichlet_alpha(
     ends included. The sound prefilter :func:`constant_defect` evaluates
     q(1) over the whole grid at once and builds no operator. Only the points
     with |q(1)| <= tol are built and confirmed against the oracle form on
-    the whole safe window, the three forward Gram products of
-    :func:`polarized_defect_form`. The unperturbed point alpha = 0 is
+    the whole safe window, :func:`polarized_defect_form` (read off the
+    diagonal for a real shift). The unperturbed point alpha = 0 is
     skipped. Hits come in row-major order. An inverted range, a grid of
     more than ``MAX_SEARCH_POINTS`` points or a dimension above ``MAX_DIM``
     is refused with a ValueError.

@@ -37,6 +37,10 @@ entries. The shifts and their real perturbations have real matrices: their
 form is real, T E and its two Gram products are real products, and a complex
 block of q is multiplied through its float view, re and im columns side by
 side. A matrix with any nonzero imaginary part keeps complex products.
+
+A real weighted shift, T e_j = a_j e_pi(j) with pi injective, needs no Gram
+product: T*T and T*^2 T^2 are diagonal (Agler-Stankus), so is the form, and
+it is read off the diagonal in O(dim^2 + r^2) against O(dim^2 r).
 """
 
 from __future__ import annotations
@@ -338,12 +342,35 @@ def polarized_defect_form(T: Op) -> DefectReport:
     + (T^2 E)^H W (T^2 E), each formed as (W conj X)^T X in two reused
     (dim, r) buffers. Raises ValueError when an entry overflows to a
     non-finite number, so that no verdict reads a NaN.
+
+    A real matrix with no two nonzeros in a row or a column is a weighted
+    shift: distinct columns of TE and of T^2 E have disjoint supports, every
+    off-diagonal term is an exact zero, and the diagonal, computed with the
+    dense path's operations in its order, has the same bits. One scan of the
+    nonzeros certifies that. A complex matrix keeps the dense path.
     """
     idx = safe_subspace(T)
     A = T._field_matrix
     w = T.space.weight_array[:, None]
     scale = 1.0 / np.sqrt(w[idx, 0])
+    shift = A.dtype == np.float64
+    if shift:
+        rows, cols = divmod(np.flatnonzero(A != 0), A.shape[0])
+        a = np.zeros(A.shape[0])  # a[j]: the one nonzero of column j
+        a[cols] = A[rows, cols]
+        # Rows strictly increase (one nonzero a row); a keeps all (one a column).
+        shift = not np.count_nonzero(rows[1:] <= rows[:-1]) and np.count_nonzero(a) == rows.size
     with np.errstate(over="ignore", invalid="ignore"):
+        if shift:
+            to = np.arange(A.shape[0])  # pi(j), and j itself for a zero column
+            to[cols] = rows
+            p = to[idx]
+            f = a[idx] * scale  # TE's nonzero entries, at rows p
+            g = a[p] * f  # T^2 E's, at rows to[p]
+            d = -2.0 * ((f * w[p, 0]) * f)
+            d += (g * w[to[p], 0]) * g
+            d += w[idx, 0] * scale * scale
+            return DefectReport.of(np.diag(d))
         fwd = np.take(A, idx, axis=1) * scale
         buf = np.conjugate(fwd)
         buf *= w

@@ -197,6 +197,25 @@ def dense_defect_form(T: Op) -> np.ndarray:
     return E.conj().T @ W @ E - 2.0 * TE.conj().T @ W @ TE + T2E.conj().T @ W @ T2E
 
 
+def field_gram_form(T: Op) -> np.ndarray:
+    """E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E) on the orthonormal
+    basis E of T's safe window, from dense Gram products in the field of the
+    entries (float64 for a real matrix), with the operations and order of
+    ``polarized_defect_form``'s dense path: the bit-for-bit referee of the
+    form that a weighted shift reads off its diagonal."""
+    idx = safe_subspace(T)
+    A = T.matrix if T.matrix.imag.any() else np.ascontiguousarray(T.matrix.real)
+    w = T.space.weight_array[:, None]
+    scale = 1.0 / np.sqrt(w[idx, 0])
+    fwd = A[:, idx] * scale
+    buf = np.conjugate(fwd) * w
+    mat = -2.0 * (buf.T @ fwd)
+    buf = A @ fwd
+    mat += (np.conjugate(buf) * w).T @ buf
+    mat[np.diag_indices(idx.size)] += w[idx, 0] * scale * scale
+    return mat
+
+
 def project(space: WeightedSpace, onb: np.ndarray, x) -> np.ndarray:
     """Orthogonal projection of x onto the span of the orthonormal columns."""
     return onb @ (onb.conj().T @ (space.weight_array * x))

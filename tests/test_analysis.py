@@ -827,9 +827,14 @@ def test_kernel_residual_peak_memory_within_the_oracle_form():
     # The polarization terms go through defect_quadratic as one (dim, 4b)
     # block over the band of b labels that D v can reach, not over the whole
     # window of r labels, where it would hold several times the memory of
-    # the whole-window Gram form.
+    # the whole-window Gram form. The yardstick is the dense real form: the
+    # bidisc example itself sends each label to one label, so its form is
+    # read off the diagonal. Moving u by a real vector on degrees 1 and 2
+    # puts several entries in the column of z1, so the form is dense, and
+    # keeps the degree growth and the band: no column lowers degree.
     problem = bidisc_example_problem(18)
-    Tt = problem.perturbed()
+    degs = problem.space.degrees
+    Tt = perturb(problem.base, problem.u + 1e-3 * ((degs >= 1) & (degs <= 2)), problem.v)
     kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)
     assert kernel <= _traced_peak(polarized_defect_form, Tt)
 

@@ -1,6 +1,7 @@
 """Operator algebra: adjoints, rank-one maps, defects, polarization, safety."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from twoiso import (
     make_bidisc_space,
     make_coordinate_space,
     make_dirichlet_space,
+    perturb,
     polarized_defect_form,
     safe_subspace,
     truncation_safe,
@@ -38,6 +40,7 @@ from helpers import (
     defect_image_by_entries,
     defect_operator,
     dense_defect_form,
+    field_gram_form,
     identity,
     polarized_form_by_entries,
     random_matrix,
@@ -622,6 +625,185 @@ def test_tiny_imaginary_part_keeps_complex_arithmetic():
     T = Op(shift.space, mat, degree_growth=1)
     assert T._field_matrix is T.matrix
     assert _form_matches_dense_referee(T).dtype == np.complex128
+
+
+# ---------------------------------------------------------------------------
+# weighted shifts read off the diagonal
+#
+# A real operator that sends each label to a multiple of one label, no two
+# to the same, has a diagonal defect form, read off without Gram products.
+# ``field_gram_form`` runs the dense products, and the diagonal must match
+# it bit for bit; operators of any other shape keep the dense path.
+
+
+def _dense_builds(monkeypatch) -> list:
+    """Record the dense path's one ``np.matmul`` call per form (the
+    referees multiply with ``@``)."""
+    calls = []
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+def _decoded(op: Op) -> Op:
+    return Op.from_dict(json.loads(json.dumps(op.to_dict())))
+
+
+def _weighted_shift_c7() -> Op:
+    # Random weights and coefficients, with a zero column: a defect form that
+    # vanishes nowhere, unlike a Dirichlet or bidisc shift.
+    rng = np.random.default_rng(81)
+    space = make_coordinate_space(7, weights=tuple(rng.uniform(0.3, 4.0, size=7)))
+    mat = np.zeros((7, 7))
+    mat[[2, 5, 0, 6, 3, 1], [0, 1, 3, 4, 5, 6]] = rng.uniform(0.5, 2.0, size=6)
+    return Op.from_exact_matrix(space, mat)
+
+
+def _shift_cases() -> dict:
+    """Name -> builder of each weighted shift whose form is read off."""
+    cases = {f"dirichlet-{N}-shift": lambda N=N: dirichlet_shift(N) for N in (12, 24, 48, 96)}
+    for N in (12, 96):
+        # M_z + (-2z)⊗1 sends 1 to -z: a shift again.
+        cases[f"dirichlet-{N}-ladder-perturbed"] = lambda N=N: dirichlet_perturbation_problem(
+            N, PolyCoeffs((-2.0,))).perturbed()
+    for N in (6, 10, 14, 18):
+        for axis in (1, 2):
+            cases[f"bidisc-{N}-z{axis}"] = lambda N=N, axis=axis: bidisc_shift(N, axis)
+    for N in (8, 18):
+        cases[f"bidisc-{N}-example-perturbed"] = lambda N=N: bidisc_example_problem(N).perturbed()
+    cases["dirichlet-48-decoded"] = lambda: _decoded(dirichlet_shift(48))
+    cases["bidisc-10-decoded"] = lambda: _decoded(bidisc_shift(10, axis=1))
+    cases["weighted-c7-shift"] = _weighted_shift_c7
+    return cases
+
+
+_SHIFT_CASES = _shift_cases()
+
+
+@pytest.mark.parametrize("name", list(_SHIFT_CASES))
+def test_shift_form_is_its_diagonal_bit_for_bit(name, monkeypatch):
+    T = _SHIFT_CASES[name]()
+    dense = _dense_builds(monkeypatch)
+    G = polarized_defect_form(T).defect_matrix
+    assert not dense, "the form took the dense path"
+    H = field_gram_form(T)
+    assert G.dtype == H.dtype == np.float64
+    assert np.array_equal(G, H)
+    assert np.array_equal(G, np.diag(np.diag(G)))
+    D = dense_defect_form(T)
+    assert np.max(np.abs(G - D)) <= 1e-13 * max(1.0, np.max(np.abs(D)))
+
+
+def test_weighted_shift_diagonal_is_nonzero_and_matches_polarization():
+    T = _weighted_shift_c7()
+    assert T.degree_growth == 0
+    G = polarized_defect_form(T).defect_matrix
+    P = polarized_form_by_entries(T, safe_subspace(T))
+    assert np.min(np.abs(np.diag(G))) >= 0.1
+    assert np.max(np.abs(G - P)) <= 1e-12 * max(1.0, np.max(np.abs(P)))
+
+
+def test_random_weighted_shifts_match_the_dense_products_bit_for_bit(monkeypatch):
+    # Weights and coefficients over many orders of magnitude, with some
+    # zero columns and a random pi.
+    rng = np.random.default_rng(83)
+    dense = _dense_builds(monkeypatch)
+    for _ in range(30):
+        dim = int(rng.integers(1, 31))
+        space = make_coordinate_space(dim, weights=tuple(np.exp(rng.uniform(-30, 30, dim))))
+        mat = np.zeros((dim, dim))
+        mat[rng.permutation(dim), np.arange(dim)] = (
+            np.exp(rng.uniform(-40, 40, dim)) * rng.choice([-1.0, 1.0], dim)
+            * (rng.random(dim) < 0.85))
+        T = Op(space, mat, degree_growth=0)
+        assert np.array_equal(polarized_defect_form(T).defect_matrix, field_gram_form(T))
+    assert not dense
+
+
+def _two_entry_column() -> Op:
+    # A survivor of the alpha search for n = 0: M_z + alpha 1⊗1 with
+    # |alpha + 1| = 1 sends 1 to alpha + z.
+    return constant_perturbed_dirichlet(12, -2.0)
+
+
+def _complex_p() -> Op:
+    # M_z + p⊗1 with p = (e^{i pi/3} - 1) z sends 1 to e^{i pi/3} z: a complex
+    # shift, whose form stays complex.
+    return dirichlet_perturbation_problem(
+        24, PolyCoeffs((np.exp(1j * np.pi / 3) - 1,))).perturbed()
+
+
+def _shared_row() -> Op:
+    # e0 and e1 both go to e2, so (TE)^H W (TE) has an off-diagonal entry.
+    space = make_coordinate_space(4, weights=(1.0, 2.0, 0.5, 3.0))
+    mat = np.zeros((4, 4))
+    mat[2, 0], mat[2, 1], mat[3, 2] = 1.0, -2.0, 0.5
+    return Op.from_exact_matrix(space, mat)
+
+
+def _unitary_c5() -> Op:
+    return Op.from_exact_matrix(make_coordinate_space(5),
+                                random_unitary(5, np.random.default_rng(82)))
+
+
+@pytest.mark.parametrize("make", [_two_entry_column, _shared_row, _unitary_c5, _complex_p],
+                         ids=["two-entry-column", "shared-row", "unitary-c5", "complex-p"])
+def test_other_operators_keep_the_dense_form(make, monkeypatch):
+    T = make()
+    dense = _dense_builds(monkeypatch)
+    G = polarized_defect_form(T).defect_matrix
+    assert len(dense) == 1
+    H = field_gram_form(T)
+    assert G.dtype == H.dtype == T._field_matrix.dtype
+    assert np.array_equal(G, H)
+
+
+def test_shared_row_form_has_off_diagonal_entries():
+    # (-2 <T e0, T e1> + <T^2 e0, T^2 e1>) / sqrt(w0 w1)
+    # = (-2 (1)(-2)(0.5) + (0.5)(-1)(3)) / sqrt(2)
+    G = polarized_defect_form(_shared_row()).defect_matrix
+    assert G[0, 1] == G[1, 0] == pytest.approx(0.5 / np.sqrt(2.0), rel=1e-15)
+
+
+def test_zero_column_in_the_window_reads_its_weight(monkeypatch):
+    # With growth 0 the window holds the top monomial of the Dirichlet shift,
+    # whose column is zero: its defect is <e, e> = 1, and z^(N-1), sent to
+    # it, reads 1 - 2 w_N / w_(N-1), with w_k = k + 1.
+    shift = dirichlet_shift(12)
+    T = Op(shift.space, shift.matrix, degree_growth=0)
+    dense = _dense_builds(monkeypatch)
+    G = polarized_defect_form(T).defect_matrix
+    assert not dense
+    assert np.array_equal(G, field_gram_form(T))
+    assert G[12, 12] == pytest.approx(1.0, rel=1e-15)
+    assert G[11, 11] == pytest.approx(1.0 - 2.0 * 13.0 / 12.0, rel=1e-15)
+
+
+def test_c2_swap_form_is_exactly_zero(monkeypatch):
+    space = make_coordinate_space(2)
+    V = Op.from_exact_matrix(space, [[0, 1], [1, 0]])
+    perturbed = perturb(V, -2.0 * space.basis_vector(0), space.basis_vector(1))
+    dense = _dense_builds(monkeypatch)
+    for T in (V, perturbed):
+        G = polarized_defect_form(T).defect_matrix
+        assert not dense
+        assert np.array_equal(G, field_gram_form(T))
+        assert np.array_equal(G, np.zeros((2, 2)))
+
+
+def test_overflowing_diagonal_is_value_error(monkeypatch):
+    dense = _dense_builds(monkeypatch)
+    T = Op.from_exact_matrix(make_coordinate_space(2), 1e200 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            polarized_defect_form(T)
+    assert not dense
 
 
 # ---------------------------------------------------------------------------
