@@ -53,6 +53,7 @@ from .operators import (
     ROUNDOFF_RTOL,
     DefectReport,
     Op,
+    _matmul,
     defect_apply_in_window,
     perturb,
     safe_subspace,
@@ -203,12 +204,12 @@ class PerturbationProblem:
         w = self.space.weight_array
         u, v = self.u, self.v
         with np.errstate(over="ignore", invalid="ignore"):
-            y = A @ u + np.vdot(v, w * u) * u
+            y = _matmul(A, u) + np.vdot(v, w * u) * u
             vuy = np.array([v, u, y])
             z = np.conj(w * vuy)
             gram = z @ vuy.T  # gram[i, j] = <vuy[j], vuy[i]>
-            za = z @ A
-            R = np.concatenate((z[:1], za[:2], za[1:] @ A))
+            za = _matmul(z, A)
+            R = np.concatenate((z[:1], za[:2], _matmul(za[1:], A)))
             nu2, ny2, yu = gram[1, 1].real, gram[2, 2].real, gram[1, 2]
             M = np.array([[ny2 - 2.0 * nu2, np.conj(yu), -2, 0, 1], [yu, nu2, 0, 1, 0],
                           [-2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])

@@ -19,7 +19,7 @@ from .analysis import (
     DEFAULT_RANK_TOL,
     PerturbationProblem,
 )
-from .operators import Op, perturb
+from .operators import Op, _Filled, perturb
 from .spaces import WeightedSpace, make_bidisc_space, make_dirichlet_space
 
 __all__ = [
@@ -78,10 +78,10 @@ def dirichlet_shift(N: int) -> Op:
     if N < 2:
         raise ValueError("dirichlet_shift needs N >= 2")
     space = make_dirichlet_space(N)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat = np.zeros((space.dim, space.dim))
     k = np.arange(N)
     mat[k + 1, k] = 1.0
-    return Op(space, mat, degree_growth=1)
+    return Op(space, _Filled(mat), degree_growth=1)
 
 
 def perturbed_dirichlet(N: int, p: PolyCoeffs) -> Op:
@@ -139,13 +139,13 @@ def bidisc_shift(N: int, axis: int) -> Op:
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     space = make_bidisc_space(N)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    mat = np.zeros((space.dim, space.dim))
     # In the graded layout label (m, n) of degree d sits at d(d+1)/2 + n, so
     # (m+1, n) sits d+1 places on and (m, n+1) sits d+2 places on.
     degs = space.degrees
     j = np.flatnonzero(degs < N)
     mat[j + degs[j] + axis, j] = 1.0
-    return Op(space, mat, degree_growth=1)
+    return Op(space, _Filled(mat), degree_growth=1)
 
 
 def dirichlet_perturbation_problem(

@@ -32,11 +32,15 @@ window labels that D x can reach; every other entry of the image is an
 exact zero. The perturbed operator T + u⊗v is built by :func:`perturb`,
 which adds the rank-one part on the block supp u x supp v of a copy of T.
 
-The forward products of the form and of q run in the field of the matrix
-entries. The shifts and their real perturbations have real matrices: their
-form is real, T E and its two Gram products are real products, and a complex
-block of q is multiplied through its float view, re and im columns side by
-side. A matrix with any nonzero imaginary part keeps complex products.
+An Op stores its matrix once, in the field of its entries: float64 when
+every imaginary part is exactly zero, complex otherwise. The forward products
+of the form and of q run in that field. The shifts and their real
+perturbations have real matrices: their form is real, T E and its two Gram
+products are real products, and a complex block of q is multiplied through
+its float view, re and im columns side by side. A matrix with any nonzero
+imaginary part keeps complex products. The library builders hand the array
+they filled to the Op they build; a caller's array is copied once, into its
+field, and never kept or frozen in place.
 
 A real weighted shift, T e_j = a_j e_pi(j) with pi injective, needs no Gram
 product: T*T and T*^2 T^2 are diagonal (Agler-Stankus), so is the form, and
@@ -83,16 +87,17 @@ class Op:
     """A dense operator: columns are images of basis monomials. Frozen, with
     a read-only matrix, so the cached :attr:`defect_form` stays its own.
 
-    ``matrix`` is complex. When all its imaginary parts are zero the forward
-    products of the defect form run on a cached float64 copy, one more
-    dim x dim array (32 MB at ``MAX_DIM``)."""
+    ``matrix`` is C-contiguous and in the field of its entries: float64 when
+    every imaginary part is exactly zero, complex otherwise. The Op keeps a
+    copy of the matrix it is given."""
 
     space: WeightedSpace
     matrix: np.ndarray
     degree_growth: int | None = None
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = self.matrix
+        mat = mat.array if isinstance(mat, _Filled) else _in_field(mat)
         n = self.space.dim
         if mat.shape != (n, n):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
@@ -109,22 +114,11 @@ class Op:
         """Wrap a matrix that IS the whole operator (no truncation behind it),
         its degree growth certified by scanning the columns; a wrong shape
         reads growth 0, for the constructor to refuse."""
-        matrix = np.asarray(matrix, dtype=complex)
+        mat = _in_field(matrix)
         degs = space.degrees
-        square = matrix.shape == (degs.size, degs.size)
-        growth = _scanned_degree_growth(degs, degs, matrix) if square else 0
-        return cls(space, matrix, degree_growth=growth)
-
-    @cached_property
-    def _field_matrix(self) -> np.ndarray:
-        """``matrix`` in the field of its entries: a read-only C-contiguous
-        float64 copy when every imaginary part is exactly zero, else
-        ``matrix`` itself. The forward products of the defect form read it."""
-        if self.matrix.imag.any():
-            return self.matrix
-        real = np.ascontiguousarray(self.matrix.real)
-        real.setflags(write=False)
-        return real
+        square = mat.shape == (degs.size, degs.size)
+        growth = _scanned_degree_growth(degs, degs, mat) if square else 0
+        return cls(space, _Filled(mat), degree_growth=growth)
 
     @cached_property
     def defect_form(self) -> "DefectReport":
@@ -168,23 +162,60 @@ class Op:
         return cls(space, flat.reshape(n, n), degree_growth=growth)
 
 
+class _Filled:
+    """An array that the library has just filled, in the field of its
+    entries, for the one Op it builds: that Op keeps it without a copy. A
+    plain class, since a dataclass adds 0.6 ms to the import."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _in_field(matrix) -> np.ndarray:
+    """A C-contiguous copy of ``matrix`` in the field of its entries: float64
+    when every imaginary part is exactly zero, complex otherwise."""
+    mat = np.asarray(matrix)
+    if mat.dtype == object:  # Python numbers of any kind, complex among them
+        mat = mat.astype(complex)
+    if mat.dtype.kind == "c" and mat.imag.any():
+        return np.array(mat, dtype=complex, order="C")
+    return np.array(mat.real, dtype=float, order="C")
+
+
 # ---------------------------------------------------------------------------
 # algebra
 
 
 def apply(A: Op, x) -> np.ndarray:
     x = A.space.check_vec(x)
-    return A.matrix @ x
+    return _matmul(A.matrix, x)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a complex vector or block and an operator matrix in either
+    field. A real matrix multiplies the complex factor's float view, re and
+    im parts side by side, in one real product: numpy would otherwise make a
+    complex copy of the real matrix."""
+    if a.dtype == b.dtype:
+        return a @ b
+    if b.dtype.kind == "c":  # a real matrix times a vector or columns
+        f = np.ascontiguousarray(b).view(float).reshape(len(b), -1)
+        return (a @ f).view(complex).reshape(b.shape)
+    return _matmul(b.T, a.T).T  # complex rows times a real matrix
 
 
 def perturb(T: Op, u, v) -> Op:
     """T + u⊗v, the operator x -> Tx + <x, v> u; errors on zero u or v.
 
-    The rank-one part u_i * w_j * conj(v_j) is added to a copy of T's
-    matrix on the block supp u x supp v only, where all its nonzero entries
-    lie. The degree growth is the max of T's and the growth scanned off that
-    block, where a product that underflows to zero counts as zero, as in a
-    scan of the whole rank-one matrix; it is None when T's is.
+    The rank-one part u_i * w_j * conj(v_j) is added on the block
+    supp u x supp v only, where all its nonzero entries lie, to the one copy
+    of T's matrix, made in the field of the sum: complex only when the block
+    of the sum, or T outside it, has a nonzero imaginary part. The degree
+    growth is the max of T's and the growth scanned off that block, where a
+    product that underflows to zero counts as zero, as in a scan of the whole
+    rank-one matrix; it is None when T's is.
     """
     space = T.space
     u = space.check_vec(u)
@@ -192,14 +223,20 @@ def perturb(T: Op, u, v) -> Op:
     su, sv = np.flatnonzero(u), np.flatnonzero(v)
     if not (su.size and sv.size):
         raise ValueError("not rank one: u and v must both be nonzero")
+    rows = su[:, None]
     block = np.outer(u[su], space.weight_array[sv] * v[sv].conj())
-    mat = np.array(T.matrix)
-    mat[su[:, None], sv] += block
+    A = T.matrix
+    part = A[rows, sv] + block
+    complex_sum = bool(part.imag.any()) or (
+        A.dtype.kind == "c" and np.count_nonzero(A.imag) > np.count_nonzero(A.imag[rows, sv])
+    )
+    mat = np.array(A, dtype=complex) if complex_sum else np.array(A.real, order="C")
+    mat[rows, sv] = part if complex_sum else part.real
     degs = space.degrees
     growth = T.degree_growth
     if growth is not None:
         growth = max(growth, _scanned_degree_growth(degs[su], degs[sv], block))
-    return Op(space, mat, degree_growth=growth)
+    return Op(space, _Filled(mat), degree_growth=growth)
 
 
 def _scanned_degree_growth(row_degs: np.ndarray, col_degs: np.ndarray, block) -> int:
@@ -243,7 +280,7 @@ def defect_quadratic(T: Op, x):
         raise ValueError(f"block has shape {x.shape}, expected ({T.space.dim}, k)")
     # A real operator acts on the float view (dim, 2k) of the block, its re
     # and im columns interleaved, in real arithmetic.
-    A = T._field_matrix
+    A = T.matrix
     x = np.ascontiguousarray(x).view(A.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         tx = A @ x
@@ -350,7 +387,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
     nonzeros certifies that. A complex matrix keeps the dense path.
     """
     idx = safe_subspace(T)
-    A = T._field_matrix
+    A = T.matrix
     w = T.space.weight_array[:, None]
     scale = 1.0 / np.sqrt(w[idx, 0])
     shift = A.dtype == np.float64
@@ -405,7 +442,11 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
     degs = T.space.degrees
     band = int(degs[x != 0].max(initial=-1)) + 2 * T.degree_growth
     if band < truncation_cutoff(T):
-        low = np.where(T.matrix != 0, degs[:, None], degs.max()).min(axis=0)
+        # low[j]: the lowest degree of a nonzero in column j, read off the
+        # nonzeros; a zero column reads the top degree and lowers nothing.
+        rows, cols = divmod(np.flatnonzero(T.matrix != 0), T.space.dim)
+        low = np.full(T.space.dim, T.space.max_degree)
+        np.minimum.at(low, cols, degs[rows])
         band += 2 * int(np.max(degs - low, initial=0))
         idx = idx[degs[idx] <= band]
     b = idx.size

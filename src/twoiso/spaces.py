@@ -164,10 +164,18 @@ class WeightedSpace:
         return complex(np.vdot(y, self.weight_array * x))
 
     def norm(self, x) -> float:
-        """sqrt(<x, x>), summed after an exact scaling by a power of two near
-        max |x_i|: an in-range norm does not over- or underflow in its squares,
-        and gives the bits of the plain sum wherever that stays in range."""
+        """sqrt(<x, x>). A plain sum in [2**-900, 2**900] is taken as it is;
+        any other, NaN and inf included, is summed again after an exact
+        scaling by a power of two near max |x_i|, so that an in-range norm
+        does not over- or underflow in its squares. In range both give the
+        same bits: the scaling is exact, and the bounds sit far enough above
+        the subnormal range that an underflowed term cannot move the rounded
+        sum."""
         x = self.check_vec(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = np.vdot(x, self.weight_array * x).real
+        if 2.0**-900 <= val <= 2.0**900:
+            return math.sqrt(val)
         scale = pow2_scale(x)
         y = x * scale
         val = np.vdot(y, self.weight_array * y).real

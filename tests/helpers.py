@@ -188,12 +188,14 @@ def window_basis(space: WeightedSpace, idx) -> np.ndarray:
 
 def dense_defect_form(T: Op) -> np.ndarray:
     """E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E) on the orthonormal
-    basis E of T's safe window, from dense complex products with the complex
-    ``matrix``: the complex-arithmetic referee of ``polarized_defect_form``."""
+    basis E of T's safe window, from dense complex products with ``matrix``
+    cast to complex: the complex-arithmetic referee of
+    ``polarized_defect_form``."""
     E = window_basis(T.space, safe_subspace(T))
     W = np.diag(T.space.weight_array).astype(complex)
-    TE = T.matrix @ E
-    T2E = T.matrix @ TE
+    A = T.matrix.astype(complex)
+    TE = A @ E
+    T2E = A @ TE
     return E.conj().T @ W @ E - 2.0 * TE.conj().T @ W @ TE + T2E.conj().T @ W @ T2E
 
 
@@ -204,7 +206,7 @@ def field_gram_form(T: Op) -> np.ndarray:
     ``polarized_defect_form``'s dense path: the bit-for-bit referee of the
     form that a weighted shift reads off its diagonal."""
     idx = safe_subspace(T)
-    A = T.matrix if T.matrix.imag.any() else np.ascontiguousarray(T.matrix.real)
+    A = T.matrix
     w = T.space.weight_array[:, None]
     scale = 1.0 / np.sqrt(w[idx, 0])
     fwd = A[:, idx] * scale

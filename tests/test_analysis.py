@@ -21,6 +21,7 @@ from twoiso import (
     defect_quadratic,
     gamma_coefficient,
     kernel_condition_residual,
+    make_bidisc_space,
     make_coordinate_space,
     make_dirichlet_space,
     perturb,
@@ -37,6 +38,7 @@ from twoiso.cli import main
 from twoiso.function_spaces import (
     PolyCoeffs,
     bidisc_example_problem,
+    bidisc_shift,
     constant_perturbed_dirichlet,
     dirichlet_perturbation_problem,
     dirichlet_shift,
@@ -800,6 +802,56 @@ def test_kernel_residual_polarizes_only_the_band(monkeypatch, case):
     assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [4 * width]
 
 
+def _band_width_by_dense_scan(T: Op, x) -> int:
+    """Width of the band that the kernel residual polarizes, with the most a
+    column lowers degree taken from a dim x dim ``np.where`` scan of the
+    matrix: the referee of the scan over its nonzeros."""
+    degs = T.space.degrees
+    band = int(degs[x != 0].max(initial=-1)) + 2 * T.degree_growth
+    if band < truncation_cutoff(T):
+        low = np.where(T.matrix != 0, degs[:, None], degs.max()).min(axis=0)
+        band += 2 * int(np.max(degs - low, initial=0))
+    return int(np.count_nonzero(degs[safe_subspace(T)] <= band))
+
+
+def _random_sparse_op(space, rng, lowering: int, field) -> Op:
+    """Nonzeros at random that raise degree by 0 or 1, and fewer that lower
+    it by up to ``lowering``; many columns stay zero."""
+    rise = space.degrees[:, None] - space.degrees[None, :]
+    draw = rng.random(rise.shape)
+    keep = ((rise >= 0) & (rise <= 1) & (draw < 0.2)) | (
+        (rise < 0) & (rise >= -lowering) & (draw < 0.02))
+    mat = np.where(keep, rng.standard_normal(rise.shape), 0.0)
+    if field is complex:
+        mat = mat * np.exp(2j * np.pi * rng.random(rise.shape))
+    return Op(space, mat, degree_growth=1)
+
+
+def test_kernel_residual_band_matches_the_dense_scan(monkeypatch):
+    # The lowest degree of each column is read off the matrix's nonzeros;
+    # the band must be the one that the dense scan of every entry gives.
+    cases = [(dirichlet_shift(12), None), (bidisc_shift(8, axis=1), None),
+             (bidisc_shift(8, axis=2), None)]
+    for make in (_dirichlet_cubic_problem, bidisc_off_example_problem,
+                 _bidisc_v_off_unit_problem):
+        problem = make()
+        cases.append((problem.perturbed(), problem.v))
+    rng = np.random.default_rng(74)
+    for space in (make_dirichlet_space(24), make_bidisc_space(10)):
+        for lowering in (0, 2, 6):
+            for field in (float, complex):
+                cases.append((_random_sparse_op(space, rng, lowering, field), None))
+    widths = set()
+    for T, v in cases:
+        degs = T.space.degrees
+        if v is None:
+            v = np.where(degs <= 1, random_vec(T.space, rng), 0.0)
+        width = _band_width_by_dense_scan(T, v)
+        widths.add(width)
+        assert _kernel_block_widths(monkeypatch, T, v) == [4 * width]
+    assert len(widths) > 5
+
+
 def test_kernel_residual_keeps_the_whole_weighted_c4_window(monkeypatch):
     # Every label of C^4 has degree 1, so the band is the whole window.
     rng = np.random.default_rng(71)
@@ -823,18 +875,25 @@ def _traced_peak(fn, *args) -> int:
             tracemalloc.stop()
 
 
+def _dense_bidisc_18() -> PerturbationProblem:
+    """The bidisc example at N = 18 with u moved by a real vector on degrees
+    1 and 2. The example itself sends each label to one label, so its form
+    is read off the diagonal; the move puts several entries in the column of
+    z1, so the form is dense, and keeps the degree growth and the band of
+    the kernel residual: no column lowers degree."""
+    problem = bidisc_example_problem(18)
+    degs = problem.space.degrees
+    u = problem.u + 1e-3 * ((degs >= 1) & (degs <= 2))
+    return PerturbationProblem(base=problem.base, u=u, v=problem.v)
+
+
 def test_kernel_residual_peak_memory_within_the_oracle_form():
     # The polarization terms go through defect_quadratic as one (dim, 4b)
     # block over the band of b labels that D v can reach, not over the whole
     # window of r labels, where it would hold several times the memory of
-    # the whole-window Gram form. The yardstick is the dense real form: the
-    # bidisc example itself sends each label to one label, so its form is
-    # read off the diagonal. Moving u by a real vector on degrees 1 and 2
-    # puts several entries in the column of z1, so the form is dense, and
-    # keeps the degree growth and the band: no column lowers degree.
-    problem = bidisc_example_problem(18)
-    degs = problem.space.degrees
-    Tt = perturb(problem.base, problem.u + 1e-3 * ((degs >= 1) & (degs <= 2)), problem.v)
+    # the whole-window Gram form. The yardstick is the dense real form.
+    problem = _dense_bidisc_18()
+    Tt = problem.perturbed()
     kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)
     assert kernel <= _traced_peak(polarized_defect_form, Tt)
 
@@ -1101,9 +1160,10 @@ def test_problem_is_frozen_so_its_base_form_stays_the_bases():
 
 
 def test_oracle_update_peak_memory_below_the_direct_build():
-    # The update allocates r x r and (5, r) arrays; the direct build holds
-    # two (dim, r) buffers as well.
-    problem = bidisc_example_problem(18)
+    # The update allocates r x r and (5, r) arrays; the direct dense build
+    # holds two (dim, r) buffers as well. A real A enters the update's rows
+    # through real products, with no complex dim x dim copy.
+    problem = _dense_bidisc_18()
     Tt = problem.perturbed()
     idx = safe_subspace(Tt)
     update = _traced_peak(analysis._perturbed_defect_form, problem, idx)
@@ -1161,13 +1221,15 @@ def test_perturb_refuses_a_zero_direction():
             perturb(T, u, v)
 
 
-def test_perturb_peak_memory_is_two_matrices_at_dirichlet_1999():
-    # A copy of T's matrix, then the copy that Op keeps: two dim x dim
-    # complex arrays. The sum of T and a whole outer product held three.
+def test_shift_and_perturb_peak_at_one_float_matrix_at_dirichlet_1999():
+    # The shift's builder fills one float64 matrix, which its Op keeps, and
+    # perturb makes one copy, in the field of the sum. A complex fill and
+    # the complex copy that Op made of it peaked at four float64 matrices.
+    one_matrix = 8 * 2000**2
+    assert _traced_peak(dirichlet_shift, 1999) <= 1.1 * one_matrix
     T = dirichlet_shift(1999)
     one = T.space.basis_vector(0)
-    peak = _traced_peak(perturb, T, -2.0 * T.space.basis_vector(1), one)
-    assert peak < 2 * 16 * T.space.dim ** 2 + 2**20
+    assert _traced_peak(perturb, T, -2.0 * T.space.basis_vector(1), one) <= 1.1 * one_matrix
 
 
 def _c2_identity_problem(a: float) -> PerturbationProblem:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,22 @@ def test_apply_identity_and_zero():
     assert np.allclose(apply(identity(space), x), x)
     zero = Op(space, np.zeros((space.dim, space.dim)), degree_growth=0)
     assert np.allclose(apply(zero, x), 0)
+
+
+def test_apply_of_a_real_operator_runs_real_products_without_a_copy():
+    # A real matrix acts on the float view of x: numpy's own product would
+    # make a complex copy of the whole matrix on every call.
+    T = dirichlet_shift(400)
+    x = random_vec(T.space, np.random.default_rng(76))
+    expected = T.matrix.astype(complex) @ x
+    tracemalloc.start()
+    try:
+        got = apply(T, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < 8 * T.space.dim ** 2 / 10
 
 
 def test_apply_dimension_mismatch():
@@ -398,7 +415,7 @@ def test_defect_quadratic_overflow_is_value_error():
     space = make_coordinate_space(2)
     for phase in (1.0, np.exp(0.25j * np.pi)):
         T = Op.from_exact_matrix(space, 1e200 * phase * np.eye(2))
-        assert (T._field_matrix is T.matrix) == (phase != 1.0)
+        assert T.matrix.dtype == (np.complex128 if phase != 1.0 else np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in (space.basis_vector(0), np.eye(2, dtype=complex)):
@@ -559,7 +576,7 @@ def _form_matches_dense_referee(T: Op) -> np.ndarray:
 
 def test_real_operators_form_in_real_arithmetic_matches_complex_referee():
     for name, T in _real_field_cases().items():
-        assert T._field_matrix.dtype == np.float64, name
+        assert T.matrix.dtype == np.float64, name
         assert _form_matches_dense_referee(T).dtype == np.float64, name
 
 
@@ -568,8 +585,8 @@ def test_complex_operators_form_matches_complex_referee():
     # operator keeps complex arithmetic; its base is real.
     problem = bidisc_off_example_problem()
     Tt = problem.perturbed()
-    assert problem.base._field_matrix.dtype == np.float64
-    assert Tt._field_matrix is Tt.matrix
+    assert problem.base.matrix.dtype == np.float64
+    assert Tt.matrix.dtype == np.complex128
     for T in (problem.base, Tt):
         _form_matches_dense_referee(T)
 
@@ -580,7 +597,7 @@ def test_real_defect_quadratic_blocks_match_column_calls(name):
     T = _real_field_cases()[name]
     rng = np.random.default_rng(72)
     dim = T.space.dim
-    A = T.matrix
+    A = T.matrix.astype(complex)
 
     def norms2(z):
         return np.einsum("i,ij,ij->j", T.space.weight_array, z.conj(), z).real
@@ -600,30 +617,82 @@ def test_real_defect_quadratic_blocks_match_column_calls(name):
             assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
 
 
-def test_field_matrix_is_real_read_only_on_shifts_and_complex_otherwise():
+def test_matrix_is_real_read_only_on_shifts_and_complex_otherwise():
     for op in (dirichlet_shift(12), bidisc_shift(8, axis=1), bidisc_shift(8, axis=2)):
-        real = op._field_matrix
+        real = op.matrix
         assert real.dtype == np.float64 and real.flags.c_contiguous
-        assert op._field_matrix is real
-        assert np.array_equal(real, op.matrix.real)
         with pytest.raises(ValueError, match="read-only"):
             real[1, 0] = 2.0
     rng = np.random.default_rng(73)
     for dim in (2, 4, 6):
         U = Op.from_exact_matrix(make_coordinate_space(dim), random_unitary(dim, rng))
-        assert U._field_matrix is U.matrix
+        assert U.matrix.dtype == np.complex128 and U.matrix.flags.c_contiguous
     complex_p = dirichlet_perturbation_problem(12, PolyCoeffs((0.5j,))).perturbed()
-    assert complex_p._field_matrix is complex_p.matrix
+    assert complex_p.matrix.dtype == np.complex128
+
+
+def test_op_copies_a_callers_array_and_leaves_it_writable():
+    space = make_coordinate_space(3)
+    for given in (np.eye(3), np.eye(3, dtype=complex), 0.5j * np.eye(3)):
+        before = given.copy()
+        for T in (Op(space, given, degree_growth=0), Op.from_exact_matrix(space, given)):
+            assert not np.shares_memory(T.matrix, given)
+            assert given.flags.writeable and not T.matrix.flags.writeable
+            given[0, 1] = 7.0
+            assert np.array_equal(T.matrix, before)
+            given[0, 1] = 0.0
+    T = dirichlet_shift(6)
+    one = T.space.basis_vector(0)
+    assert not np.shares_memory(perturb(T, -2.0 * T.space.basis_vector(1), one).matrix,
+                                T.matrix)
+
+
+def test_matrix_is_stored_in_the_field_of_its_entries():
+    space = make_coordinate_space(2)
+    swap = [[0.0, 1.0], [1.0, 0.0]]
+    for given in (swap, np.array(swap, dtype=complex), np.array(swap, dtype=np.complex64),
+                  np.array(swap, dtype=int)):
+        assert Op(space, given).matrix.dtype == np.float64
+        assert Op.from_exact_matrix(space, given).matrix.dtype == np.float64
+    assert Op(space, np.array(swap) + 1e-300j).matrix.dtype == np.complex128
+    assert Op(space, np.array([[0, 1j], [1, 0]], dtype=object)).matrix.dtype == np.complex128
+    assert Op(space, np.array(swap, dtype=object)).matrix.dtype == np.float64
+    # perturb upcasts a real base only for a complex rank-one block
+    T = dirichlet_shift(6)
+    one, z = T.space.basis_vector(0), T.space.basis_vector(1)
+    assert perturb(T, -2.0 * z, one).matrix.dtype == np.float64
+    assert perturb(T, 0.5j * z, one).matrix.dtype == np.complex128
+    assert perturb(T, -2.0 * z, 1j * one).matrix.dtype == np.complex128
+    # A complex base whose perturbation cancels every imaginary part sums to
+    # a real matrix; one imaginary part left outside the block keeps it complex.
+    base = Op(space, [[0.0, 1.0 + 1.0j], [1.0, 0.0]])
+    e0, e1 = space.basis_vector(0), space.basis_vector(1)
+    cancelled = perturb(base, -1j * e0, e1)
+    assert cancelled.matrix.dtype == np.float64
+    assert np.array_equal(cancelled.matrix, swap)
+    base = Op(space, [[0.0, 1.0 + 1.0j], [1.0j, 0.0]])
+    assert perturb(base, -1j * e0, e1).matrix.dtype == np.complex128
+
+
+def test_to_dict_is_byte_identical_for_a_real_matrix_given_as_complex():
+    rng = np.random.default_rng(75)
+    space = make_dirichlet_space(5)
+    real = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
+    docs = [json.dumps(Op(space, given, degree_growth=1).to_dict())
+            for given in (real, real.astype(complex))]
+    assert docs[0] == docs[1]
+    assert Op.from_dict(json.loads(docs[0])).matrix.dtype == np.float64
+    assert json.dumps(Op.from_dict(json.loads(docs[0])).to_dict()) == docs[0]
 
 
 def test_tiny_imaginary_part_keeps_complex_arithmetic():
     # 1e-300 is a real imaginary part, not round-off: the operator stays
     # complex, and the form still matches the referee.
     shift = bidisc_shift(6, axis=1)
-    mat = shift.matrix.copy()
+    mat = shift.matrix.astype(complex)
     mat[1, 0] += 1e-300j
     T = Op(shift.space, mat, degree_growth=1)
-    assert T._field_matrix is T.matrix
+    assert T.matrix.dtype == np.complex128
     assert _form_matches_dense_referee(T).dtype == np.complex128
 
 
@@ -759,7 +828,7 @@ def test_other_operators_keep_the_dense_form(make, monkeypatch):
     G = polarized_defect_form(T).defect_matrix
     assert len(dense) == 1
     H = field_gram_form(T)
-    assert G.dtype == H.dtype == T._field_matrix.dtype
+    assert G.dtype == H.dtype == T.matrix.dtype
     assert np.array_equal(G, H)
 
 

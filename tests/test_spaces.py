@@ -1,5 +1,7 @@
 """Weighted space construction, inner products, Gram-Schmidt, projections."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from twoiso import (
     vec_to_pairs,
     weighted_gram_schmidt,
 )
+from twoiso import spaces
+from twoiso.spaces import pow2_scale
 from helpers import (
     orthogonal_complement,
     project,
@@ -153,6 +157,84 @@ def test_norm_is_bit_identical_to_the_unscaled_sum_in_range():
         x = random_vec(space, rng) * 10.0 ** rng.integers(-100, 101)
         plain = float(np.sqrt(np.real(np.vdot(x, space.weight_array * x))))
         assert space.norm(x) == plain
+
+
+def _scaled_norm(space, x) -> float:
+    """The norm summed after the exact power-of-two scaling, always: the
+    referee of the plain sum that ``norm`` takes in range."""
+    x = space.check_vec(x)
+    scale = pow2_scale(x)
+    y = x * scale
+    val = np.vdot(y, space.weight_array * y).real
+    return math.sqrt(max(val, 0.0)) / scale
+
+
+def _scalings(monkeypatch) -> list:
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return pow2_scale(x)
+
+    monkeypatch.setattr(spaces, "pow2_scale", counted)
+    return calls
+
+
+def test_norm_takes_the_plain_sum_in_range_with_the_scaled_bits(monkeypatch):
+    rng = np.random.default_rng(15)
+    inside = outside = 0
+    for _ in range(2000):
+        space = random_weighted_space(rng)
+        x = random_vec(space, rng) * 10.0 ** rng.integers(-160, 161)
+        expected = _scaled_norm(space, x)
+        calls = _scalings(monkeypatch)
+        assert space.norm(x) == expected
+        in_range = 2.0**-900 <= expected * expected <= 2.0**900
+        inside += in_range
+        outside += not in_range
+        assert len(calls) == (0 if in_range else 1)
+    assert inside > 1000 and outside > 100
+
+
+def test_norm_at_the_ends_of_the_plain_range(monkeypatch):
+    unit = make_coordinate_space(2)
+    up = 1.0 + 2.0**-52
+    cases = [
+        # the sum exactly at each bound, and one rounding step beyond it
+        (unit, [2.0**450, 0.0], True),
+        (unit, [2.0**450 * up, 0.0], False),
+        (unit, [2.0**-450, 0.0], True),
+        (unit, [2.0**-450 / up, 0.0], False),
+        (unit, [0.0, 1j * 2.0**450], True),
+        # entries near 1e+-300: each square leaves floating point
+        (unit, [1e300, 1.0], False),
+        (unit, [1e-300, 1e-300j], False),
+        (unit, [1e-300, 1.0], True),
+        (unit, [1e150, -1e150j], False),
+        (unit, [0.0, 0.0], False),
+    ]
+    # weights whose products with x are subnormal, beside a normal term
+    tiny = make_coordinate_space(3, weights=(1.0, 1e-300, 1e-290))
+    for lead in (1.0, 2.0**-440, 1e-140):
+        cases.append((tiny, [lead, 1e-20, 3e-25 - 1e-30j], 2.0**-900 <= lead * lead))
+    for space, x, plain in cases:
+        x = np.asarray(x, dtype=complex)
+        expected = _scaled_norm(space, x)
+        calls = _scalings(monkeypatch)
+        assert space.norm(x) == expected, x
+        assert len(calls) == (0 if plain else 1), x
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j * np.inf, complex(np.nan, 1.0)])
+def test_norm_of_inf_or_nan_takes_the_scaled_path(bad, monkeypatch):
+    space = make_coordinate_space(3, weights=(1.0, 2.0, 0.5))
+    x = np.array([1.0, bad, 0.5j])
+    with np.errstate(invalid="ignore"):
+        expected = _scaled_norm(space, x)
+        calls = _scalings(monkeypatch)
+        got = space.norm(x)
+    assert len(calls) == 1
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 def test_inner_second_argument_conjugate_linear():
