@@ -36,11 +36,13 @@ An Op stores its matrix once, in the field of its entries: float64 when
 every imaginary part is exactly zero, complex otherwise. The forward products
 of the form and of q run in that field. The shifts and their real
 perturbations have real matrices: their form is real, T E and its two Gram
-products are real products, and a complex block of q is multiplied through
-its float view, re and im columns side by side. A matrix with any nonzero
+products are real products, and one helper multiplies them with a complex
+vector or block (of q, of :func:`apply`, of the oracle update) through its
+float view, re and im columns side by side. A matrix with any nonzero
 imaginary part keeps complex products. The library builders hand the array
 they filled to the Op they build; a caller's array is copied once, into its
-field, and never kept or frozen in place.
+field, and never kept or frozen in place. How far a matrix raises or lowers
+degree, and whether it is a weighted shift, is read off its nonzeros.
 
 A real weighted shift, T e_j = a_j e_pi(j) with pi injective, needs no Gram
 product: T*T and T*^2 T^2 are diagonal (Agler-Stankus), so is the form, and
@@ -112,12 +114,14 @@ class Op:
     @classmethod
     def from_exact_matrix(cls, space: WeightedSpace, matrix) -> "Op":
         """Wrap a matrix that IS the whole operator (no truncation behind it),
-        its degree growth certified by scanning the columns; a wrong shape
+        its degree growth certified by scanning its nonzeros; a wrong shape
         reads growth 0, for the constructor to refuse."""
         mat = _in_field(matrix)
         degs = space.degrees
-        square = mat.shape == (degs.size, degs.size)
-        growth = _scanned_degree_growth(degs, degs, mat) if square else 0
+        growth = 0
+        if mat.shape == (degs.size, degs.size):
+            rows, cols = _nonzeros(mat)
+            growth = int(np.max(degs[rows] - degs[cols], initial=0))
         return cls(space, _Filled(mat), degree_growth=growth)
 
     @cached_property
@@ -173,6 +177,12 @@ class _Filled:
         self.array = array
 
 
+def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzeros of a 2-D array, in row-major
+    order, from one flat scan of its mask: no int64 array of its size."""
+    return divmod(np.flatnonzero(a != 0), a.shape[1])
+
+
 def _in_field(matrix) -> np.ndarray:
     """A C-contiguous copy of ``matrix`` in the field of its entries: float64
     when every imaginary part is exactly zero, complex otherwise."""
@@ -215,7 +225,8 @@ def perturb(T: Op, u, v) -> Op:
     of the sum, or T outside it, has a nonzero imaginary part. The degree
     growth is the max of T's and the growth scanned off that block, where a
     product that underflows to zero counts as zero, as in a scan of the whole
-    rank-one matrix; it is None when T's is.
+    rank-one matrix; it is None when T's is. The growth of a nonzero entry
+    is its row's degree minus its column's.
     """
     space = T.space
     u = space.check_vec(u)
@@ -232,22 +243,12 @@ def perturb(T: Op, u, v) -> Op:
     )
     mat = np.array(A, dtype=complex) if complex_sum else np.array(A.real, order="C")
     mat[rows, sv] = part if complex_sum else part.real
-    degs = space.degrees
     growth = T.degree_growth
     if growth is not None:
-        growth = max(growth, _scanned_degree_growth(degs[su], degs[sv], block))
+        degs = space.degrees
+        i, j = _nonzeros(block)
+        growth = max(growth, int(np.max(degs[su[i]] - degs[sv[j]], initial=0)))
     return Op(space, _Filled(mat), degree_growth=growth)
-
-
-def _scanned_degree_growth(row_degs: np.ndarray, col_degs: np.ndarray, block) -> int:
-    """Tight degree-growth bound read off the columns of a matrix block whose
-    rows and columns carry the label degrees ``row_degs`` and ``col_degs``:
-    for each column with any nonzero entry, the largest row degree carrying
-    a nonzero entry minus the column's degree, maxed over columns and floored
-    at zero. A zero column reads as top degree -1, so it never raises the
-    bound."""
-    top = np.where(block != 0, row_degs[:, None], -1).max(axis=0)
-    return int(np.max(top - col_degs, initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,7 @@ def _scanned_degree_growth(row_degs: np.ndarray, col_degs: np.ndarray, block) ->
 
 def _norms2(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Squared weighted norm of each column of a C-contiguous complex
-    (dim, k) block, or of its float view (dim, 2k), summed over the float
-    view re, im, re, ..."""
+    (dim, k) block, summed over its float view re, im, re, ..."""
     f = z.view(float)
     return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
 
@@ -278,13 +278,11 @@ def defect_quadratic(T: Op, x):
         x = T.space.check_vec(x)[:, None]
     elif x.shape[0] != T.space.dim:
         raise ValueError(f"block has shape {x.shape}, expected ({T.space.dim}, k)")
-    # A real operator acts on the float view (dim, 2k) of the block, its re
-    # and im columns interleaved, in real arithmetic.
     A = T.matrix
-    x = np.ascontiguousarray(x).view(A.dtype)
+    x = np.ascontiguousarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        tx = A @ x
-        ttx = A @ tx
+        tx = _matmul(A, x)
+        ttx = _matmul(A, tx)
         value = _norms2(w, x) - 2.0 * _norms2(w, tx) + _norms2(w, ttx)
     if not np.all(np.isfinite(value)):
         raise ValueError(
@@ -392,7 +390,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
     scale = 1.0 / np.sqrt(w[idx, 0])
     shift = A.dtype == np.float64
     if shift:
-        rows, cols = divmod(np.flatnonzero(A != 0), A.shape[0])
+        rows, cols = _nonzeros(A)
         a = np.zeros(A.shape[0])  # a[j]: the one nonzero of column j
         a[cols] = A[rows, cols]
         # Rows strictly increase (one nonzero a row); a keeps all (one a column).
@@ -431,10 +429,11 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
     diagonal, so <D x, e_i> = <x, e_i> - 2 <Tx, Te_i> + <T^2 x, T^2 e_i>
     vanishes once deg e_i > top(x) + 2 (degree_growth + drop): top(x) is
     the top degree of x's nonzero entries, drop the most a column of T
-    lowers degree (truncation removes only rows above the top degree). drop
-    is scanned only when the band stops short of the window without it. x
-    must be truncation-safe; then the result is the untruncated D x
-    projected onto the window.
+    lowers degree (truncation removes only rows above the top degree): the
+    largest column degree minus row degree over T's nonzeros, floored at
+    zero. drop is scanned only when the band stops short of the window
+    without it. x must be truncation-safe; then the result is the
+    untruncated D x projected onto the window.
     """
     idx = safe_subspace(T)
     x = T.space.check_vec(x)
@@ -442,12 +441,8 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
     degs = T.space.degrees
     band = int(degs[x != 0].max(initial=-1)) + 2 * T.degree_growth
     if band < truncation_cutoff(T):
-        # low[j]: the lowest degree of a nonzero in column j, read off the
-        # nonzeros; a zero column reads the top degree and lowers nothing.
-        rows, cols = divmod(np.flatnonzero(T.matrix != 0), T.space.dim)
-        low = np.full(T.space.dim, T.space.max_degree)
-        np.minimum.at(low, cols, degs[rows])
-        band += 2 * int(np.max(degs - low, initial=0))
+        rows, cols = _nonzeros(T.matrix)
+        band += 2 * int(np.max(degs[cols] - degs[rows], initial=0))
         idx = idx[degs[idx] <= band]
     b = idx.size
     scale = 1.0 / np.sqrt(T.space.weight_array[idx])

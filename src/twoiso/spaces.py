@@ -284,9 +284,9 @@ def weighted_gram_schmidt(space: WeightedSpace, vectors: Iterable, tol: float) -
 
 
 def vec_to_pairs(x) -> list[list[float]]:
-    """Encode a complex vector as a list of [re, im] pairs."""
-    arr = np.asarray(x, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in arr]
+    """Encode a complex vector as a list of [re, im] pairs, read off its
+    float view: the same Python floats as each entry's parts."""
+    return np.asarray(x, dtype=complex).ravel().view(float).reshape(-1, 2).tolist()
 
 
 def _finite_reals(values, ndim: int, message: str) -> np.ndarray:
@@ -306,7 +306,7 @@ def _finite_reals(values, ndim: int, message: str) -> np.ndarray:
         & set(map(type, chain.from_iterable(values) if ndim == 2 else values))
     ):
         raise ValueError(message)
-    return arr.astype(float)
+    return arr.astype(float, copy=False)
 
 
 def vec_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:

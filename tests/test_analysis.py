@@ -1232,6 +1232,16 @@ def test_shift_and_perturb_peak_at_one_float_matrix_at_dirichlet_1999():
     assert _traced_peak(perturb, T, -2.0 * T.space.basis_vector(1), one) <= 1.1 * one_matrix
 
 
+def test_exact_matrix_scan_peaks_near_one_float_matrix_at_dirichlet_1999():
+    # from_exact_matrix copies the matrix once, into its field, and reads the
+    # growth off the nonzeros: a boolean mask and index arrays of the
+    # nonzeros, no int64 dim x dim array of degrees (2.1 matrices).
+    T = dirichlet_shift(1999)
+    peak = _traced_peak(Op.from_exact_matrix, T.space, T.matrix)
+    assert peak <= 1.2 * 8 * 2000**2
+    assert Op.from_exact_matrix(T.space, T.matrix).degree_growth == 1
+
+
 def _c2_identity_problem(a: float) -> PerturbationProblem:
     space = make_coordinate_space(2)
     return PerturbationProblem(

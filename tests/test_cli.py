@@ -280,6 +280,14 @@ def test_analyze_malformed_json_is_input_error(tmp_path):
     assert main(["analyze", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "problem", 3, None])
+def test_analyze_document_not_an_object_is_input_error(doc, tmp_path, capsys):
+    assert main(["analyze", "--input", write_json(tmp_path / "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: analyze input must be a JSON object")
+
+
 _DEEP_JSON = "[" * 5000 + "]" * 5000
 
 
@@ -697,6 +705,56 @@ def test_search_dirichlet_alpha_n2_empty(capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["hits"] == []
+
+
+_N0_SURVIVORS = ["search", "dirichlet-alpha", "--n", "0", "-N", "3", "--tol", "1",
+                 "--step", "0.25", "--re-min", "-0.5", "--re-max", "0.5",
+                 "--im-min", "-0.5", "--im-max", "0.5"]
+
+
+def test_search_dirichlet_alpha_n0_confirms_its_survivors(capsys):
+    # q(1) = |alpha|^4 <= 1/4 on the whole 5 x 5 grid, so every point but
+    # alpha = 0 survives the prefilter and is built as M_z + (alpha 1)⊗1.
+    # On the two-label window the oracle's largest entry is q(1) itself.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*_N0_SURVIVORS, "--format", "json"])
+    assert code == 0
+    hits = _strict_json(capsys.readouterr().out)["hits"]
+    grid = [-0.5, -0.25, 0.0, 0.25, 0.5]
+    assert [h["alpha"] for h in hits] == [[a, b] for a in grid for b in grid if (a, b) != (0, 0)]
+    for hit in hits:
+        re, im = hit["alpha"]
+        assert hit["defect_on_constant"] == hit["oracle_defect"] == (re**2 + im**2) ** 2
+        oracle = constant_perturbed_dirichlet(3, complex(re, im)).defect_form.max_residual
+        assert hit["oracle_defect"] == oracle
+
+
+def test_search_text_output_lists_hits_or_says_none(capsys):
+    # One compact JSON line per hit, the hits of --format json, then a count.
+    assert main([*_N0_SURVIVORS, "--format", "json"]) == 0
+    hits = json.loads(capsys.readouterr().out)["hits"]
+    assert main(_N0_SURVIVORS) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("search {'family': 'dirichlet-alpha', 'n': 0, 'N': 3")
+    assert all(line.startswith("  {") for line in out[1:-1])
+    assert [json.loads(line) for line in out[1:-1]] == hits
+    assert out[-1] == "24 hit(s)"
+    assert main(["search", "dirichlet-alpha", "--n", "2", "--re-min", "0.5", "--re-max", "0.5",
+                 "--im-min", "0", "--im-max", "0", "--step", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["no hits", "0 hit(s)"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "-1"], "n must be non-negative"),
+    (["--n", "2", "-N", "4"], "truncation N=4 too small for n=2"),
+    (["--n", "0", "-N", "1"], "truncation N=1 too small for n=0"),
+])
+def test_search_bad_n_or_truncation_is_input_error(args, message, capsys):
+    assert main(["search", "dirichlet-alpha", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("part", ["re", "im"])

@@ -259,3 +259,9 @@ def test_bidisc_example_growth_and_window():
     op = Op(perturbed.space, perturbed.matrix, degree_growth=2)
     assert int(op.space.degrees[safe_subspace(op)].max()) <= 2
     assert polarized_defect_form(op).max_residual <= 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [(0.0,), (0.0, 0.0, 0.0)])
+def test_dirichlet_problem_refuses_the_zero_polynomial(coeffs):
+    with pytest.raises(ValueError, match="zero polynomial"):
+        dirichlet_perturbation_problem(6, PolyCoeffs(coeffs))

@@ -959,6 +959,19 @@ def test_truncation_safe_flags_top_degree():
     assert not truncation_safe(op, op.space.monomial((6,)))
 
 
+def test_negative_degree_growth_is_refused():
+    with pytest.raises(ValueError, match="degree_growth must be non-negative or None"):
+        Op(make_coordinate_space(2), np.eye(2), degree_growth=-1)
+
+
+def test_unbounded_growth_is_never_truncation_safe():
+    T = Op(make_dirichlet_space(4), dirichlet_shift(4).matrix)
+    assert T.degree_growth is None
+    assert not truncation_safe(T, T.space.basis_vector(0))
+    with pytest.raises(TruncationError, match="unbounded"):
+        safe_subspace(T)
+
+
 def test_scanned_degree_growth():
     shift = dirichlet_shift(6)
     space = shift.space
@@ -1000,6 +1013,12 @@ def test_operator_json_round_trip():
     assert back.space == op.space
     assert np.allclose(back.matrix, op.matrix)
     assert back.degree_growth == op.degree_growth
+
+
+@pytest.mark.parametrize("doc", [[], "operator", None, 3])
+def test_operator_from_dict_of_a_non_object_is_value_error(doc):
+    with pytest.raises(ValueError, match="operator document must be a JSON object"):
+        Op.from_dict(doc)
 
 
 def test_operator_json_unbounded_growth():

@@ -378,9 +378,32 @@ def test_space_json_round_trip(space):
         assert doc["max_degree"] is None
 
 
+def _pairs_by_entry(x) -> list[list[str]]:
+    """The [re, im] pairs built one complex entry at a time, as reprs so
+    that -0.0 and 0.0 differ: the referee of the float-view encoding."""
+    arr = np.asarray(x, dtype=complex).ravel()
+    return [[repr(float(z.real)), repr(float(z.imag))] for z in arr]
+
+
 def test_vec_pairs_round_trip():
-    x = np.array([1.0 + 2.0j, -0.5, 3.0j])
-    assert np.allclose(vec_from_pairs(vec_to_pairs(x)), x)
+    tiny = 5e-324  # the smallest subnormal
+    x = np.array([1.0 + 2.0j, -0.5, 3.0j, complex(-0.0, -0.0), complex(0.0, -0.0),
+                  complex(tiny, -tiny), complex(-2.5e-310, 1e308)])
+    pairs = vec_to_pairs(x)
+    assert all(type(part) is float for pair in pairs for part in pair)
+    assert [[repr(a), repr(b)] for a, b in pairs] == _pairs_by_entry(x)
+    assert pairs[3] == [-0.0, -0.0] and math.copysign(1.0, pairs[3][1]) < 0
+    assert math.copysign(1.0, pairs[4][1]) < 0 and pairs[5] == [tiny, -tiny]
+    assert vec_from_pairs(pairs).tobytes() == x.tobytes()
+    # strided, reversed and transposed views and a read-only float64 matrix
+    block = (np.arange(12.0) - 6.0).reshape(3, 4) * (1 - 0.5j)
+    real = np.array([[1.5, -0.0], [2.0, -1e-310]])
+    real.setflags(write=False)
+    for y in (block[:, 1], block[::2, ::-3], x[::-2], real, block.T):
+        got = vec_to_pairs(y)
+        assert [[repr(a), repr(b)] for a, b in got] == _pairs_by_entry(y)
+        assert vec_from_pairs(got).tobytes() == np.asarray(y, dtype=complex).ravel().tobytes()
+    assert vec_to_pairs(real)[1] == [-0.0, 0.0] and math.copysign(1.0, vec_to_pairs(real)[1][0]) < 0
 
 
 @pytest.mark.parametrize(
@@ -394,6 +417,12 @@ def test_vec_from_pairs_rejects_malformed(pairs):
         vec_from_pairs(pairs)
 
 
+@pytest.mark.parametrize("doc", [[], "dirichlet", None, 3])
+def test_space_from_dict_of_a_non_object_is_value_error(doc):
+    with pytest.raises(ValueError, match="space document must be a JSON object"):
+        WeightedSpace.from_dict(doc)
+
+
 @pytest.mark.parametrize(
     "weights",
     [[1.0, float("nan"), 3.0], [1.0, float("inf"), 3.0], "123", [True, 2.0, 3.0]],
@@ -403,3 +432,21 @@ def test_space_from_dict_rejects_non_finite_weights(weights):
     doc["weights"] = weights
     with pytest.raises(ValueError, match="weights"):
         WeightedSpace.from_dict(doc)
+
+
+@pytest.mark.parametrize("make, size, message", [
+    (make_dirichlet_space, -1, "max_degree must be non-negative"),
+    (make_bidisc_space, -1, "max_total_degree must be non-negative"),
+    (make_coordinate_space, 0, "dim must be at least 1"),
+    (make_coordinate_space, -3, "dim must be at least 1"),
+])
+def test_space_builders_refuse_a_negative_or_zero_size(make, size, message):
+    with pytest.raises(ValueError, match=message):
+        make(size)
+
+
+def test_index_of_an_unknown_label_is_value_error():
+    with pytest.raises(ValueError, match=r"no basis label with multi-index \(3, 0\)"):
+        make_bidisc_space(2).index_of((3, 0))
+    with pytest.raises(ValueError, match=r"no basis label with multi-index \(7,\)"):
+        make_dirichlet_space(3).index_of(7)
