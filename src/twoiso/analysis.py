@@ -31,11 +31,11 @@ no mass above the truncation degree, which nothing certifies yet. Condition
 (a) is read off G on the witness line alone, in window coordinates
 sqrt(w_i) x_i, i in the safe index set: given the kernel condition, D maps
 the stable kernel into itself exactly when it maps the witness line into
-itself. The witness norm against tol_rank is the one rank decision. Only the
-kernel residual recovers its defect image by polarization of the quadratic
-form, from one block call of defect_quadratic on the four polarization
-terms side by side, over the band of window labels that D v can reach
-rather than the whole window; it reads T + u⊗v, built once by ``perturb``.
+itself. The witness norm against tol_rank is the one rank decision. The
+kernel residual reads its defect image off forward images only, as the form
+<D v, e_i> against the basis of the band of window labels that D v can reach
+rather than the whole window, in one call of defect_quadratic; it reads
+T + u⊗v, built once by ``perturb``.
 The oracle verdict thresholds the entries of G, the theorem verdict the branch
 residuals; the two must agree and both are in the report.
 """
@@ -281,10 +281,9 @@ def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
 
 
 def kernel_condition_residual(Ttilde: Op, v) -> float:
-    """|| (perturbed defect) v || read off the safe window by polarization,
-    one block call of the quadratic defect on the four polarization terms
-    over the band of window labels that D v can reach
-    (:func:`defect_apply_in_window`).
+    """|| (perturbed defect) v || read off the safe window: the form
+    <D v, e_i> against the basis of the band of window labels that D v can
+    reach, in one call of defect_quadratic (:func:`defect_apply_in_window`).
 
     Raises when v is not supported on the truncation-safe window.
     """

@@ -11,37 +11,36 @@ On a degree-truncated model of an infinite-dimensional space, the adjoint
 matrix W^-1 A^H W is wrong near the top degree, so no adjoint matrix is
 built: T* is only ever applied to one vector, as W^-1 A^H (W v) from one
 product with the forward matrix, and the defect operator
-I - 2 T*T + T*^2 T^2 is never formed. Instead the quadratic defect
+I - 2 T*T + T*^2 T^2 is never formed. Instead :func:`defect_quadratic`
+evaluates the quadratic defect
 
     q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2
 
-is evaluated with forward applications only, from two matrix products for
-a block of k columns (a vector is a one-column block). It is exact for
-every x in the truncation-safe window: the span of the labels of total
-degree <= max_degree - 2 * degree_growth, held as the index array
-:func:`safe_subspace` returns. So is the form <D x, y> = <x, y> - 2 <Tx, Ty>
-+ <T^2 x, T^2 y> of the defect operator D; on the window's orthonormal basis
-E (columns e_i / sqrt(w_i)) it is the sum of three forward Gram products,
-E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
-oracle and the source of the invariance condition of the decision procedure;
-only a single defect image inside the window, the one the kernel condition
-needs, is recovered from q by four-term complex polarization, in one block
-call of q: the terms x + s E, s in {1, -1, i, -i}, side by side, with the
-values of all columns from two matrix products. E spans only the band of
-window labels that D x can reach; every other entry of the image is an
-exact zero. The perturbed operator T + u⊗v is built by :func:`perturb`,
-which adds the rank-one part on the block supp u x supp v of a copy of T.
+or the form <D x, y> = <x, y> - 2 <Tx, Ty> + <T^2 x, T^2 y> of the defect
+operator D against a block of vectors y, from forward images only. Both are
+exact for every x and y in the truncation-safe window: the span of the
+labels of total degree <= max_degree - 2 * degree_growth, held as the index
+array :func:`safe_subspace` returns. On the window's orthonormal basis E
+(columns e_i / sqrt(w_i)) the form is the sum of three forward Gram
+products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is
+both the oracle and the source of the invariance condition of the decision
+procedure. The defect image that the kernel condition needs is the form of
+x against E over the band of window labels that D x can reach; every other
+entry is an exact zero. Four-term polarization of q is only the tests'
+referee (tests/helpers.py). The perturbed operator T + u⊗v is built by
+:func:`perturb`, which adds the rank-one part on the block supp u x supp v
+of a copy of T.
 
 An Op stores its matrix once, in the field of its entries: float64 when
 every imaginary part is exactly zero, complex otherwise. The forward products
 of the form and of q run in that field. The shifts and their real
 perturbations have real matrices: their form is real, T E and its two Gram
 products are real products, and one helper multiplies them with a complex
-vector or block (of q, of :func:`apply`, of the oracle update) through its
-float view, re and im columns side by side. A matrix with any nonzero
-imaginary part keeps complex products. The library builders hand the array
-they filled to the Op they build; a caller's array is copied once, into its
-field, and never kept or frozen in place. How far a matrix raises or lowers
+vector or block (of q and the form, of :func:`apply`, of the oracle update)
+through its float view, re and im columns side by side. A matrix with any
+nonzero imaginary part keeps complex products. The library builders hand the
+array they filled to the Op they build; a caller's array is copied once, into
+its field, and never kept or frozen in place. How far a matrix raises or lowers
 degree, and whether it is a weighted shift, is read off its nonzeros.
 
 A real weighted shift, T e_j = a_j e_pi(j) with pi injective, needs no Gram
@@ -204,15 +203,15 @@ def apply(A: Op, x) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a complex vector or block and an operator matrix in either
-    field. A real matrix multiplies the complex factor's float view, re and
-    im parts side by side, in one real product: numpy would otherwise make a
-    complex copy of the real matrix."""
+    """a @ b for a complex vector or block and a matrix in either field. A
+    real matrix multiplies the complex factor's float view, re and im parts
+    side by side, in one real product: numpy would otherwise make a complex
+    copy of the real matrix."""
     if a.dtype == b.dtype:
         return a @ b
     if b.dtype.kind == "c":  # a real matrix times a vector or columns
         f = np.ascontiguousarray(b).view(float).reshape(len(b), -1)
-        return (a @ f).view(complex).reshape(b.shape)
+        return (a @ f).view(complex).reshape(a.shape[:1] + b.shape[1:])
     return _matmul(b.T, a.T).T  # complex rows times a real matrix
 
 
@@ -262,34 +261,38 @@ def _norms2(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
 
 
-def defect_quadratic(T: Op, x):
-    """q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2 with weighted norms.
+def defect_quadratic(T: Op, x, y=None):
+    """q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2 with weighted norms, a float;
+    with a (dim, m) block y, the m complex values <D x, y_j> = <x, y_j>
+    - 2 <Tx, T y_j> + <T^2 x, T^2 y_j> of the defect form.
 
-    Uses forward applications only, so the value is exact whenever x lies
-    in the truncation-safe window of T. A (dim, k) block of columns gives
-    the k values as an array, from two matrix products; a vector is a
-    one-column block and gives a float. Raises ValueError when a value
-    overflows to a non-finite number, so that no caller reads a NaN.
+    Forward images only (Tx, T^2 x, Ty, T^2 y), so every value is exact when
+    x and y lie in the truncation-safe window of T. A real y meets a complex
+    matrix as a complex copy of y, not of the matrix. Raises ValueError when
+    a value overflows to a non-finite number, so that no caller reads a NaN.
     """
-    w = T.space.weight_array
-    x = np.asarray(x, dtype=complex)
-    vector = x.ndim != 2
-    if vector:
-        x = T.space.check_vec(x)[:, None]
-    elif x.shape[0] != T.space.dim:
-        raise ValueError(f"block has shape {x.shape}, expected ({T.space.dim}, k)")
-    A = T.matrix
-    x = np.ascontiguousarray(x)
+    A, w, dim = T.matrix, T.space.weight_array, T.space.dim
+    x = np.ascontiguousarray(T.space.check_vec(x)[:, None])
+    if y is not None:
+        y = np.ascontiguousarray(y, dtype=np.result_type(A, np.asarray(y)))
+        if y.ndim != 2 or len(y) != dim:
+            raise ValueError(f"block has shape {y.shape}, expected ({dim}, m)")
     with np.errstate(over="ignore", invalid="ignore"):
         tx = _matmul(A, x)
         ttx = _matmul(A, tx)
-        value = _norms2(w, x) - 2.0 * _norms2(w, tx) + _norms2(w, ttx)
+        if y is None:
+            value = _norms2(w, x) - 2.0 * _norms2(w, tx) + _norms2(w, ttx)
+        else:
+            w = w[:, None]
+            ty = _matmul(A, y)
+            value = np.conj(_matmul(y.T, np.conj(w * x)) - 2.0 * _matmul(ty.T, np.conj(w * tx))
+                            + _matmul(_matmul(A, ty).T, np.conj(w * ttx)))[:, 0]
     if not np.all(np.isfinite(value)):
         raise ValueError(
             "the defect overflows: the operator or the vector is too large "
             "for floating point"
         )
-    return float(value[0]) if vector else value
+    return float(value[0]) if y is None else value
 
 
 @dataclass(eq=False, frozen=True)
@@ -420,19 +423,16 @@ def polarized_defect_form(T: Op) -> DefectReport:
 
 
 def defect_apply_in_window(T: Op, x) -> np.ndarray:
-    """Component of (defect operator) x inside T's safe window, via polarization.
-
-    With E the (dim, b) block of the basis e_i / sqrt(w_i) over the window
-    labels that D x can reach, E^H W D x = ( q(x+E) - q(x-E) + i q(x+iE)
-    - i q(x-iE) ) / 4, from one call of :func:`defect_quadratic` on the four
-    terms x + s E side by side in a (dim, 4b) block. The weights are
-    diagonal, so <D x, e_i> = <x, e_i> - 2 <Tx, Te_i> + <T^2 x, T^2 e_i>
-    vanishes once deg e_i > top(x) + 2 (degree_growth + drop): top(x) is
-    the top degree of x's nonzero entries, drop the most a column of T
-    lowers degree (truncation removes only rows above the top degree): the
-    largest column degree minus row degree over T's nonzeros, floored at
-    zero. drop is scanned only when the band stops short of the window
-    without it. x must be truncation-safe; then the result is the
+    """Component of (defect operator) x inside T's safe window: E^H W D x,
+    the b values <D x, e_i> of one :func:`defect_quadratic` call whose block
+    y is E, the basis e_i / sqrt(w_i) of the window labels that D x can
+    reach. The weights are diagonal, so <D x, e_i> = <x, e_i> - 2 <Tx, Te_i>
+    + <T^2 x, T^2 e_i> vanishes once deg e_i > top(x) + 2 (degree_growth +
+    drop): top(x) is the top degree of x's nonzero entries, drop the most a
+    column of T lowers degree (truncation removes only rows above the top
+    degree): the largest column degree minus row degree over T's nonzeros,
+    floored at zero. drop is scanned only when the band stops short of the
+    window without it. x must be truncation-safe; then the result is the
     untruncated D x projected onto the window.
     """
     idx = safe_subspace(T)
@@ -444,12 +444,9 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
         rows, cols = _nonzeros(T.matrix)
         band += 2 * int(np.max(degs[cols] - degs[rows], initial=0))
         idx = idx[degs[idx] <= band]
-    b = idx.size
     scale = 1.0 / np.sqrt(T.space.weight_array[idx])
-    block = np.empty((T.space.dim, 4, b), dtype=complex)
-    block[...] = x[:, None, None]
-    block[idx, :, np.arange(b)] += np.outer(scale, (1, -1, 1j, -1j))
-    q = defect_quadratic(T, block.reshape(T.space.dim, 4 * b)).reshape(4, b)
+    E = np.zeros((T.space.dim, idx.size))
+    E[idx, np.arange(idx.size)] = scale
     out = T.space.zeros()
-    out[idx] = scale * (0.25 * (q[0] - q[1]) + 0.25j * (q[2] - q[3]))
+    out[idx] = scale * defect_quadratic(T, x, E)
     return out

@@ -735,8 +735,8 @@ _KERNEL_REFEREE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_REFEREE_CASES))
 def test_kernel_residual_matches_entrywise_polarization(case):
-    # Four block calls of the quadratic defect against the scalar referee,
-    # which polarizes one window entry at a time.
+    # One call of the defect form on the band's basis against the scalar
+    # referee, which polarizes one window entry at a time.
     problem = _KERNEL_REFEREE_CASES[case]()
     Tt = problem.perturbed()
     image = defect_image_by_entries(Tt, problem.v)
@@ -757,13 +757,13 @@ def test_kernel_residual_matches_entrywise_polarization(case):
 
 
 def _kernel_block_widths(monkeypatch, Tt, v) -> list:
-    """Column counts of the blocks that the kernel residual passes to
-    defect_quadratic: one block, the four polarization terms side by side."""
+    """Column counts of the blocks y that the kernel residual passes to
+    defect_quadratic: one block, the basis of the band."""
     widths = []
 
-    def recording(T, x):
-        widths.append(np.shape(x)[1])
-        return defect_quadratic(T, x)
+    def recording(T, x, y=None):
+        widths.append(np.shape(y)[1])
+        return defect_quadratic(T, x, y)
 
     monkeypatch.setattr(operators, "defect_quadratic", recording)
     kernel_condition_residual(Tt, v)
@@ -799,11 +799,11 @@ def test_kernel_residual_polarizes_only_the_band(monkeypatch, case):
     problem = make()
     Tt = problem.perturbed()
     assert safe_subspace(Tt).size == window
-    assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [4 * width]
+    assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [width]
 
 
 def _band_width_by_dense_scan(T: Op, x) -> int:
-    """Width of the band that the kernel residual polarizes, with the most a
+    """Width of the band that the kernel residual reads, with the most a
     column lowers degree taken from a dim x dim ``np.where`` scan of the
     matrix: the referee of the scan over its nonzeros."""
     degs = T.space.degrees
@@ -848,7 +848,7 @@ def test_kernel_residual_band_matches_the_dense_scan(monkeypatch):
             v = np.where(degs <= 1, random_vec(T.space, rng), 0.0)
         width = _band_width_by_dense_scan(T, v)
         widths.add(width)
-        assert _kernel_block_widths(monkeypatch, T, v) == [4 * width]
+        assert _kernel_block_widths(monkeypatch, T, v) == [width]
     assert len(widths) > 5
 
 
@@ -857,7 +857,7 @@ def test_kernel_residual_keeps_the_whole_weighted_c4_window(monkeypatch):
     rng = np.random.default_rng(71)
     space = make_coordinate_space(4, weights=tuple(rng.uniform(0.5, 3.0, size=4)))
     Tt = Op.from_exact_matrix(space, random_unitary(4, rng))
-    assert _kernel_block_widths(monkeypatch, Tt, random_vec(space, rng)) == [16]
+    assert _kernel_block_widths(monkeypatch, Tt, random_vec(space, rng)) == [4]
 
 
 def _traced_peak(fn, *args) -> int:
@@ -888,10 +888,9 @@ def _dense_bidisc_18() -> PerturbationProblem:
 
 
 def test_kernel_residual_peak_memory_within_the_oracle_form():
-    # The polarization terms go through defect_quadratic as one (dim, 4b)
-    # block over the band of b labels that D v can reach, not over the whole
-    # window of r labels, where it would hold several times the memory of
-    # the whole-window Gram form. The yardstick is the dense real form.
+    # The kernel residual reads the form on one (dim, b) block, the basis of
+    # the band of b labels that D v can reach, not of the whole window of r
+    # labels. The yardstick is the dense real form.
     problem = _dense_bidisc_18()
     Tt = problem.perturbed()
     kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)

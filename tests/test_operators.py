@@ -20,6 +20,7 @@ from twoiso import (
     perturb,
     polarized_defect_form,
     safe_subspace,
+    truncation_cutoff,
     truncation_safe,
 )
 from twoiso.function_spaces import (
@@ -31,6 +32,7 @@ from twoiso.function_spaces import (
     dirichlet_shift,
     perturbed_dirichlet,
 )
+from twoiso.operators import _matmul
 from twoiso.sampling import random_unitary
 from helpers import (
     add,
@@ -43,6 +45,7 @@ from helpers import (
     dense_defect_form,
     field_gram_form,
     identity,
+    polarized_defect_entry,
     polarized_form_by_entries,
     random_matrix,
     random_op,
@@ -373,40 +376,86 @@ def test_defect_quadratic_matches_defect_operator_form():
 
 
 def test_defect_quadratic_block_matches_column_calls():
+    # The m values of a block y against m one-column calls, and the same
+    # values from a Fortran-ordered block.
     rng = np.random.default_rng(44)
     for k in (0, 1, 2, 5):
         for _ in range(10):
             space = random_weighted_space(rng)
             T = random_op(space, rng)
+            x = random_vec(space, rng)
             block = rng.standard_normal((space.dim, k)) + 1j * rng.standard_normal((space.dim, k))
-            values = defect_quadratic(T, block)
+            values = defect_quadratic(T, x, block)
             assert isinstance(values, np.ndarray) and values.shape == (k,)
-            assert np.array_equal(defect_quadratic(T, np.asfortranarray(block)), values)
+            assert values.dtype == np.complex128
+            assert np.array_equal(defect_quadratic(T, x, np.asfortranarray(block)), values)
             for j in range(k):
-                expected = defect_quadratic(T, block[:, j])
+                expected = defect_quadratic(T, x, block[:, j:j + 1])[0]
                 assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_defect_quadratic_vector_is_a_one_column_block():
+    # q(x) is the form <D x, y> at the one-column block y = x.
     rng = np.random.default_rng(47)
     for _ in range(30):
         space = random_weighted_space(rng)
         T = random_op(space, rng)
         x = random_vec(space, rng)
-        assert defect_quadratic(T, x) == defect_quadratic(T, x[:, None])[0]
+        value = defect_quadratic(T, x, x[:, None])[0]
+        assert abs(defect_quadratic(T, x) - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def _form_cases() -> dict:
+    """Operators with x and a block y of three columns on their safe windows:
+    real shifts, complex matrices and random weighted C^n."""
+    rng = np.random.default_rng(75)
+
+    def safe_pair(T):
+        keep = T.space.degrees <= truncation_cutoff(T)
+        x = np.where(keep, random_vec(T.space, rng), 0.0)
+        y = np.column_stack([np.where(keep, random_vec(T.space, rng), 0.0) for _ in range(3)])
+        return T, x, y
+
+    cases = {
+        "dirichlet-shift-12": safe_pair(dirichlet_shift(12)),
+        "bidisc-shift-8-z1": safe_pair(bidisc_shift(8, axis=1)),
+        "bidisc-shift-8-z2": safe_pair(bidisc_shift(8, axis=2)),
+        "dirichlet-12-iz": safe_pair(
+            dirichlet_perturbation_problem(12, PolyCoeffs((1j,))).perturbed()),
+        "bidisc-8-off-example": safe_pair(bidisc_off_example_problem().perturbed()),
+        "unitary-c5": safe_pair(
+            Op.from_exact_matrix(make_coordinate_space(5), random_unitary(5, rng))),
+    }
+    for n in (2, 4, 6):
+        space = make_coordinate_space(n, weights=tuple(rng.uniform(0.5, 3.0, size=n)))
+        cases[f"weighted-c{n}"] = safe_pair(random_op(space, rng))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_form_cases()))
+def test_defect_quadratic_form_matches_polarized_entries(case):
+    T, x, y = _form_cases()[case]
+    values = defect_quadratic(T, x, y)
+    real_y = defect_quadratic(T, x, y.real)
+    for j in range(y.shape[1]):
+        for col, value in ((y[:, j], values[j]), (y[:, j].real, real_y[j])):
+            expected = polarized_defect_entry(T, x, col)
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_defect_quadratic_shapes():
     space = make_coordinate_space(3, weights=(1.0, 2.0, 0.5))
     T = random_op(space, np.random.default_rng(45))
-    value = defect_quadratic(T, space.basis_vector(1))
+    x = space.basis_vector(1)
+    value = defect_quadratic(T, x)
     assert type(value) is float
-    with pytest.raises(ValueError):
-        defect_quadratic(T, np.zeros((3, 2, 2)))
-    with pytest.raises(ValueError):
-        defect_quadratic(T, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        defect_quadratic(T, np.zeros(2))
+    assert defect_quadratic(T, x, np.eye(3)[:, :2]).shape == (2,)
+    for bad in (np.zeros((3, 2, 2)), np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(ValueError, match="shape"):
+            defect_quadratic(T, bad)
+    for bad in (np.zeros((3, 2, 2)), np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match=r"block has shape .*expected \(3, m\)"):
+            defect_quadratic(T, x, bad)
 
 
 def test_defect_quadratic_overflow_is_value_error():
@@ -418,9 +467,9 @@ def test_defect_quadratic_overflow_is_value_error():
         assert T.matrix.dtype == (np.complex128 if phase != 1.0 else np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x in (space.basis_vector(0), np.eye(2, dtype=complex)):
+            for block in ((), (np.eye(2),)):
                 with pytest.raises(ValueError, match="overflows"):
-                    defect_quadratic(T, x)
+                    defect_quadratic(T, space.basis_vector(0), *block)
             with pytest.raises(ValueError, match="overflows"):
                 polarized_defect_form(T)
 
@@ -517,11 +566,19 @@ def _tiny_mass_above_band_case():
     ids=["column-lowers-degree", "tiny-mass-above-band"],
 )
 def test_defect_apply_in_window_reaches_past_the_plain_band(make):
+    # Polarization loses round-off of the scale of x, which is about 1e-3 of
+    # the tiny entry at z^10; the dense window form, E^H W D x = G c_x, reads
+    # that entry to round-off of its own size.
     T, x, label = make()
     referee = defect_image_by_entries(T, x)
     assert abs(referee[label]) > 0.0
     image = defect_apply_in_window(T, x)
-    assert np.max(np.abs(image - referee)) <= 1e-3 * abs(referee[label])
+    assert np.max(np.abs(image - referee)) <= 1e-12 * np.max(np.abs(referee))
+    idx = safe_subspace(T)
+    root_w = np.sqrt(T.space.weight_array[idx])
+    dense = dense_defect_form(T) @ (root_w * x[idx]) / root_w
+    at = int(np.flatnonzero(idx == label)[0])
+    assert abs(image[label] - dense[at]) <= 1e-12 * abs(dense[at])
 
 
 @pytest.mark.parametrize(
@@ -597,24 +654,41 @@ def test_real_defect_quadratic_blocks_match_column_calls(name):
     T = _real_field_cases()[name]
     rng = np.random.default_rng(72)
     dim = T.space.dim
+    w = T.space.weight_array[:, None]
     A = T.matrix.astype(complex)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    tx = A @ x[:, None]
+    ttx = A @ tx
 
-    def norms2(z):
-        return np.einsum("i,ij,ij->j", T.space.weight_array, z.conj(), z).real
+    def form(y):
+        ty = A @ y
+        return ((w * x[:, None]).T @ y.conj() - 2.0 * (w * tx).T @ ty.conj()
+                + (w * ttx).T @ (A @ ty).conj())[0]
 
     for k in (0, 1, 10):
-        block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-        values = defect_quadratic(T, block)
-        assert isinstance(values, np.ndarray) and values.shape == (k,)
-        assert np.array_equal(defect_quadratic(T, np.asfortranarray(block)), values)
-        # the same values in complex arithmetic on the complex matrix
-        tx = A @ block
-        direct = norms2(block) - 2.0 * norms2(tx) + norms2(A @ tx)
-        for j in range(k):
-            expected = defect_quadratic(T, block[:, j])
-            assert type(expected) is float
-            assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
-            assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
+        for block in (rng.standard_normal((dim, k)),
+                      rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))):
+            values = defect_quadratic(T, x, block)
+            assert isinstance(values, np.ndarray) and values.shape == (k,)
+            assert np.array_equal(defect_quadratic(T, x, np.asfortranarray(block)), values)
+            # the same values in complex arithmetic on the complex matrix
+            direct = form(block.astype(complex))
+            for j in range(k):
+                expected = defect_quadratic(T, x, block[:, j:j + 1])[0]
+                assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
+                assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
+
+
+def test_matmul_of_a_complex_matrix_and_a_real_block_of_other_width():
+    # A real factor that is not square used to be reshaped to its own shape.
+    rng = np.random.default_rng(76)
+    C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    R = rng.standard_normal((3, 3))
+    for a, b in ((C, np.eye(3)[:, :2]), (C[:2], R), (R[:2], C), (R[:, :2].T, C[:, 0]),
+                 (C[:1], R[:, :2])):
+        product = _matmul(a, b)
+        assert product.shape == (a @ b).shape
+        assert np.allclose(product, a @ b, rtol=1e-15, atol=1e-15)
 
 
 def test_matrix_is_real_read_only_on_shifts_and_complex_otherwise():
