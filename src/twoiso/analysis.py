@@ -27,7 +27,10 @@ and conj(W y) with the truncated matrix A, built once per problem
 b x = <Tx, v>, p x = <Tx, u>, s x = <T^2 x, u>, so the branch II quantities
 are read off the same rows: T*v = W^-1 conj(b), gamma = Re( (s x - (b x)(p v))
 / (b x) ) and the norm balance from Re(p v). T*v is exact only when it has
-no mass above the truncation degree, which nothing certifies yet. Condition
+no mass above the truncation degree, which nothing certifies yet. The rows,
+the oracle and condition (a) run in the field of the problem: float64 when
+A is real and u and v have no nonzero imaginary part, as for the shifts and
+their reference perturbations, complex otherwise. Condition
 (a) is read off G on the witness line alone, in window coordinates
 sqrt(w_i) x_i, i in the safe index set: given the kernel condition, D maps
 the stable kernel into itself exactly when it maps the witness line into
@@ -199,10 +202,16 @@ class PerturbationProblem:
         Hermitian M of the oracle's rank-4 update R^H M R: built once, read-only.
         A row times a vector is an inner product, c x = <x, v>, b x = <Tx, v>,
         p x = <Tx, u>, s x = <T^2 x, u>. Overflow is left to the readers.
+
+        R and M are in the field of the problem: float64 when A is real and
+        u and v have no nonzero imaginary part, complex otherwise; the oracle
+        and condition (a) follow them.
         """
         A = self.base.matrix
         w = self.space.weight_array
         u, v = self.u, self.v
+        if A.dtype == np.float64 and not (u.imag.any() or v.imag.any()):
+            u, v = u.real, v.real
         with np.errstate(over="ignore", invalid="ignore"):
             y = _matmul(A, u) + np.vdot(v, w * u) * u
             vuy = np.array([v, u, y])
@@ -273,8 +282,10 @@ def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
     kernel condition D v = 0, which the verdict also requires, that is the
     witness line, because <D x, v> = <x, D v> = 0. The norm is taken after
     an exact power-of-two scaling, so it is finite whenever it is in range.
+    A real G multiplies a complex c_x through its float view, with no
+    complex copy of G.
     """
-    img = G @ c_x
+    img = _matmul(G, c_x)
     res = img - np.vdot(c_x, img) * c_x
     scale = pow2_scale(res)
     return float(np.linalg.norm(res * scale) / scale)
@@ -301,7 +312,8 @@ def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> Def
     as in the direct build. The Gram products change by (t - 2p) c^H + (||y||^2
     - 2||u||^2) c c^H + <y, u> b c^H + s b^H + ||u||^2 b b^H and the adjoints
     of the off-diagonal terms, which is R^H M R; M has rank 4 since p and t
-    enter as t - 2p. Raises ValueError on an overflow.
+    enter as t - 2p. The form is made once, in the field of the problem, and
+    the base form is added into it. Raises ValueError on an overflow.
     """
     R, M = problem.update
     w = problem.space.weight_array
@@ -311,7 +323,9 @@ def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> Def
         G = G[np.ix_(k, k)]
     with np.errstate(over="ignore", invalid="ignore"):
         Rh = R[:, idx] / np.sqrt(w[idx])
-        return DefectReport.of(G + Rh.conj().T @ M @ Rh)
+        form = Rh.conj().T @ M @ Rh  # the one r x r result, in the field of R
+        form += G
+    return DefectReport.of(form)
 
 
 def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:

@@ -38,7 +38,10 @@ perturbations have real matrices: their form is real, T E and its two Gram
 products are real products, and one helper multiplies them with a complex
 vector or block (of q and the form, of :func:`apply`, of the oracle update)
 through its float view, re and im columns side by side. A matrix with any
-nonzero imaginary part keeps complex products. The library builders hand the
+nonzero imaginary part keeps complex products. The rule extends to the
+problem: a real matrix with u and v free of imaginary parts builds the oracle
+update's rows, the oracle and condition (a) in float64, and a real form's
+largest entry is read without an abs temporary. The library builders hand the
 array they filled to the Op they build; a caller's array is copied once, into
 its field, and never kept or frozen in place. How far a matrix raises or lowers
 degree, and whether it is a weighted shift, is read off its nonzeros.
@@ -211,7 +214,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     if b.dtype.kind == "c":  # a real matrix times a vector or columns
         f = np.ascontiguousarray(b).view(float).reshape(len(b), -1)
-        return (a @ f).view(complex).reshape(a.shape[:1] + b.shape[1:])
+        return (a @ f).view(complex).reshape(a.shape[:-1] + b.shape[1:])
     return _matmul(b.T, a.T).T  # complex rows times a real matrix
 
 
@@ -311,9 +314,14 @@ class DefectReport:
 
     @classmethod
     def of(cls, mat: np.ndarray) -> "DefectReport":
-        """Report ``mat``; raises ValueError on an entry that overflowed."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            max_residual = float(abs(mat).max())
+        """Report ``mat``; raises ValueError on an entry that overflowed. The
+        largest entry of a real matrix is read off its max and min, with no
+        temporary; a NaN makes both NaN."""
+        if mat.dtype.kind == "f":
+            max_residual = max(float(mat.max()), -float(mat.min()))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                max_residual = float(abs(mat).max())
         if not max_residual < np.inf:
             raise ValueError("the defect form overflows: the operator or the vectors "
                              "are too large for floating point")

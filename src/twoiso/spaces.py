@@ -66,6 +66,43 @@ def pow2_scale(x: np.ndarray) -> float:
     return 2.0 ** -min(max(math.frexp(abs(x).max())[1], -1022), 1022)
 
 
+def _label_array(labels: tuple) -> np.ndarray:
+    """The labels as a (dim, nvars) int64 array, in one pass over the
+    entries. Refuses no label, an empty or ragged label, and an entry that
+    is negative or not an integer below 2**63 (an integral float is one)."""
+    if not labels:
+        raise ValueError("a space needs at least one basis label")
+    try:
+        arr = np.array(labels)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim < 2:
+        if any(len(lab) == 0 for lab in labels):
+            raise ValueError("multi-index must have at least one entry")
+        raise ValueError("all labels must have the same multi-index length")
+    if arr.shape[1] == 0:
+        raise ValueError("multi-index must have at least one entry")
+    kind = arr.dtype.kind
+    if arr.ndim > 2 or kind not in "biuf":
+        raise ValueError("multi-index entries must be integers below 2**63")
+    if kind in "bi":
+        ints = arr.astype(np.int64, copy=False)
+    else:
+        with np.errstate(invalid="ignore"):  # NaN, inf and 2**63 on cast to other values
+            ints = arr.astype(np.int64)
+        _refuse_rows(arr, ints != arr, "integers below 2**63")
+    if ints.min() < 0:
+        _refuse_rows(arr, ints < 0, "non-negative")
+    return ints
+
+
+def _refuse_rows(arr: np.ndarray, bad: np.ndarray, what: str):
+    """Raise on the first label with a ``bad`` entry, if there is one."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        raise ValueError(f"multi-index entries must be {what}, got {tuple(arr[rows[0]].tolist())}")
+
+
 @dataclass(frozen=True)
 class WeightedSpace:
     """An ordered monomial basis with strictly positive diagonal weights."""
@@ -75,15 +112,9 @@ class WeightedSpace:
     kind: str = "custom"
 
     def __post_init__(self):
-        labels = tuple(tuple(int(k) for k in lab) for lab in self.labels)
-        for idx in labels:
-            if len(idx) == 0:
-                raise ValueError("multi-index must have at least one entry")
-            if min(idx) < 0:
-                raise ValueError(f"multi-index entries must be non-negative, got {idx}")
+        arr = _label_array(tuple(self.labels))
+        labels = tuple(map(tuple, arr.tolist()))
         weights = tuple(float(w) for w in self.weights)
-        if len(labels) == 0:
-            raise ValueError("a space needs at least one basis label")
         if len(labels) != len(weights):
             raise ValueError(
                 f"{len(labels)} labels but {len(weights)} weights"
@@ -92,11 +123,11 @@ class WeightedSpace:
             raise ValueError("all weights must be strictly positive")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
-        nvars = {len(lab) for lab in labels}
-        if len(nvars) != 1:
-            raise ValueError("all labels must have the same multi-index length")
+        degrees = arr.sum(axis=1)
+        degrees.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_degrees", degrees)
 
     # -- structure ---------------------------------------------------------
 
@@ -110,11 +141,10 @@ class WeightedSpace:
         w.setflags(write=False)
         return w
 
-    @cached_property
+    @property
     def degrees(self) -> np.ndarray:
-        d = np.array([sum(lab) for lab in self.labels], dtype=int)
-        d.setflags(write=False)
-        return d
+        """Total degree of each label, read-only."""
+        return self._degrees
 
     @cached_property
     def max_degree(self) -> int:

@@ -322,3 +322,23 @@ def stable_kernel_block_residual(G: np.ndarray, Q: np.ndarray) -> float:
     block = Q.conj().T @ G
     block -= (block @ Q) @ Q.conj().T
     return float(np.linalg.norm(block, 2)) if block.size else 0.0
+
+
+def complex_path_oracle(problem: PerturbationProblem, idx) -> np.ndarray:
+    """The oracle form on the window ``idx``, the base form plus R^H M R, with
+    the rows R and the core M built from complex-cast u and v: the complex
+    path, the referee of the update that a real problem builds in float64."""
+    A = problem.base.matrix
+    w = problem.space.weight_array
+    u, v = problem.u.astype(complex), problem.v.astype(complex)
+    y = A @ u + np.vdot(v, w * u) * u
+    vuy = np.array([v, u, y])
+    z = np.conj(w * vuy)
+    za = z @ A
+    R = np.concatenate((z[:1], za[:2], za[1:] @ A))
+    nu2, ny2, yu = np.vdot(u, w * u).real, np.vdot(y, w * y).real, np.vdot(u, w * y)
+    M = np.array([[ny2 - 2.0 * nu2, np.conj(yu), -2, 0, 1], [yu, nu2, 0, 1, 0],
+                  [-2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+    k = np.searchsorted(safe_subspace(problem.base), idx)
+    Rh = R[:, idx] / np.sqrt(w[idx])
+    return problem.base.defect_form.defect_matrix[np.ix_(k, k)] + Rh.conj().T @ M @ Rh

@@ -55,6 +55,7 @@ from helpers import (
     adjoint,
     bidisc_off_example_problem,
     brute_force_adjoint,
+    complex_path_oracle,
     defect_image_by_entries,
     huge_u_c4_case,
     identity,
@@ -1167,6 +1168,95 @@ def test_oracle_update_peak_memory_below_the_direct_build():
     idx = safe_subspace(Tt)
     update = _traced_peak(analysis._perturbed_defect_form, problem, idx)
     assert update < _traced_peak(polarized_defect_form, Tt)
+
+
+def test_base_form_and_verdict_peak_at_one_and_two_window_matrices_at_dirichlet_400():
+    # The shift's base form is one r x r matrix, and the verdict holds T + u⊗v
+    # and the oracle form, made once and in float64 for this real problem. An
+    # abs temporary in the report and a complex oracle built as a sum peaked
+    # at 2.0 and 4.1 window matrices.
+    T = dirichlet_shift(400)
+    window = 8 * 399**2
+    assert _traced_peak(lambda: T.defect_form) <= 1.1 * window
+    problem = PerturbationProblem(T, -2.0 * T.space.basis_vector(1), T.space.basis_vector(0))
+    assert _traced_peak(theorem_verdict, problem) <= 2.2 * window
+
+
+# ---------------------------------------------------------------------------
+# the field of the problem
+
+
+def _verdict_forms(monkeypatch) -> list:
+    """Collects (problem, window, oracle matrix) of every verdict run after
+    the call."""
+    seen = []
+    form = analysis._perturbed_defect_form
+
+    def kept(problem, idx):
+        report = form(problem, idx)
+        seen.append((problem, idx, report.defect_matrix))
+        return report
+
+    monkeypatch.setattr(analysis, "_perturbed_defect_form", kept)
+    return seen
+
+
+def _real_problem(problem: PerturbationProblem) -> bool:
+    return (problem.base.matrix.dtype == np.float64
+            and not (problem.u.imag.any() or problem.v.imag.any()))
+
+
+def _ladder_and_reproduce_forms(monkeypatch, capsys) -> list:
+    seen = _verdict_forms(monkeypatch)
+    for name, build in _UPDATE_REFEREE_CASES.items():
+        if name.startswith("ladder-"):
+            theorem_verdict(build())
+    assert main(["reproduce", "all", "--format", "json"]) == 0
+    capsys.readouterr()
+    return seen
+
+
+def test_real_problems_build_rows_and_oracle_in_float64(monkeypatch, capsys):
+    # Every ladder rung is real, and so are the reproduce cases c2-example,
+    # dirichlet-pper's p = -2z, dirichlet-n0 at alpha = 1 and bidisc;
+    # dirichlet-pper's (e^{i pi/3} - 1) z and i z have a complex u.
+    seen = _ladder_and_reproduce_forms(monkeypatch, capsys)
+    assert [_real_problem(p) for p, _, _ in seen] == [True] * 8 + [True, True, False, False,
+                                                                   True, True]
+    for problem, _, G in seen:
+        R, M = problem.update
+        want = np.float64 if _real_problem(problem) else np.complex128
+        assert R.dtype == M.dtype == G.dtype == want
+
+
+def test_real_oracle_matches_the_complex_path(monkeypatch, capsys):
+    seen = [case for case in _ladder_and_reproduce_forms(monkeypatch, capsys)
+            if _real_problem(case[0])]
+    assert len(seen) == 12
+    for problem, idx, G in seen:
+        referee = complex_path_oracle(problem, idx)
+        scale = max(1.0, float(np.abs(referee).max()))
+        assert float(np.abs(G - referee).max()) <= 1e-15 * scale
+
+
+def test_complex_u_or_base_keeps_complex_rows_and_oracle(monkeypatch):
+    # p = (e^{i pi/3} - 1) z on the real Dirichlet shift, and a C^2 unitary
+    # with an isometric correction: both stay in complex arithmetic.
+    rng = np.random.default_rng(2501)
+    U = random_unitary(2, rng)
+    u, v = isometric_correction_pair(U, random_complex_vector(2, rng), 0.7)
+    unitary = Op.from_exact_matrix(make_coordinate_space(2), U)
+    seen = _verdict_forms(monkeypatch)
+    for problem in (dirichlet_perturbation_problem(24, PolyCoeffs((np.exp(1j * np.pi / 3) - 1,))),
+                    PerturbationProblem(unitary, u, v)):
+        report = theorem_verdict(problem)
+        assert report.verdict_theorem and report.verdict_oracle
+    assert [p.base.matrix.dtype for p, _, _ in seen] == [np.float64, np.complex128]
+    for problem, idx, G in seen:
+        R, M = problem.update
+        assert R.dtype == M.dtype == G.dtype == np.complex128
+        referee = complex_path_oracle(problem, idx)
+        assert float(np.abs(G - referee).max()) <= 1e-15 * max(1.0, float(np.abs(referee).max()))
 
 
 # ---------------------------------------------------------------------------

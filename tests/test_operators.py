@@ -32,7 +32,7 @@ from twoiso.function_spaces import (
     dirichlet_shift,
     perturbed_dirichlet,
 )
-from twoiso.operators import _matmul
+from twoiso.operators import DefectReport, _matmul
 from twoiso.sampling import random_unitary
 from helpers import (
     add,
@@ -680,12 +680,13 @@ def test_real_defect_quadratic_blocks_match_column_calls(name):
 
 
 def test_matmul_of_a_complex_matrix_and_a_real_block_of_other_width():
-    # A real factor that is not square used to be reshaped to its own shape.
+    # A real factor that is not square used to be reshaped to its own shape,
+    # and a complex matrix times a real vector to (dim, dim).
     rng = np.random.default_rng(76)
     C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     R = rng.standard_normal((3, 3))
     for a, b in ((C, np.eye(3)[:, :2]), (C[:2], R), (R[:2], C), (R[:, :2].T, C[:, 0]),
-                 (C[:1], R[:, :2])):
+                 (C[:1], R[:, :2]), (C, R[:, 0]), (R[:, 0], C), (C[:, 0], R)):
         product = _matmul(a, b)
         assert product.shape == (a @ b).shape
         assert np.allclose(product, a @ b, rtol=1e-15, atol=1e-15)
@@ -947,6 +948,27 @@ def test_overflowing_diagonal_is_value_error(monkeypatch):
         with pytest.raises(ValueError, match="overflows"):
             polarized_defect_form(T)
     assert not dense
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_defect_report_refuses_a_non_finite_real_entry(bad, where):
+    # A real matrix's largest entry is read off its max and min, with no abs
+    # temporary; a NaN, +inf or -inf anywhere must still be refused.
+    mat = np.linspace(-3.0, 2.0, 35).reshape(5, 7)
+    mat.flat[{"first": 0, "middle": 17, "last": -1}[where]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the defect form overflows"):
+            DefectReport.of(mat)
+
+
+def test_defect_report_reads_the_largest_entry_of_a_real_matrix():
+    for mat in (np.array([[-3.0, 2.0], [1.0, 0.5]]), np.array([[0.5, 2.0], [-1.0, 3.0]]),
+                np.array([[-0.0]]), np.zeros((3, 3))):
+        report = DefectReport.of(mat.copy())
+        assert report.max_residual == float(np.abs(mat).max())
+        assert report.defect_matrix.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

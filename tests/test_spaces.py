@@ -90,6 +90,33 @@ def test_labels_are_int_tuples():
     assert space.index_of((1, 0)) == 1
 
 
+@pytest.mark.parametrize("labels", [
+    ((1.5,), (2.7,)),
+    ((0, 1), (1, 0.5)),
+    ((0,), (float("nan"),)),
+    ((0,), (float("inf"),)),
+    ((0,), (1e19,)),
+    ((0,), (2**63,)),
+    ((0,), (2**70,)),
+    ((0,), ("1",)),
+])
+def test_labels_refuse_an_entry_that_is_not_an_integer(labels):
+    # A non-integral entry was truncated: ((1.5,), (2.7,)) gave ((1,), (2,)).
+    with pytest.raises(ValueError, match="multi-index entries must be integers"):
+        WeightedSpace(labels=labels, weights=(1.0, 1.0))
+
+
+def test_degrees_are_read_off_the_labels():
+    space = WeightedSpace(labels=((2, 0), (0.0, 1.0), (np.int32(3), True)),
+                          weights=(1.0, 1.0, 1.0))
+    assert space.labels == ((2, 0), (0, 1), (3, 1))
+    assert space.degrees.tolist() == [2, 1, 4] and space.max_degree == 4
+    with pytest.raises(ValueError, match="read-only"):
+        space.degrees[0] = 0
+    bidisc = make_bidisc_space(6)
+    assert bidisc.degrees.tolist() == [sum(lab) for lab in bidisc.labels]
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         WeightedSpace(labels=((0,),), weights=(0.0,))
