@@ -119,8 +119,8 @@ class WeightedSpace:
             raise ValueError(
                 f"{len(labels)} labels but {len(weights)} weights"
             )
-        if any(w <= 0 for w in weights):
-            raise ValueError("all weights must be strictly positive")
+        if not all(0 < w < math.inf for w in weights):  # NaN fails both
+            raise ValueError("all weights must be finite and strictly positive")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
         degrees = arr.sum(axis=1)

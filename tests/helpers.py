@@ -18,8 +18,6 @@ from twoiso import (
     safe_subspace,
     weighted_gram_schmidt,
 )
-from twoiso.function_spaces import bidisc_example_problem
-from twoiso.sampling import random_complex_vector, random_unitary
 
 
 def random_weighted_space(rng: np.random.Generator, max_dim: int = 8) -> WeightedSpace:
@@ -40,33 +38,12 @@ def random_op(space: WeightedSpace, rng: np.random.Generator) -> Op:
     return Op.from_exact_matrix(space, random_matrix(space.dim, rng))
 
 
-def huge_u_c4_case() -> tuple[Op, np.ndarray, np.ndarray]:
-    """A seeded unitary base on C^4 with u = 1e60 times a seeded vector and
-    a seeded v: a branch II problem whose defect form has finite entries
-    near 1e243, whose squares overflow."""
-    rng = np.random.default_rng(5)
-    base = Op.from_exact_matrix(make_coordinate_space(4), random_unitary(4, rng))
-    u = 1e60 * random_complex_vector(4, rng)
-    return base, u, random_complex_vector(4, rng)
-
-
 def stage_problem(T: Op, v, u=None, tol_rank: float = DEFAULT_RANK_TOL) -> PerturbationProblem:
     """The problem (T, u, v) whose update rows ``witness_vector`` and
     ``gamma_coefficient`` read; u defaults to v, and T need not be a
     2-isometry."""
     return PerturbationProblem(T, v if u is None else u, v, tol_rank=tol_rank,
                                allow_non_2_isometric_base=True)
-
-
-def bidisc_off_example_problem() -> PerturbationProblem:
-    """The bidisc N = 8 example with u moved by 1e-3 along a seeded complex
-    vector of total degree <= 2, so that condition (a) fails by a nonzero
-    amount."""
-    problem = bidisc_example_problem(8)
-    space = problem.space
-    rng = np.random.default_rng(62)
-    w = np.where(space.degrees <= 2, random_complex_vector(space.dim, rng), 0.0)
-    return PerturbationProblem(base=problem.base, u=problem.u + 1e-3 * w, v=problem.v)
 
 
 def dirichlet_shift_by_labels(N: int) -> np.ndarray:

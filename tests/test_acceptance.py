@@ -6,11 +6,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 
 import numpy as np
-import pytest
 
 from twoiso import (
     Op,
-    PerturbationProblem,
     apply,
     defect_quadratic,
     gamma_coefficient,
@@ -22,18 +20,13 @@ from twoiso import (
 from twoiso.cli import search_dirichlet_alpha
 from twoiso.function_spaces import (
     PolyCoeffs,
-    bidisc_example_problem,
     constant_perturbed_dirichlet,
     dirichlet_admissibility_residual,
     dirichlet_perturbation_problem,
     perturbed_dirichlet,
 )
-from twoiso.sampling import (
-    invariant_kernel_pair,
-    isometric_correction_pair,
-    random_complex_vector,
-    random_unitary,
-)
+from twoiso.sampling import random_complex_vector, random_unitary
+import cases
 from helpers import (
     adjoint,
     compose,
@@ -52,14 +45,6 @@ def _report(number: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _swap_problem() -> PerturbationProblem:
-    space = make_coordinate_space(2)
-    base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    return PerturbationProblem(
-        base=base, u=-2.0 * space.basis_vector(0), v=space.basis_vector(1)
-    )
-
-
 def _unit_disc_sample(rng: np.random.Generator) -> complex:
     r = np.sqrt(rng.uniform(0.0, 1.0))
     theta = rng.uniform(0.0, 2.0 * np.pi)
@@ -76,7 +61,7 @@ def _random_inadmissible(rng: np.random.Generator) -> PolyCoeffs:
 
 
 def test_criterion_1_c2_example():
-    problem = _swap_problem()
+    problem = cases.problem("c2-swap")
     report = theorem_verdict(problem)
     full_defect = float(np.max(np.abs(defect_operator(problem.perturbed()).matrix)))
 
@@ -191,7 +176,7 @@ def test_criterion_4_monomial_locus():
 
 
 def test_criterion_5_bidisc_example():
-    problem = bidisc_example_problem(6)
+    problem = cases.problem("bidisc-6")
     report = theorem_verdict(problem)
     norm_u_sq = problem.space.norm(problem.u) ** 2
     tv = apply(problem.base, problem.v)
@@ -225,29 +210,10 @@ def test_criterion_5_bidisc_example():
 
 
 def test_criterion_6_theorem_oracle_equivalence():
-    rng = np.random.default_rng(20260810)
     n_true = 0
     mismatches = 0
-    for trial in range(200):
-        dim = 2 + trial % 5
-        space = make_coordinate_space(dim)
-        V = random_unitary(dim, rng)
-        base = Op.from_exact_matrix(space, V)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        kind = trial % 4
-        if kind == 0:
-            u, v = isometric_correction_pair(V, random_complex_vector(dim, rng), theta)
-        elif kind == 1:
-            u, v = invariant_kernel_pair(V, theta, which=trial % dim)
-        elif kind == 2:
-            u, v = isometric_correction_pair(V, random_complex_vector(dim, rng), theta)
-            u = 1.7 * u
-        else:
-            u = random_complex_vector(dim, rng)
-            v = random_complex_vector(dim, rng)
-        report = theorem_verdict(
-            PerturbationProblem(base=base, u=u, v=v, tol_defect=1e-8)
-        )
+    for problem in cases.criterion_6(20260810, 200):
+        report = theorem_verdict(problem)
         if report.verdict_theorem != report.verdict_oracle:
             mismatches += 1
         n_true += report.verdict_theorem

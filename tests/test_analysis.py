@@ -1,6 +1,7 @@
 """The branch decision, gamma, condition residuals, and the verdict report."""
 
 import dataclasses
+import itertools
 import sys
 import tracemalloc
 import warnings
@@ -13,7 +14,6 @@ from twoiso import (
     DEFAULT_RANK_TOL,
     Op,
     PerturbationProblem,
-    WeightedSpace,
     apply,
     condition_iia_residual,
     condition_iib_residual,
@@ -29,7 +29,6 @@ from twoiso import (
     safe_subspace,
     theorem_verdict,
     truncation_cutoff,
-    truncation_safe,
     weighted_gram_schmidt,
     witness_vector,
 )
@@ -44,20 +43,18 @@ from twoiso.function_spaces import (
     dirichlet_shift,
 )
 from twoiso.sampling import (
-    invariant_kernel_pair,
     isometric_correction_pair,
     random_complex_vector,
     random_unitary,
 )
 from twoiso.spaces import pow2_scale
+import cases
 from helpers import (
     add,
     adjoint,
-    bidisc_off_example_problem,
     brute_force_adjoint,
     complex_path_oracle,
     defect_image_by_entries,
-    huge_u_c4_case,
     identity,
     orthogonal_complement,
     polarized_form_by_entries,
@@ -71,18 +68,6 @@ from helpers import (
     stable_kernel_referee,
     window_basis,
 )
-
-
-def swap_problem(scale_u: float = 1.0, **kwargs) -> PerturbationProblem:
-    """The C^2 swap unitary with the rank-one correction -2 e1 (x) e2."""
-    space = make_coordinate_space(2)
-    base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    return PerturbationProblem(
-        base=base,
-        u=-2.0 * scale_u * space.basis_vector(0),
-        v=space.basis_vector(1),
-        **kwargs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +135,14 @@ def test_normalize_pair_rejects_zero():
 
 def test_stable_kernel_swap_case_is_trivial():
     # v = e2 and T*v = e1 span C^2, so nothing is left of the stable kernel.
-    problem = swap_problem()
+    problem = cases.problem("c2-swap")
     assert theorem_verdict(problem).s_dim_evaluated == 0
     Q = stable_kernel_referee(problem.base, problem.v, np.arange(2), DEFAULT_RANK_TOL)
     assert Q.shape == (2, 2)
 
 
 def test_stable_kernel_bidisc_case():
-    problem = bidisc_example_problem(6)
+    problem = cases.problem("bidisc-6")
     space = problem.space
     safe = safe_subspace(problem.perturbed())
     report = theorem_verdict(problem)
@@ -175,23 +160,10 @@ def test_stable_kernel_bidisc_case():
         assert np.linalg.norm(c - Q @ (Q.conj().T @ c)) <= 1e-12
 
 
-def _c3_tight_rank_problem() -> PerturbationProblem:
-    """T turns e0 towards e1 by 1e-11 on C^3; branch II only at tol_rank 1e-12."""
-    space = make_coordinate_space(3)
-    t = 1e-11
-    rot = [[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0], [0.0, 0.0, 1.0]]
-    return PerturbationProblem(
-        base=Op.from_exact_matrix(space, rot),
-        u=0.3 * space.basis_vector(2),
-        v=space.basis_vector(0),
-        tol_rank=1e-12,
-    )
-
-
 def test_stable_kernel_uses_the_branch_rank_tolerance():
     # At tol_rank 1e-12 the witness is nonzero (branch II), so the stable
     # kernel must lose both v and T*v.
-    problem = _c3_tight_rank_problem()
+    problem = cases.problem("c3-tight-rank")
     report = theorem_verdict(problem)
     assert report.branch == "II"
     assert report.s_dim_evaluated == problem.space.dim - 2
@@ -302,11 +274,11 @@ def test_branch_I_for_perturbed_dirichlet_setup():
 
 
 def test_branch_II_for_bidisc_setup():
-    assert theorem_verdict(bidisc_example_problem(6)).branch == "II"
+    assert theorem_verdict(cases.problem("bidisc-6")).branch == "II"
 
 
 def test_branch_II_for_swap_setup():
-    problem = swap_problem()
+    problem = cases.problem("c2-swap")
     assert witness_vector(problem) is not None
     assert theorem_verdict(problem).branch == "II"
 
@@ -341,14 +313,14 @@ def test_branch_consistency_two_computations():
 
 
 def test_gamma_zero_for_swap_example():
-    problem = swap_problem()
+    problem = cases.problem("c2-swap")
     x = witness_vector(problem)
     g = gamma_coefficient(problem, x)
     assert g == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gamma_zero_for_bidisc_example():
-    problem = bidisc_example_problem(6)
+    problem = cases.problem("bidisc-6")
     x = witness_vector(problem)
     g = gamma_coefficient(problem, x)
     assert g == pytest.approx(0.0, abs=1e-12)
@@ -415,7 +387,7 @@ def test_gamma_guard_does_not_depend_on_the_scale_of_x():
     # The guard compares |<T*v, x>| with tol_rank ||x||: 1e-10 times the unit
     # witness gives the gamma of the unit witness, and an x orthogonal to
     # T*v raises at every scale.
-    problem = bidisc_example_problem(6)
+    problem = cases.problem("bidisc-6")
     space = problem.space
     x = witness_vector(problem)
     xhat = x / space.norm(x)
@@ -434,18 +406,18 @@ def test_gamma_guard_does_not_depend_on_the_scale_of_x():
 
 def test_condition_iib_swap_numbers():
     # ||u||^2 = 4, <u, Tv> = -2, gamma = 0: residual |4 + 2(0 - 2)| = 0
-    problem = swap_problem()
+    problem = cases.problem("c2-swap")
     assert condition_iib_residual(problem, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_condition_iib_scaled_u_breaks_balance():
     # doubling u gives |16 + 2(0 - 4)| = 8
-    problem = swap_problem(scale_u=2.0, allow_non_2_isometric_base=False)
+    problem = cases.problem("c2-swap-2u")
     assert condition_iib_residual(problem, 0.0) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_condition_iia_zero_for_bidisc():
-    problem = bidisc_example_problem(6)
+    problem = cases.problem("bidisc-6")
     report = theorem_verdict(problem)
     assert report.cond_iia_residual <= 1e-12
 
@@ -469,7 +441,7 @@ def test_condition_iia_zero_while_verdict_false():
     # Scaled swap correction: the invariance condition still holds (the
     # stable kernel is trivial and the defect preserves the witness line)
     # while the kernel condition and the norm balance fail.
-    problem = swap_problem(scale_u=2.0)
+    problem = cases.problem("c2-swap-2u")
     report = theorem_verdict(problem)
     assert report.cond_iia_residual <= 1e-12
     assert report.kernel_residual == pytest.approx(8.0, abs=1e-12)
@@ -483,7 +455,7 @@ def test_condition_iia_residual_finite_when_its_squares_overflow():
     # norm of it overflowed to inf while every other residual stayed finite.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = theorem_verdict(PerturbationProblem(*huge_u_c4_case()))
+        report = theorem_verdict(cases.problem("c4-huge-u"))
     assert report.branch == "II"
     assert 1e200 < report.cond_iia_residual < np.inf
     assert 1e200 < report.kernel_residual < np.inf
@@ -494,7 +466,7 @@ def test_condition_iia_residual_finite_when_its_squares_overflow():
 def test_condition_iia_bidisc_large_window():
     # N = 18: a 153-dimensional safe window and a 151-dimensional stable
     # kernel, read off the window Gram matrix in one block product.
-    report = theorem_verdict(bidisc_example_problem(18))
+    report = theorem_verdict(cases.problem("bidisc-18"))
     assert report.branch == "II"
     assert report.safe_dim == 153
     assert report.s_dim_evaluated == 151
@@ -502,64 +474,17 @@ def test_condition_iia_bidisc_large_window():
     assert report.verdict_theorem and report.verdict_oracle
 
 
-def _weighted_unitary_problem(scale: float, dim: int = 6) -> PerturbationProblem:
-    """A weighted-unitary base on weighted C^dim with an isometric correction
-    scaled by ``scale``: a true branch II instance at 1, a false one at 1.7.
-
-    With S = diag(sqrt(w)), S^-1 U S is unitary for the weighted inner
-    product, and the Euclidean pair (u', v') for U maps to (S^-1 u', S^-1 v').
-    """
-    rng = np.random.default_rng(61)
-    w = rng.uniform(0.5, 3.0, size=dim)
-    s = np.sqrt(w)
-    U = random_unitary(dim, rng)
-    space = make_coordinate_space(dim, weights=tuple(w))
-    base = Op.from_exact_matrix(space, U * s[None, :] / s[:, None])
-    u0, v0 = isometric_correction_pair(
-        U, random_complex_vector(dim, rng), rng.uniform(0.0, 2.0 * np.pi)
-    )
-    return PerturbationProblem(base=base, u=scale * u0 / s, v=v0 / s)
+# Branch II cases with a stable kernel inside a small window.
+_IIA_REFEREE = ["bidisc-8-off-example", "bidisc-8-v-mass-above-window", "bidisc-8-v-off-unit",
+                "c3-tight-rank", "weighted-c6-false", "weighted-c6-true"]
 
 
-def _bidisc_v_off_unit_problem() -> PerturbationProblem:
-    """The off-example bidisc problem with ||v|| = 1 + 5e-13: within round-off
-    of 1, so v is not renormalized and the witness is orthogonal to it only
-    up to round-off."""
-    problem = bidisc_off_example_problem()
-    out = PerturbationProblem(base=problem.base, u=problem.u, v=(1 + 5e-13) * problem.v)
-    assert not out.v_was_normalized
-    return out
-
-
-def _bidisc_v_mass_above_window_problem() -> PerturbationProblem:
-    """The off-example bidisc problem with 1e-14 of v on z1 z2^7, above the
-    safe window but within the round-off that truncation_safe forgives; T*v
-    carries it to z2^7, also above the window."""
-    problem = bidisc_off_example_problem()
-    v = problem.v + 1e-14 * problem.space.monomial((1, 7))
-    out = PerturbationProblem(base=problem.base, u=problem.u, v=v)
-    Tt = out.perturbed()
-    assert truncation_safe(Tt, out.v)
-    assert np.any(out.v[Tt.space.degrees > truncation_cutoff(Tt)])
-    return out
-
-
-_IIA_REFEREE_CASES = {
-    "weighted-c6-true": lambda: _weighted_unitary_problem(1.0),
-    "weighted-c6-false": lambda: _weighted_unitary_problem(1.7),
-    "bidisc-8-off-example": bidisc_off_example_problem,
-    "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
-    "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
-    "c3-tight-rank": _c3_tight_rank_problem,
-}
-
-
-@pytest.mark.parametrize("case", sorted(_IIA_REFEREE_CASES))
+@pytest.mark.parametrize("case", _IIA_REFEREE)
 def test_condition_iia_matches_polarization_referee(case):
     # Polarization builds G one entry at a time, independent of the Gram
     # products that the report reads condition (a) from, and the referee
     # spans v and T*v from the adjoint by Gram-Schmidt, not from the witness.
-    problem = _IIA_REFEREE_CASES[case]()
+    problem = cases.problem(case)
     report = theorem_verdict(problem)
     assert report.branch == "II"
     Tt = problem.perturbed()
@@ -585,7 +510,7 @@ def test_condition_iia_matches_polarization_referee(case):
     assert abs(witness - report.cond_iia_residual) <= tol
 
 
-@pytest.mark.parametrize("case", sorted(_IIA_REFEREE_CASES))
+@pytest.mark.parametrize("case", _IIA_REFEREE)
 def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     # The former residual: the largest leftover norm of a defect image over
     # a Gram-Schmidt basis of the stable kernel S, each image from
@@ -594,7 +519,7 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     # up to round-off. S is built in Euclidean window coordinates
     # c = E^H W x. The reported witness-line residual is within the kernel
     # residual of the block.
-    problem = _IIA_REFEREE_CASES[case]()
+    problem = cases.problem(case)
     Tt = problem.perturbed()
     safe = safe_subspace(Tt)
     space = problem.space
@@ -641,54 +566,17 @@ def _verdicts_with_block(problem: PerturbationProblem, report) -> tuple:
     return "II", theorem, oracle.max_residual <= tol
 
 
-def _criterion_6_problems(seed: int, trials: int):
-    """Unitary bases on C^2..C^6 with the four kinds of criterion 6: an
-    isometric correction, an invariant kernel, a correction scaled by 1.7,
-    and a random pair."""
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        dim = 2 + trial % 5
-        V = random_unitary(dim, rng)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        kind = trial % 4
-        if kind in (0, 2):
-            u, v = isometric_correction_pair(V, random_complex_vector(dim, rng), theta)
-            u = 1.7 * u if kind == 2 else u
-        elif kind == 1:
-            u, v = invariant_kernel_pair(V, theta, which=trial % dim)
-        else:
-            u, v = random_complex_vector(dim, rng), random_complex_vector(dim, rng)
-        base = Op.from_exact_matrix(make_coordinate_space(dim), V)
-        yield PerturbationProblem(base=base, u=u, v=v, tol_defect=1e-8)
-
-
-def _bidisc_near_tolerance_problems():
-    """The bidisc N = 8 true case with u -> (1 + delta) u and u + delta w,
-    w two seeded unit vectors of total degree <= 2, delta in [1e-11, 1e-6]:
-    around tol_defect 1e-8 the residuals straddle the tolerance."""
-    problem = bidisc_example_problem(8)
-    space = problem.space
-    rng = np.random.default_rng(63)
-    directions = []
-    for _ in range(2):
-        w = np.where(space.degrees <= 2, random_complex_vector(space.dim, rng), 0.0)
-        directions.append(w / space.norm(w))
-    for delta in np.logspace(-11, -6, 52):
-        for u in [(1.0 + delta) * problem.u] + [problem.u + delta * w for w in directions]:
-            yield PerturbationProblem(base=problem.base, u=u, v=problem.v)
-
-
 @pytest.mark.parametrize(
-    "family",
-    [lambda: _criterion_6_problems(20261019, 600), _bidisc_near_tolerance_problems],
+    "family, seed, trials",
+    [("criterion-6", 20261019, 600), ("bidisc-8-near-tolerance", 63, 52)],
     ids=["c2-c6-criterion-6", "bidisc-8-near-tolerance"],
 )
-def test_witness_line_verdicts_match_the_block_formulation(family):
+def test_witness_line_verdicts_match_the_block_formulation(family, seed, trials):
     # Condition (a) on the witness line alone gives the same branch and
     # verdicts as the larger of it and the stable-kernel block: the two
     # differ by at most the kernel residual, which the verdict also bounds.
     seen = set()
-    for problem in family():
+    for problem in cases.FAMILIES[family](seed, trials):
         report = theorem_verdict(problem)
         got = (report.branch, report.verdict_theorem, report.verdict_oracle)
         assert got == _verdicts_with_block(problem, report)
@@ -697,48 +585,14 @@ def test_witness_line_verdicts_match_the_block_formulation(family):
     assert {v[1] for v in seen} == {True, False}
 
 
-def _dirichlet_cubic_problem() -> PerturbationProblem:
-    """M_z + (i z + 0.3 z^3)⊗1 on Dirichlet N = 24: degree growth 3, so the
-    band that D 1 can reach is degree <= 6 inside a window of degree <= 18."""
-    return dirichlet_perturbation_problem(24, PolyCoeffs((1j, 0.0, 0.3)))
-
-
-def _dirichlet_cubic_v_mass_above_band_problem() -> PerturbationProblem:
-    """The cubic Dirichlet problem with 1e-14 of v on z^10, above the band
-    of the constant alone: u⊗v then sends z^10 to degrees 1 and 3, a drop
-    of 9, so the band is the whole window."""
-    problem = _dirichlet_cubic_problem()
-    v = problem.v + 1e-14 * problem.space.monomial((10,))
-    return PerturbationProblem(base=problem.base, u=problem.u, v=v)
-
-
-def _dirichlet_n0_problem(alpha: float = 1e50) -> PerturbationProblem:
-    """M_z + (alpha 1)⊗1 on Dirichlet N = 12: at alpha = 1e50 the defect form
-    has entries near 1e200, so the squares of the defect image overflow
-    unless scaled."""
-    base = dirichlet_shift(12)
-    one = base.space.basis_vector(0)
-    return PerturbationProblem(base=base, u=alpha * one, v=one)
-
-
-_KERNEL_REFEREE_CASES = {
-    "bidisc-8-off-example": bidisc_off_example_problem,
-    "bidisc-8-v-mass-above-window": _bidisc_v_mass_above_window_problem,
-    "bidisc-8-v-off-unit": _bidisc_v_off_unit_problem,
-    "weighted-c6-true": lambda: _weighted_unitary_problem(1.0),
-    "weighted-c6-false": lambda: _weighted_unitary_problem(1.7),
-    "dirichlet-24-iz": lambda: dirichlet_perturbation_problem(24, PolyCoeffs((1j,))),
-    "dirichlet-24-cubic": _dirichlet_cubic_problem,
-    "dirichlet-24-cubic-v-mass-above-band": _dirichlet_cubic_v_mass_above_band_problem,
-    "dirichlet-n0-alpha-1e50": _dirichlet_n0_problem,
-}
-
-
-@pytest.mark.parametrize("case", sorted(_KERNEL_REFEREE_CASES))
+@pytest.mark.parametrize("case", [
+    "bidisc-8-off-example", "bidisc-8-v-mass-above-window", "bidisc-8-v-off-unit",
+    "dirichlet-24-cubic", "dirichlet-24-cubic-v-mass-above-band", "dirichlet-24-iz",
+    "dirichlet-n0-alpha-1e50", "weighted-c6-false", "weighted-c6-true"])
 def test_kernel_residual_matches_entrywise_polarization(case):
     # One call of the defect form on the band's basis against the scalar
     # referee, which polarizes one window entry at a time.
-    problem = _KERNEL_REFEREE_CASES[case]()
+    problem = cases.problem(case)
     Tt = problem.perturbed()
     image = defect_image_by_entries(Tt, problem.v)
     referee = problem.space.norm(image)
@@ -771,33 +625,25 @@ def _kernel_block_widths(monkeypatch, Tt, v) -> list:
     return widths
 
 
-_BAND_CASES = {
-    # Degree growth 1, no column lowers degree, v = 1: the labels of degree
-    # <= 2 of the n - 1 window labels.
-    **{
-        f"dirichlet-{n}": (
-            lambda n=n: dirichlet_perturbation_problem(n, PolyCoeffs((-2.0,))), 3, n - 1
-        )
-        for n in (12, 24, 48, 96)
-    },
-    # Degree growth 1, no column lowers degree, v = z1: the labels of degree
-    # <= 3 of the (n - 1) n / 2 window labels.
-    **{
-        f"bidisc-{n}": (lambda n=n: bidisc_example_problem(n), 10, (n - 1) * n // 2)
-        for n in (6, 10, 14, 18)
-    },
-    "dirichlet-24-cubic": (_dirichlet_cubic_problem, 7, 19),
-    "dirichlet-24-cubic-v-mass-above-band": (_dirichlet_cubic_v_mass_above_band_problem, 19, 19),
-    # The seeded direction has a constant term, so the perturbed column of
-    # z1 lowers degree by 1: degree <= 1 + 2 (1 + 1) of the window's <= 6.
-    "bidisc-8-off-example": (bidisc_off_example_problem, 21, 28),
+# (band width, window) of each case's kernel residual. The ladder has degree
+# growth 1 and no column lowers degree: Dirichlet with v = 1 reads the labels
+# of degree <= 2 of its N - 1 window labels, bidisc with v = z1 those of
+# degree <= 3 of its (N - 1) N / 2. The off-example direction has a constant
+# term, so the perturbed column of z1 lowers degree by 1: degree <= 1 + 2 (1 + 1)
+# of the window's <= 6.
+_BAND_WIDTHS = {
+    **{f"dirichlet-{n}": (3, n - 1) for n in (12, 24, 48, 96)},
+    **{f"bidisc-{n}": (10, (n - 1) * n // 2) for n in (6, 10, 14, 18)},
+    "dirichlet-24-cubic": (7, 19),
+    "dirichlet-24-cubic-v-mass-above-band": (19, 19),
+    "bidisc-8-off-example": (21, 28),
 }
 
 
-@pytest.mark.parametrize("case", list(_BAND_CASES))
+@pytest.mark.parametrize("case", list(_BAND_WIDTHS))
 def test_kernel_residual_polarizes_only_the_band(monkeypatch, case):
-    make, width, window = _BAND_CASES[case]
-    problem = make()
+    width, window = _BAND_WIDTHS[case]
+    problem = cases.problem(case)
     Tt = problem.perturbed()
     assert safe_subspace(Tt).size == window
     assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [width]
@@ -831,19 +677,18 @@ def _random_sparse_op(space, rng, lowering: int, field) -> Op:
 def test_kernel_residual_band_matches_the_dense_scan(monkeypatch):
     # The lowest degree of each column is read off the matrix's nonzeros;
     # the band must be the one that the dense scan of every entry gives.
-    cases = [(dirichlet_shift(12), None), (bidisc_shift(8, axis=1), None),
-             (bidisc_shift(8, axis=2), None)]
-    for make in (_dirichlet_cubic_problem, bidisc_off_example_problem,
-                 _bidisc_v_off_unit_problem):
-        problem = make()
-        cases.append((problem.perturbed(), problem.v))
+    ops = [(dirichlet_shift(12), None), (bidisc_shift(8, axis=1), None),
+           (bidisc_shift(8, axis=2), None)]
+    for name in ("dirichlet-24-cubic", "bidisc-8-off-example", "bidisc-8-v-off-unit"):
+        problem = cases.problem(name)
+        ops.append((problem.perturbed(), problem.v))
     rng = np.random.default_rng(74)
     for space in (make_dirichlet_space(24), make_bidisc_space(10)):
         for lowering in (0, 2, 6):
             for field in (float, complex):
-                cases.append((_random_sparse_op(space, rng, lowering, field), None))
+                ops.append((_random_sparse_op(space, rng, lowering, field), None))
     widths = set()
-    for T, v in cases:
+    for T, v in ops:
         degs = T.space.degrees
         if v is None:
             v = np.where(degs <= 1, random_vec(T.space, rng), 0.0)
@@ -876,23 +721,11 @@ def _traced_peak(fn, *args) -> int:
             tracemalloc.stop()
 
 
-def _dense_bidisc_18() -> PerturbationProblem:
-    """The bidisc example at N = 18 with u moved by a real vector on degrees
-    1 and 2. The example itself sends each label to one label, so its form
-    is read off the diagonal; the move puts several entries in the column of
-    z1, so the form is dense, and keeps the degree growth and the band of
-    the kernel residual: no column lowers degree."""
-    problem = bidisc_example_problem(18)
-    degs = problem.space.degrees
-    u = problem.u + 1e-3 * ((degs >= 1) & (degs <= 2))
-    return PerturbationProblem(base=problem.base, u=u, v=problem.v)
-
-
 def test_kernel_residual_peak_memory_within_the_oracle_form():
     # The kernel residual reads the form on one (dim, b) block, the basis of
     # the band of b labels that D v can reach, not of the whole window of r
     # labels. The yardstick is the dense real form.
-    problem = _dense_bidisc_18()
+    problem = cases.problem("bidisc-18-dense")
     Tt = problem.perturbed()
     kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)
     assert kernel <= _traced_peak(polarized_defect_form, Tt)
@@ -900,9 +733,9 @@ def test_kernel_residual_peak_memory_within_the_oracle_form():
 
 def test_kernel_condition_residuals():
     assert kernel_condition_residual(
-        bidisc_example_problem(6).perturbed(), bidisc_example_problem(6).v
+        cases.problem("bidisc-6").perturbed(), cases.problem("bidisc-6").v
     ) <= 1e-12
-    problem = swap_problem()
+    problem = cases.problem("c2-swap")
     assert kernel_condition_residual(problem.perturbed(), problem.v) <= 1e-14
 
     op = constant_perturbed_dirichlet(10, 1.0)
@@ -914,85 +747,14 @@ def test_kernel_condition_residuals():
 # the oracle as the base form plus a rank-4 update
 
 
-def _non_2_isometric_base_problem() -> PerturbationProblem:
-    """A seeded random operator on weighted C^5, far from a 2-isometry, so
-    that the base form G(T) that the update starts from is not zero."""
-    rng = np.random.default_rng(64)
-    space = make_coordinate_space(5, weights=tuple(rng.uniform(0.5, 3.0, size=5)))
-    problem = PerturbationProblem(
-        base=random_op(space, rng),
-        u=random_vec(space, rng),
-        v=random_vec(space, rng),
-        allow_non_2_isometric_base=True,
-    )
-    assert problem.base_defect > 1.0
-    return problem
+_UPDATE_REFEREE = [*cases.LADDER, "dirichlet-12-z3", "dirichlet-40-z3",
+                   "dirichlet-12-0.3iz-0.2z3", "dirichlet-40-0.3iz-0.2z3",
+                   "dirichlet-12-z3-reversed-labels", "bidisc-8-off-example",
+                   "non-2-isometric-base", "dirichlet-n0-alpha-1e50"]
 
 
-def _reversed_labels(problem: PerturbationProblem, scale: float = 1.0) -> PerturbationProblem:
-    """``problem`` with its basis listed in reverse order and its base scaled
-    by ``scale``."""
-    space = problem.space
-    rev = np.arange(space.dim)[::-1]
-    flipped = WeightedSpace(space.labels[::-1], space.weights[::-1], kind=space.kind)
-    base = Op(flipped, scale * problem.base.matrix[np.ix_(rev, rev)],
-              degree_growth=problem.base.degree_growth)
-    return PerturbationProblem(
-        base=base, u=problem.u[rev], v=problem.v[rev], allow_non_2_isometric_base=True
-    )
-
-
-def _dirichlet_z3_reversed_labels_problem() -> PerturbationProblem:
-    """1.1 M_z + z^3⊗1 on Dirichlet N = 12 with the basis listed from z^12
-    down to 1: the window of T + u⊗v (degree <= 6) is not a leading block of
-    the base's window (degree <= 10), and the base form, which is not zero,
-    differs from one degree to the next."""
-    return _reversed_labels(dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0))), 1.1)
-
-
-def _dirichlet_z_reversed_labels_problem() -> PerturbationProblem:
-    """M_z - z^2⊗z on Dirichlet N = 12 with the basis listed from z^12 down
-    to 1: branch II, with the constant as its witness."""
-    T = dirichlet_shift(12)
-    z, z2 = T.space.monomial((1,)), T.space.monomial((2,))
-    return _reversed_labels(PerturbationProblem(base=T, u=-z2, v=z))
-
-
-_UPDATE_REFEREE_CASES = {
-    **{f"ladder-dirichlet-{N}": (lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((-2.0,))))
-       for N in (12, 24, 48, 96)},
-    **{f"ladder-bidisc-{N}": (lambda N=N: bidisc_example_problem(N)) for N in (6, 10, 14, 18)},
-    **{f"dirichlet-{N}-z3": (lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((0.0, 0.0, 1.0))))
-       for N in (12, 40)},
-    **{f"dirichlet-{N}-0.3iz-0.2z3": (
-        lambda N=N: dirichlet_perturbation_problem(N, PolyCoeffs((0.3j, 0.0, -0.2))))
-       for N in (12, 40)},
-    "dirichlet-12-z3-reversed-labels": _dirichlet_z3_reversed_labels_problem,
-    "bidisc-8-off-example": bidisc_off_example_problem,
-    "non-2-isometric-base": _non_2_isometric_base_problem,
-    "dirichlet-n0-alpha-1e50": _dirichlet_n0_problem,
-}
-
-
-def _weighted_spread_problems(seed: int, trials: int):
-    """Weighted-unitary bases on weighted C^2..C^6 with an isometric
-    correction or a random pair, ||u|| spread over 1e-3..1e3."""
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        dim = 2 + trial % 5
-        w = rng.uniform(0.5, 3.0, size=dim)
-        s = np.sqrt(w)
-        U = random_unitary(dim, rng)
-        if trial % 2 == 0:
-            u, v = isometric_correction_pair(
-                U, random_complex_vector(dim, rng), rng.uniform(0.0, 2.0 * np.pi)
-            )
-        else:
-            u, v = random_complex_vector(dim, rng), random_complex_vector(dim, rng)
-        u = 10.0 ** rng.uniform(-3.0, 3.0) * u / np.linalg.norm(u)
-        space = make_coordinate_space(dim, weights=tuple(w))
-        base = Op.from_exact_matrix(space, U * s[None, :] / s[:, None])
-        yield PerturbationProblem(base=base, u=u / s, v=v / s)
+def _update_id(name: str) -> str:
+    return f"ladder-{name}" if name in cases.LADDER else name
 
 
 def _assert_verdict_form_matches_direct_build(monkeypatch, problems) -> int:
@@ -1020,25 +782,17 @@ def _assert_verdict_form_matches_direct_build(monkeypatch, problems) -> int:
     return shrunk
 
 
-@pytest.mark.parametrize("case", list(_UPDATE_REFEREE_CASES))
+@pytest.mark.parametrize("case", _UPDATE_REFEREE, ids=_update_id)
 def test_oracle_update_matches_the_direct_build(monkeypatch, case):
     # The direct build of the perturbed form is the referee of the rank-4
     # update; where u⊗v grows degree more than T, the window shrinks.
-    problem = _UPDATE_REFEREE_CASES[case]()
+    problem = cases.problem(case)
     shrunk = _assert_verdict_form_matches_direct_build(monkeypatch, [problem])
     assert shrunk == ("z3" in case)
 
 
 def test_oracle_update_matches_the_direct_build_weighted_spread(monkeypatch):
-    _assert_verdict_form_matches_direct_build(monkeypatch, _weighted_spread_problems(65, 200))
-
-
-def _condition_iib_referee_problems():
-    yield from _criterion_6_problems(20261020, 200)
-    yield _weighted_unitary_problem(1.0, dim=4)
-    yield _weighted_unitary_problem(1.7, dim=4)
-    yield from _bidisc_near_tolerance_problems()
-    yield _dirichlet_z_reversed_labels_problem()
+    _assert_verdict_form_matches_direct_build(monkeypatch, cases.weighted_spread(65, 200))
 
 
 def test_gamma_and_condition_iib_match_the_apply_referee():
@@ -1046,7 +800,11 @@ def test_gamma_and_condition_iib_match_the_apply_referee():
     # referee folds gamma to Re(<u, T P T x> / <v, T x>) and takes <u, Tv>,
     # each from forward applications of T, independent of those rows.
     verdicts = set()
-    for problem in _condition_iib_referee_problems():
+    for problem in itertools.chain(
+            cases.criterion_6(20261020, 200),
+            map(cases.problem, ("weighted-c4-true", "weighted-c4-false")),
+            cases.bidisc_near_tolerance(63, 52),
+            [cases.problem("dirichlet-12-z-reversed-labels")]):
         report = theorem_verdict(problem)
         if report.branch == "I":
             continue
@@ -1076,12 +834,11 @@ def test_verdict_makes_no_apply_call(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "twoiso"]:
         if getattr(module, "apply", None) is real:
             monkeypatch.setattr(module, "apply", counted)
-    for build in (lambda: bidisc_example_problem(8), swap_problem, _dirichlet_z_reversed_labels_problem,
-                  lambda: _weighted_unitary_problem(1.7),
-                  lambda: dirichlet_perturbation_problem(12, PolyCoeffs((-2.0,)))):
-        theorem_verdict(build())
+    for name in ("bidisc-8", "c2-swap", "dirichlet-12-z-reversed-labels", "weighted-c6-false",
+                 "dirichlet-12"):
+        theorem_verdict(cases.problem(name))
     assert calls == []
-    operators.apply(swap_problem().base, [1.0, 0.0])
+    operators.apply(cases.problem("c2-swap").base, [1.0, 0.0])
     assert len(calls) == 1
 
 
@@ -1091,7 +848,7 @@ def test_update_rows_are_built_once_per_problem_and_read_only(monkeypatch):
     counted = cached_property(lambda self: builds.append(self) or build(self))
     counted.__set_name__(PerturbationProblem, "update")
     monkeypatch.setattr(PerturbationProblem, "update", counted)
-    problem = bidisc_example_problem(8)
+    problem = cases.problem("bidisc-8")
     first = theorem_verdict(problem)
     x = witness_vector(problem)
     condition_iib_residual(problem, gamma_coefficient(problem, x))
@@ -1121,10 +878,9 @@ def test_one_full_defect_form_per_problem(monkeypatch):
     # the perturbed form is read off it, and a second problem on the same
     # base builds nothing.
     calls = _count_defect_form_builds(monkeypatch)
-    for build in (lambda: bidisc_example_problem(8), swap_problem,
-                  lambda: dirichlet_perturbation_problem(12, PolyCoeffs((0.0, 0.0, 1.0)))):
+    for name in ("bidisc-8", "c2-swap", "dirichlet-12-z3"):
         calls.clear()
-        problem = build()
+        problem = cases.problem(name)
         theorem_verdict(problem)
         assert len(calls) == 1
         again = PerturbationProblem(base=problem.base, u=2.0 * problem.u, v=problem.v)
@@ -1149,7 +905,7 @@ def test_problem_is_frozen_so_its_base_form_stays_the_bases():
     # A base swapped in, or a base matrix rescaled, after construction would
     # leave the kept form stale, and the oracle would read the old base's
     # form with the new matrix: 2.25 against 1.5625 from a direct build.
-    problem = bidisc_example_problem(8)
+    problem = cases.problem("bidisc-8")
     with pytest.raises(AttributeError):
         problem.base = Op(problem.space, 1.5 * problem.base.matrix, degree_growth=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1163,7 +919,7 @@ def test_oracle_update_peak_memory_below_the_direct_build():
     # The update allocates r x r and (5, r) arrays; the direct dense build
     # holds two (dim, r) buffers as well. A real A enters the update's rows
     # through real products, with no complex dim x dim copy.
-    problem = _dense_bidisc_18()
+    problem = cases.problem("bidisc-18-dense")
     Tt = problem.perturbed()
     idx = safe_subspace(Tt)
     update = _traced_peak(analysis._perturbed_defect_form, problem, idx)
@@ -1201,16 +957,16 @@ def _verdict_forms(monkeypatch) -> list:
     return seen
 
 
-def _real_problem(problem: PerturbationProblem) -> bool:
-    return (problem.base.matrix.dtype == np.float64
-            and not (problem.u.imag.any() or problem.v.imag.any()))
+# The declared field of each verdict that _ladder_and_reproduce_forms sees:
+# the ladder, then reproduce all's c2-example, dirichlet-pper's p = -2z,
+# (e^{i pi/3} - 1) z and i z, dirichlet-n0 at alpha = 1 and bidisc.
+_REPRODUCE_FIELDS = ["real", "real", "complex", "complex", "real", "real"]
 
 
 def _ladder_and_reproduce_forms(monkeypatch, capsys) -> list:
     seen = _verdict_forms(monkeypatch)
-    for name, build in _UPDATE_REFEREE_CASES.items():
-        if name.startswith("ladder-"):
-            theorem_verdict(build())
+    for name in cases.LADDER:
+        theorem_verdict(cases.problem(name))
     assert main(["reproduce", "all", "--format", "json"]) == 0
     capsys.readouterr()
     return seen
@@ -1221,17 +977,17 @@ def test_real_problems_build_rows_and_oracle_in_float64(monkeypatch, capsys):
     # dirichlet-pper's p = -2z, dirichlet-n0 at alpha = 1 and bidisc;
     # dirichlet-pper's (e^{i pi/3} - 1) z and i z have a complex u.
     seen = _ladder_and_reproduce_forms(monkeypatch, capsys)
-    assert [_real_problem(p) for p, _, _ in seen] == [True] * 8 + [True, True, False, False,
-                                                                   True, True]
-    for problem, _, G in seen:
+    fields = [cases.CASES[name].field for name in cases.LADDER] + _REPRODUCE_FIELDS
+    assert len(seen) == len(fields)
+    for (problem, _, G), field in zip(seen, fields):
         R, M = problem.update
-        want = np.float64 if _real_problem(problem) else np.complex128
-        assert R.dtype == M.dtype == G.dtype == want
+        assert R.dtype == M.dtype == G.dtype == cases.DTYPES[field]
 
 
 def test_real_oracle_matches_the_complex_path(monkeypatch, capsys):
-    seen = [case for case in _ladder_and_reproduce_forms(monkeypatch, capsys)
-            if _real_problem(case[0])]
+    fields = [cases.CASES[name].field for name in cases.LADDER] + _REPRODUCE_FIELDS
+    seen = [case for case, field in zip(_ladder_and_reproduce_forms(monkeypatch, capsys), fields)
+            if field == "real"]
     assert len(seen) == 12
     for problem, idx, G in seen:
         referee = complex_path_oracle(problem, idx)
@@ -1247,8 +1003,7 @@ def test_complex_u_or_base_keeps_complex_rows_and_oracle(monkeypatch):
     u, v = isometric_correction_pair(U, random_complex_vector(2, rng), 0.7)
     unitary = Op.from_exact_matrix(make_coordinate_space(2), U)
     seen = _verdict_forms(monkeypatch)
-    for problem in (dirichlet_perturbation_problem(24, PolyCoeffs((np.exp(1j * np.pi / 3) - 1,))),
-                    PerturbationProblem(unitary, u, v)):
+    for problem in (cases.problem("dirichlet-24-complex-p"), PerturbationProblem(unitary, u, v)):
         report = theorem_verdict(problem)
         assert report.verdict_theorem and report.verdict_oracle
     assert [p.base.matrix.dtype for p, _, _ in seen] == [np.float64, np.complex128]
@@ -1273,16 +1028,16 @@ def _assert_perturb_matches_add_of_rank_one(T: Op, u, v) -> Op:
     return got
 
 
-@pytest.mark.parametrize("case", list(_UPDATE_REFEREE_CASES))
+@pytest.mark.parametrize("case", _UPDATE_REFEREE, ids=_update_id)
 def test_perturb_matches_add_of_rank_one(case):
     # The ladder rungs, the reversed-label Dirichlet basis and the off-example
     # bidisc problem are among the cases.
-    problem = _UPDATE_REFEREE_CASES[case]()
+    problem = cases.problem(case)
     _assert_perturb_matches_add_of_rank_one(problem.base, problem.u, problem.v)
 
 
 def test_perturb_matches_add_of_rank_one_weighted_spread():
-    problems = list(_weighted_spread_problems(65, 200))
+    problems = list(cases.weighted_spread(65, 200))
     assert {p.space.dim for p in problems} == {2, 3, 4, 5, 6}
     for problem in problems:
         _assert_perturb_matches_add_of_rank_one(problem.base, problem.u, problem.v)
@@ -1331,26 +1086,21 @@ def test_exact_matrix_scan_peaks_near_one_float_matrix_at_dirichlet_1999():
     assert Op.from_exact_matrix(T.space, T.matrix).degree_growth == 1
 
 
-def _c2_identity_problem(a: float) -> PerturbationProblem:
-    space = make_coordinate_space(2)
-    return PerturbationProblem(
-        base=identity(space), u=a * space.basis_vector(0), v=space.basis_vector(1)
-    )
-
-
-@pytest.mark.parametrize(
-    "build, scale, overflows",
-    [(_dirichlet_n0_problem, alpha, alpha > 1e77) for alpha in (1e50, 1e76, 1e77, 1e78)]
-    + [(_c2_identity_problem, a, a > 1e150) for a in (1e150, 1e154)],
-)
-def test_oracle_update_overflows_with_the_direct_build(build, scale, overflows):
+@pytest.mark.parametrize("case", [
+    "dirichlet-n0-alpha-1e50", "dirichlet-n0-alpha-1e76", "dirichlet-n0-alpha-1e77",
+    "dirichlet-n0-alpha-1e78", "c2-identity-1e150", "c2-identity-1e154",
+# The ids are the names the suite has always reported for these cases.
+], ids=[f"_dirichlet_n0_problem-1e+{e}-{e == 78}" for e in (50, 76, 77, 78)]
+    + [f"_c2_identity_problem-1e+{e}-{e == 154}" for e in (150, 154)])
+def test_oracle_update_overflows_with_the_direct_build(case):
     # Near the top of the float range the update and the direct build raise
-    # the same ValueError or agree, and neither warns.
+    # the same ValueError or agree, and neither warns; the cases that declare
+    # no verdict overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        problem = build(scale)
+        problem = cases.problem(case)
         Tt = problem.perturbed()
-        if overflows:
+        if cases.CASES[case].verdicts is None:
             for form in (lambda: analysis._perturbed_defect_form(problem, safe_subspace(Tt)),
                          lambda: polarized_defect_form(Tt)):
                 with pytest.raises(ValueError, match="the defect form overflows"):
@@ -1460,7 +1210,7 @@ def test_problem_stores_tolerances_as_floats():
 
 
 def test_verdict_swap_example():
-    report = theorem_verdict(swap_problem())
+    report = theorem_verdict(cases.problem("c2-swap"))
     assert report.branch == "II"
     assert report.gamma == pytest.approx(0.0, abs=1e-12)
     assert report.cond_iib_residual <= 1e-12
@@ -1469,7 +1219,7 @@ def test_verdict_swap_example():
 
 
 def test_verdict_dirichlet_admissible():
-    report = theorem_verdict(dirichlet_perturbation_problem(12, PolyCoeffs((-2.0,))))
+    report = theorem_verdict(cases.problem("dirichlet-12"))
     assert report.branch == "I"
     assert report.verdict_theorem and report.verdict_oracle
     assert report.oracle_defect <= 1e-10
@@ -1479,7 +1229,7 @@ def test_verdict_dirichlet_admissible():
 
 
 def test_verdict_dirichlet_inadmissible():
-    report = theorem_verdict(dirichlet_perturbation_problem(12, PolyCoeffs((1j,))))
+    report = theorem_verdict(cases.problem("dirichlet-12-iz"))
     assert report.branch == "I"
     assert not report.verdict_theorem
     assert not report.verdict_oracle
@@ -1519,11 +1269,11 @@ def test_identity_plus_rank_one_phase_rotation():
 
 def test_report_verdict_recomputable_from_fields():
     problems = [
-        swap_problem(),
-        swap_problem(scale_u=2.0),
+        cases.problem("c2-swap"),
+        cases.problem("c2-swap-2u"),
         dirichlet_perturbation_problem(10, PolyCoeffs((-2.0,))),
         dirichlet_perturbation_problem(10, PolyCoeffs((1j,))),
-        bidisc_example_problem(6),
+        cases.problem("bidisc-6"),
     ]
     for problem in problems:
         report = theorem_verdict(problem)
@@ -1539,7 +1289,7 @@ def test_report_verdict_recomputable_from_fields():
 
 
 def test_report_to_dict_contract():
-    report = theorem_verdict(bidisc_example_problem(6))
+    report = theorem_verdict(cases.problem("bidisc-6"))
     doc = report.to_dict()
     assert doc["paper_branch"] == "(ii)"
     assert doc["branch"] == "II"
@@ -1594,28 +1344,9 @@ def test_mixed_degree_zero_residual_polynomial_is_not_two_isometric():
 
 def test_theorem_oracle_equivalence_stratified():
     # Smaller in-suite version of the acceptance trial set.
-    rng = np.random.default_rng(59)
     n_true = 0
-    for trial in range(60):
-        dim = 2 + trial % 5
-        space = make_coordinate_space(dim)
-        V = random_unitary(dim, rng)
-        base = Op.from_exact_matrix(space, V)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        kind = trial % 4
-        if kind == 0:
-            u, v = isometric_correction_pair(V, random_complex_vector(dim, rng), theta)
-        elif kind == 1:
-            u, v = invariant_kernel_pair(V, theta, which=trial % dim)
-        elif kind == 2:
-            u, v = isometric_correction_pair(V, random_complex_vector(dim, rng), theta)
-            u = 1.7 * u
-        else:
-            u = random_complex_vector(dim, rng)
-            v = random_complex_vector(dim, rng)
-        report = theorem_verdict(
-            PerturbationProblem(base=base, u=u, v=v, tol_defect=1e-8)
-        )
+    for problem in cases.criterion_6(59, 60):
+        report = theorem_verdict(problem)
         assert report.verdict_theorem == report.verdict_oracle
         n_true += report.verdict_theorem
     assert n_true >= 10

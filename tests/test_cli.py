@@ -9,7 +9,6 @@ import pytest
 
 from twoiso import (
     Op,
-    PerturbationProblem,
     make_coordinate_space,
     theorem_verdict,
     vec_to_pairs,
@@ -30,7 +29,7 @@ from twoiso.function_spaces import (
 )
 from twoiso.operators import defect_quadratic
 from twoiso.spaces import MAX_DIM
-from helpers import huge_u_c4_case
+import cases
 
 
 def write_json(path, doc):
@@ -39,13 +38,7 @@ def write_json(path, doc):
 
 
 def swap_input_doc():
-    space = make_coordinate_space(2)
-    base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    return {
-        "operator": base.to_dict(),
-        "u": vec_to_pairs(-2.0 * space.basis_vector(0)),
-        "v": vec_to_pairs(space.basis_vector(1)),
-    }
+    return cases.problem_document(cases.problem("c2-swap"))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +212,7 @@ def test_analyze_matches_reproduce_numbers(tmp_path, capsys):
     assert main(["analyze", "--input", path, "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
 
-    space = make_coordinate_space(2)
-    base = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    expected = theorem_verdict(
-        PerturbationProblem(
-            base=base, u=-2.0 * space.basis_vector(0), v=space.basis_vector(1)
-        )
-    ).to_dict()
+    expected = theorem_verdict(cases.problem("c2-swap")).to_dict()
     for key in (
         "branch",
         "paper_branch",
@@ -288,9 +275,6 @@ def test_analyze_document_not_an_object_is_input_error(doc, tmp_path, capsys):
     assert captured.err.startswith("error: analyze input must be a JSON object")
 
 
-_DEEP_JSON = "[" * 5000 + "]" * 5000
-
-
 @pytest.mark.parametrize(
     "where", ["analyze-input", "defect-operator", "defect-vector-file", "defect-vector-inline"]
 )
@@ -298,13 +282,13 @@ def test_deeply_nested_json_is_input_error(where, tmp_path, capsys):
     # Nesting past the decoder's recursion limit is bad input, not a
     # RecursionError traceback.
     deep = tmp_path / "deep.json"
-    deep.write_text(_DEEP_JSON)
+    deep.write_text(cases.DEEP_JSON)
     shift = write_json(tmp_path / "shift.json", dirichlet_shift(4).to_dict())
     args = {
         "analyze-input": ["analyze", "--input", str(deep)],
         "defect-operator": ["defect", "--operator", str(deep), "--vector", "[[1.0, 0.0]]"],
         "defect-vector-file": ["defect", "--operator", shift, "--vector", str(deep)],
-        "defect-vector-inline": ["defect", "--operator", shift, "--vector", _DEEP_JSON],
+        "defect-vector-inline": ["defect", "--operator", shift, "--vector", cases.DEEP_JSON],
     }[where]
     assert main(args) == 2
     captured = capsys.readouterr()
@@ -363,27 +347,7 @@ def test_analyze_non_string_space_kind_is_input_error(kind, fmt, tmp_path, capsy
     assert captured.err.splitlines() == ["error: space kind must be a string"]
 
 
-def _c2_doc(matrix, u, v):
-    space = make_coordinate_space(2)
-    return {
-        "operator": Op.from_exact_matrix(space, matrix).to_dict(),
-        "u": vec_to_pairs(u),
-        "v": vec_to_pairs(v),
-    }
-
-
 _E0, _E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-# Finite entries whose defect form overflows. The first two used to exit 0
-# with a NaN kernel residual and both verdicts false; the swap cases used
-# to exit 2 with a misleading message (a degenerate denominator, a failed
-# SVD).
-OVERFLOW_DOCS = {
-    "diagonal-1e200-base": lambda: _c2_doc(1e200 * np.eye(2), 0.5 * _E0, _E1),
-    "identity-base-huge-u": lambda: _c2_doc(np.eye(2), 1e200 * _E0, _E1),
-    "swap-times-1e200": lambda: _c2_doc(1e200 * _SWAP, -2.0 * _E0, _E1),
-    "swap-base-huge-u": lambda: _c2_doc(_SWAP, 1e200 * _E0, _E1),
-}
 
 
 # The text report as (document, lines): every key in order, with "absent"
@@ -391,7 +355,7 @@ OVERFLOW_DOCS = {
 # v = 2 e1 and u = -e1 is rescaled to v = e1, u = -2 e1, a reflection.
 ANALYZE_TEXT = {
     "branch-II-swap": (
-        lambda: _c2_doc(_SWAP, -2.0 * _E0, _E1),
+        lambda: cases.c2_document(cases.SWAP, -2.0 * _E0, _E1),
         [
             "branch: II",
             "paper_branch: (ii)",
@@ -411,7 +375,7 @@ ANALYZE_TEXT = {
         ],
     ),
     "branch-I-reflection": (
-        lambda: _c2_doc(np.eye(2), -_E1, 2.0 * _E1),
+        lambda: cases.c2_document(np.eye(2), -_E1, 2.0 * _E1),
         [
             "branch: I",
             "paper_branch: (i)",
@@ -441,10 +405,16 @@ def test_analyze_text_output_is_pinned(case, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+# Finite entries whose defect form overflows. The first two used to exit 0
+# with a NaN kernel residual and both verdicts false; the swap cases used
+# to exit 2 with a misleading message (a degenerate denominator, a failed
+# SVD).
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("case", sorted(OVERFLOW_DOCS))
+@pytest.mark.parametrize("case", ["diagonal-1e200-base",
+                                  pytest.param("overflow", id="identity-base-huge-u"),
+                                  "swap-base-huge-u", "swap-times-1e200"])
 def test_analyze_overflow_is_input_error(case, fmt, tmp_path, capsys):
-    path = write_json(tmp_path / "huge.json", OVERFLOW_DOCS[case]())
+    path = write_json(tmp_path / "huge.json", cases.DOCUMENTS[case]())
     assert main(["analyze", "--input", path, "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -454,27 +424,18 @@ def test_analyze_overflow_is_input_error(case, fmt, tmp_path, capsys):
 # Finite u and v whose norms leave floating point at the problem boundary.
 # The first two used to raise numpy RuntimeWarnings (a traceback under
 # -W error), the third was reported as a zero u.
-NORM_RANGE_DOCS = {
-    "v-norm-overflow": (
-        lambda: _c2_doc(_SWAP, -2.0 * _E0, 1e160 * _E1),
-        "the squared norm of v overflows",
-    ),
-    "rescaled-u-overflow": (
-        lambda: _c2_doc(_SWAP, 1e200 * _E0, 1e150 * _E1),
-        "the rescaled u = ||v|| u overflows",
-    ),
-    "u-norm-underflow": (
-        lambda: _c2_doc(_SWAP, 1e-170 * _E0, _E1),
-        "the squared norm of u underflows to zero",
-    ),
+NORM_RANGE_MESSAGES = {
+    "v-norm-overflow": "the squared norm of v overflows",
+    "rescaled-u-overflow": "the rescaled u = ||v|| u overflows",
+    "u-norm-underflow": "the squared norm of u underflows to zero",
 }
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("case", sorted(NORM_RANGE_DOCS))
+@pytest.mark.parametrize("case", sorted(NORM_RANGE_MESSAGES))
 def test_analyze_norm_out_of_range_is_input_error(case, fmt, tmp_path, capsys):
-    make_doc, message = NORM_RANGE_DOCS[case]
-    path = write_json(tmp_path / "norm.json", make_doc())
+    message = NORM_RANGE_MESSAGES[case]
+    path = write_json(tmp_path / "norm.json", cases.DOCUMENTS[case]())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["analyze", "--input", path, "--format", fmt])
@@ -487,8 +448,7 @@ def test_analyze_norm_out_of_range_is_input_error(case, fmt, tmp_path, capsys):
 def test_analyze_json_condition_iia_finite_when_its_squares_overflow(tmp_path, capsys):
     # A valid problem whose defect form is finite, with entries near 1e243:
     # condition (a) used to read inf and the JSON encoder refused it.
-    base, u, v = huge_u_c4_case()
-    doc = {"operator": base.to_dict(), "u": vec_to_pairs(u), "v": vec_to_pairs(v)}
+    doc = cases.problem_document(cases.problem("c4-huge-u"))
     path = write_json(tmp_path / "huge-u.json", doc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -574,7 +534,7 @@ def _near_tolerance_doc(**tolerances):
     """The C^2 swap with u scaled by 1 + 1e-8: the kernel residual and the
     norm balance read 4e-8, so the verdicts are false at the default
     tol_defect 1e-8 and true at 1e-7."""
-    doc = _c2_doc(_SWAP, -2.0 * (1.0 + 1e-8) * _E0, _E1)
+    doc = cases.c2_document(cases.SWAP, -2.0 * (1.0 + 1e-8) * _E0, _E1)
     doc.update(tolerances)
     return doc
 

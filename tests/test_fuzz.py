@@ -12,34 +12,15 @@ import json
 import numpy as np
 import pytest
 
-from twoiso import Op, make_coordinate_space, vec_to_pairs
+from twoiso import vec_to_pairs
 from twoiso.cli import main
 from twoiso.function_spaces import bidisc_shift, dirichlet_shift
+import cases
 
 # Written as a string, then spliced into the JSON text as a bare 1e400 literal,
 # which the decoder reads as an infinite float.
 OVERFLOW = "__overflow__"
 CASES_PER_SEED = 40
-
-
-def _analyze_docs():
-    space = make_coordinate_space(2, weights=(1.0, 2.5))
-    swap = Op.from_exact_matrix(space, [[0.0, 1.0], [1.0, 0.0]])
-    shift = dirichlet_shift(4)
-    return [
-        {
-            "operator": swap.to_dict(),
-            "u": vec_to_pairs(-2.0 * space.basis_vector(0)),
-            "v": vec_to_pairs(space.basis_vector(1)),
-            "tol_rank": 1e-9,
-            "tol_defect": 1e-8,
-        },
-        {
-            "operator": shift.to_dict(),
-            "u": vec_to_pairs(-2.0 * shift.space.monomial((1,))),
-            "v": vec_to_pairs(shift.space.basis_vector(0)),
-        },
-    ]
 
 
 def _defect_docs():
@@ -100,7 +81,7 @@ def _check_run(argv, capsys):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analyze_mutations_exit_cleanly(seed, tmp_path, capsys):
     rng = np.random.default_rng(seed)
-    docs = _analyze_docs()
+    docs = [cases.DOCUMENTS[name]() for name in ("weighted-swap-with-tolerances", "dirichlet-4")]
     path = tmp_path / "doc.json"
     for _ in range(CASES_PER_SEED):
         path.write_text(_mutate(docs[int(rng.integers(len(docs)))], rng))

@@ -25,7 +25,6 @@ from twoiso import (
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
-    bidisc_example_problem,
     bidisc_shift,
     constant_perturbed_dirichlet,
     dirichlet_perturbation_problem,
@@ -34,10 +33,10 @@ from twoiso.function_spaces import (
 )
 from twoiso.operators import DefectReport, _matmul
 from twoiso.sampling import random_unitary
+import cases
 from helpers import (
     add,
     adjoint,
-    bidisc_off_example_problem,
     brute_force_adjoint,
     compose,
     defect_image_by_entries,
@@ -405,36 +404,31 @@ def test_defect_quadratic_vector_is_a_one_column_block():
         assert abs(defect_quadratic(T, x) - value) <= 1e-12 * max(1.0, abs(value))
 
 
-def _form_cases() -> dict:
-    """Operators with x and a block y of three columns on their safe windows:
-    real shifts, complex matrices and random weighted C^n."""
+@pytest.mark.parametrize("case", [
+    "dirichlet-shift-12", "bidisc-shift-8-z1", "bidisc-shift-8-z2", "dirichlet-12-iz",
+    "bidisc-8-off-example", "unitary-c5", "weighted-c2", "weighted-c4", "weighted-c6"])
+def test_defect_quadratic_form_matches_polarized_entries(case):
+    # x and a block y of three columns on the safe window of each operator:
+    # real shifts, complex matrices and random weighted C^n, all drawn in
+    # this order from one seeded stream.
     rng = np.random.default_rng(75)
-
-    def safe_pair(T):
+    pairs = {}
+    for name, make in (
+            ("dirichlet-shift-12", lambda: cases.problem("dirichlet-12").base),
+            ("bidisc-shift-8-z1", lambda: cases.problem("bidisc-8").base),
+            ("bidisc-shift-8-z2", lambda: bidisc_shift(8, axis=2)),
+            ("dirichlet-12-iz", lambda: cases.problem("dirichlet-12-iz").perturbed()),
+            ("bidisc-8-off-example", lambda: cases.problem("bidisc-8-off-example").perturbed()),
+            ("unitary-c5", lambda: Op.from_exact_matrix(make_coordinate_space(5),
+                                                        random_unitary(5, rng))),
+            *((f"weighted-c{n}", lambda n=n: random_op(make_coordinate_space(
+                n, weights=tuple(rng.uniform(0.5, 3.0, size=n))), rng)) for n in (2, 4, 6))):
+        T = make()
         keep = T.space.degrees <= truncation_cutoff(T)
         x = np.where(keep, random_vec(T.space, rng), 0.0)
         y = np.column_stack([np.where(keep, random_vec(T.space, rng), 0.0) for _ in range(3)])
-        return T, x, y
-
-    cases = {
-        "dirichlet-shift-12": safe_pair(dirichlet_shift(12)),
-        "bidisc-shift-8-z1": safe_pair(bidisc_shift(8, axis=1)),
-        "bidisc-shift-8-z2": safe_pair(bidisc_shift(8, axis=2)),
-        "dirichlet-12-iz": safe_pair(
-            dirichlet_perturbation_problem(12, PolyCoeffs((1j,))).perturbed()),
-        "bidisc-8-off-example": safe_pair(bidisc_off_example_problem().perturbed()),
-        "unitary-c5": safe_pair(
-            Op.from_exact_matrix(make_coordinate_space(5), random_unitary(5, rng))),
-    }
-    for n in (2, 4, 6):
-        space = make_coordinate_space(n, weights=tuple(rng.uniform(0.5, 3.0, size=n)))
-        cases[f"weighted-c{n}"] = safe_pair(random_op(space, rng))
-    return cases
-
-
-@pytest.mark.parametrize("case", list(_form_cases()))
-def test_defect_quadratic_form_matches_polarized_entries(case):
-    T, x, y = _form_cases()[case]
+        pairs[name] = T, x, y
+    T, x, y = pairs[case]
     values = defect_quadratic(T, x, y)
     real_y = defect_quadratic(T, x, y.real)
     for j in range(y.shape[1]):
@@ -523,7 +517,7 @@ def test_gram_form_matches_polarization_non_admissible_dirichlet():
 
 
 def test_gram_form_matches_polarization_bidisc_window():
-    op = bidisc_example_problem(8).perturbed()
+    op = cases.problem("bidisc-8").perturbed()
     assert safe_subspace(op).size == 28
     _assert_form_matches_polarization(op)
 
@@ -611,18 +605,6 @@ def test_defect_apply_in_window_rejects_unsafe_vector():
 # are the referees.
 
 
-def _real_field_cases() -> dict:
-    rungs = {f"dirichlet-{N}": dirichlet_perturbation_problem(N, PolyCoeffs((-2.0,)))
-             for N in (12, 24, 48, 96)}
-    rungs.update({f"bidisc-{N}": bidisc_example_problem(N) for N in (6, 10, 14, 18)})
-    rungs["dirichlet-40-z3"] = dirichlet_perturbation_problem(40, PolyCoeffs((0.0, 0.0, 1.0)))
-    cases = {}
-    for name, problem in rungs.items():
-        cases[f"{name}-base"] = problem.base
-        cases[f"{name}-perturbed"] = problem.perturbed()
-    return cases
-
-
 def _form_matches_dense_referee(T: Op) -> np.ndarray:
     G = polarized_defect_form(T).defect_matrix
     H = dense_defect_form(T)
@@ -632,26 +614,29 @@ def _form_matches_dense_referee(T: Op) -> np.ndarray:
 
 
 def test_real_operators_form_in_real_arithmetic_matches_complex_referee():
-    for name, T in _real_field_cases().items():
-        assert T.matrix.dtype == np.float64, name
-        assert _form_matches_dense_referee(T).dtype == np.float64, name
+    # Every case declared real that has a verdict: its base and T + u⊗v.
+    for name in cases.names(field="real", branch="I") + cases.names(field="real", branch="II"):
+        problem = cases.problem(name)
+        for T in (problem.base, problem.perturbed()):
+            assert T.matrix.dtype == np.float64, name
+            assert _form_matches_dense_referee(T).dtype == np.float64, name
 
 
 def test_complex_operators_form_matches_complex_referee():
-    # The off-example u of bidisc N = 8 has complex entries, so its perturbed
-    # operator keeps complex arithmetic; its base is real.
-    problem = bidisc_off_example_problem()
-    Tt = problem.perturbed()
-    assert problem.base.matrix.dtype == np.float64
-    assert Tt.matrix.dtype == np.complex128
-    for T in (problem.base, Tt):
-        _form_matches_dense_referee(T)
+    # A complex u keeps T + u⊗v in complex arithmetic; the Dirichlet and
+    # bidisc bases are real.
+    for name in cases.names(field="complex"):
+        problem = cases.problem(name)
+        Tt = problem.perturbed()
+        assert Tt.matrix.dtype == np.complex128, name
+        for T in (problem.base, Tt):
+            _form_matches_dense_referee(T)
 
 
-@pytest.mark.parametrize("name", ["dirichlet-12-perturbed", "bidisc-18-perturbed",
-                                  "dirichlet-40-z3-perturbed"])
+@pytest.mark.parametrize("name", ["dirichlet-12", "bidisc-18", "dirichlet-40-z3"],
+                         ids=lambda name: f"{name}-perturbed")
 def test_real_defect_quadratic_blocks_match_column_calls(name):
-    T = _real_field_cases()[name]
+    T = cases.problem(name).perturbed()
     rng = np.random.default_rng(72)
     dim = T.space.dim
     w = T.space.weight_array[:, None]
@@ -808,30 +793,31 @@ def _weighted_shift_c7() -> Op:
     return Op.from_exact_matrix(space, mat)
 
 
-def _shift_cases() -> dict:
-    """Name -> builder of each weighted shift whose form is read off."""
-    cases = {f"dirichlet-{N}-shift": lambda N=N: dirichlet_shift(N) for N in (12, 24, 48, 96)}
-    for N in (12, 96):
-        # M_z + (-2z)⊗1 sends 1 to -z: a shift again.
-        cases[f"dirichlet-{N}-ladder-perturbed"] = lambda N=N: dirichlet_perturbation_problem(
-            N, PolyCoeffs((-2.0,))).perturbed()
-    for N in (6, 10, 14, 18):
-        for axis in (1, 2):
-            cases[f"bidisc-{N}-z{axis}"] = lambda N=N, axis=axis: bidisc_shift(N, axis)
-    for N in (8, 18):
-        cases[f"bidisc-{N}-example-perturbed"] = lambda N=N: bidisc_example_problem(N).perturbed()
-    cases["dirichlet-48-decoded"] = lambda: _decoded(dirichlet_shift(48))
-    cases["bidisc-10-decoded"] = lambda: _decoded(bidisc_shift(10, axis=1))
-    cases["weighted-c7-shift"] = _weighted_shift_c7
-    return cases
+def _base(name: str) -> Op:
+    return cases.problem(name).base
 
 
-_SHIFT_CASES = _shift_cases()
+def _perturbed(name: str) -> Op:
+    return cases.problem(name).perturbed()
 
 
-@pytest.mark.parametrize("name", list(_SHIFT_CASES))
-def test_shift_form_is_its_diagonal_bit_for_bit(name, monkeypatch):
-    T = _SHIFT_CASES[name]()
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda N=N: _base(f"dirichlet-{N}"), id=f"dirichlet-{N}-shift")
+      for N in (12, 24, 48, 96)),
+    # M_z + (-2z)⊗1 sends 1 to -z: a shift again.
+    *(pytest.param(lambda N=N: _perturbed(f"dirichlet-{N}"), id=f"dirichlet-{N}-ladder-perturbed")
+      for N in (12, 96)),
+    *(pytest.param(make, id=f"bidisc-{N}-z{axis}") for N in (6, 10, 14, 18)
+      for axis, make in ((1, lambda N=N: _base(f"bidisc-{N}")),
+                         (2, lambda N=N: bidisc_shift(N, axis=2)))),
+    *(pytest.param(lambda N=N: _perturbed(f"bidisc-{N}"), id=f"bidisc-{N}-example-perturbed")
+      for N in (8, 18)),
+    pytest.param(lambda: _decoded(_base("dirichlet-48")), id="dirichlet-48-decoded"),
+    pytest.param(lambda: _decoded(_base("bidisc-10")), id="bidisc-10-decoded"),
+    pytest.param(_weighted_shift_c7, id="weighted-c7-shift"),
+])
+def test_shift_form_is_its_diagonal_bit_for_bit(make, monkeypatch):
+    T = make()
     dense = _dense_builds(monkeypatch)
     G = polarized_defect_form(T).defect_matrix
     assert not dense, "the form took the dense path"
@@ -875,13 +861,6 @@ def _two_entry_column() -> Op:
     return constant_perturbed_dirichlet(12, -2.0)
 
 
-def _complex_p() -> Op:
-    # M_z + p⊗1 with p = (e^{i pi/3} - 1) z sends 1 to e^{i pi/3} z: a complex
-    # shift, whose form stays complex.
-    return dirichlet_perturbation_problem(
-        24, PolyCoeffs((np.exp(1j * np.pi / 3) - 1,))).perturbed()
-
-
 def _shared_row() -> Op:
     # e0 and e1 both go to e2, so (TE)^H W (TE) has an off-diagonal entry.
     space = make_coordinate_space(4, weights=(1.0, 2.0, 0.5, 3.0))
@@ -895,7 +874,10 @@ def _unitary_c5() -> Op:
                                 random_unitary(5, np.random.default_rng(82)))
 
 
-@pytest.mark.parametrize("make", [_two_entry_column, _shared_row, _unitary_c5, _complex_p],
+# M_z + p⊗1 with p = (e^{i pi/3} - 1) z sends 1 to e^{i pi/3} z: a complex
+# shift, whose form stays complex.
+@pytest.mark.parametrize("make", [_two_entry_column, _shared_row, _unitary_c5,
+                                  lambda: _perturbed("dirichlet-24-complex-p")],
                          ids=["two-entry-column", "shared-row", "unitary-c5", "complex-p"])
 def test_other_operators_keep_the_dense_form(make, monkeypatch):
     T = make()
@@ -988,7 +970,7 @@ def test_safe_subspace_growth_zero_is_whole_space():
     [
         lambda: dirichlet_shift(12),
         lambda: bidisc_shift(8, axis=1),
-        lambda: bidisc_example_problem(8).perturbed(),
+        lambda: _perturbed("bidisc-8"),
         lambda: random_op(make_coordinate_space(4), np.random.default_rng(44)),
     ],
     ids=["dirichlet-12", "bidisc-shift-8", "bidisc-example-8", "c4-seeded"],

@@ -126,6 +126,15 @@ def test_space_validation():
         WeightedSpace(labels=(), weights=())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_space_refuses_a_non_finite_weight_on_direct_construction(bad):
+    # `w <= 0` is False for NaN, and such a space's norm read NaN with a
+    # RuntimeWarning; only from_dict checked that weights are finite.
+    for weights in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            WeightedSpace(labels=((0,), (1,)), weights=weights)
+
+
 # ---------------------------------------------------------------------------
 # inner product
 
