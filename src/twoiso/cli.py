@@ -34,14 +34,13 @@ from .analysis import (
 from .function_spaces import (
     PolyCoeffs,
     bidisc_example_problem,
-    constant_perturbed_dirichlet,
     dirichlet_admissibility_residual,
     dirichlet_shift,
-    perturbed_dirichlet,
 )
 from .operators import (
     Op,
     defect_quadratic,
+    perturb,
     truncation_cutoff,
     truncation_safe,
 )
@@ -395,12 +394,13 @@ def search_dirichlet_alpha(
     Each axis has round((max - min) / step) + 1 evenly spaced points, both
     ends included. The sound prefilter :func:`constant_defect` evaluates
     q(1) over the whole grid at once and builds no operator. Only the points
-    with |q(1)| <= tol are built and confirmed against the oracle form on
+    with |q(1)| <= tol are built, on one shift M_z that the first of them
+    builds for the whole search, and confirmed against the oracle form on
     the whole safe window, :func:`polarized_defect_form` (read off the
-    diagonal for a real shift). The unperturbed point alpha = 0 is
-    skipped. Hits come in row-major order. An inverted range, a grid of
-    more than ``MAX_SEARCH_POINTS`` points or a dimension above ``MAX_DIM``
-    is refused with a ValueError.
+    diagonal for a real shift). The unperturbed point alpha = 0 is skipped.
+    Hits come in row-major order. An inverted range, a grid of more than
+    ``MAX_SEARCH_POINTS`` points or a dimension above ``MAX_DIM`` is refused
+    with a ValueError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -424,17 +424,15 @@ def search_dirichlet_alpha(
     ims = np.linspace(im_range[0], im_range[1], int(n_im))
     alphas = res[:, None] + 1j * ims[None, :]
     q = constant_defect(n, alphas)
-    hits = []
+    hits, base = [], None
     for i, j in np.argwhere((np.abs(q) <= tol) & (alphas != 0)):
         re, im = res[i], ims[j]
         alpha = complex(re, im)
-        if n == 0:
-            op = constant_perturbed_dirichlet(N, alpha)
-        else:
-            coeffs = [0.0] * n
-            coeffs[n - 1] = alpha
-            op = perturbed_dirichlet(N, PolyCoeffs(tuple(coeffs)))
-        oracle = op.defect_form.max_residual
+        if base is None:
+            base = dirichlet_shift(N)
+        u = base.space.zeros()
+        u[n] = alpha  # M_z + (alpha z^n)⊗1
+        oracle = perturb(base, u, base.space.basis_vector(0)).defect_form.max_residual
         if oracle <= tol:
             hits.append(
                 {

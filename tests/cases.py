@@ -9,6 +9,8 @@ an ``analyze`` or ``defect`` input document; CI writes its own with
 
     PYTHONPATH=src:tests python -c 'import cases, sys; cases.write_analyze_documents(sys.argv[1])' DIR
 
+``strict_json`` is the one reader of emitted JSON in the tests and in CI.
+
 The examples are the Dirichlet shift of Richter's model, the bidisc shift
 and weighted ``C^n`` with unitary bases; the defect is that of
 Agler-Stankus.
@@ -420,3 +422,13 @@ def write_analyze_documents(directory) -> None:
         with open(out / f"{name}.json", "w") as fh:
             json.dump(DOCUMENTS[name](), fh)
     (out / "deep.json").write_text(DEEP_JSON)
+
+
+def strict_json(text: str):
+    """Parse ``text`` as RFC 8259 JSON: a ``NaN``, ``Infinity`` or
+    ``-Infinity`` token, which ``json.loads`` accepts, is a ValueError."""
+
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in the output")
+
+    return json.loads(text, parse_constant=reject)

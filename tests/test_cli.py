@@ -13,7 +13,7 @@ from twoiso import (
     theorem_verdict,
     vec_to_pairs,
 )
-from twoiso import cli
+from twoiso import cli, function_spaces
 from twoiso.cli import (
     MAX_SEARCH_POINTS,
     constant_defect,
@@ -454,7 +454,7 @@ def test_analyze_json_condition_iia_finite_when_its_squares_overflow(tmp_path, c
         warnings.simplefilter("error")
         code = main(["analyze", "--input", path, "--format", "json"])
     assert code == 0
-    out = _strict_json(capsys.readouterr().out)
+    out = cases.strict_json(capsys.readouterr().out)
     assert out["branch"] == "II"
     assert 1e200 < out["cond_iia_residual"] < float("inf")
     assert out["verdict_theorem"] is False and out["verdict_oracle"] is False
@@ -474,13 +474,6 @@ def test_reproduce_n0_large_alpha_passes(alpha, capsys):
     assert "result: PASS" in capsys.readouterr().out
 
 
-def _strict_json(text):
-    def reject(token):
-        raise ValueError(f"non-finite number {token} in the output")
-
-    return json.loads(text, parse_constant=reject)
-
-
 @pytest.mark.parametrize("alpha", ["1e30", "1e50"])
 def test_reproduce_n0_large_alpha_json_is_finite(alpha, capsys):
     # At 1e50 the defect image has entries near 1e200; the kernel residual
@@ -489,7 +482,7 @@ def test_reproduce_n0_large_alpha_json_is_finite(alpha, capsys):
         warnings.simplefilter("error")
         code = main(["reproduce", "dirichlet-n0", "--alpha", alpha, "--format", "json"])
     assert code == 0
-    doc = _strict_json(capsys.readouterr().out)
+    doc = cases.strict_json(capsys.readouterr().out)
     assert doc["pass"] is True
     alpha4 = float(alpha) ** 4
     assert doc["cases"][0]["report"]["kernel_residual"] == pytest.approx(alpha4, rel=1e-10)
@@ -667,27 +660,48 @@ def test_search_dirichlet_alpha_n2_empty(capsys):
     assert json.loads(capsys.readouterr().out)["hits"] == []
 
 
-_N0_SURVIVORS = ["search", "dirichlet-alpha", "--n", "0", "-N", "3", "--tol", "1",
-                 "--step", "0.25", "--re-min", "-0.5", "--re-max", "0.5",
-                 "--im-min", "-0.5", "--im-max", "0.5"]
+def _survivor_grid(n):
+    # The 5 x 5 grid on [-0.5, 0.5]^2 at tol 1 and the smallest truncation
+    # the search allows for n.
+    return ["search", "dirichlet-alpha", "--n", str(n), "-N", str(2 * max(1, n) + 1),
+            "--tol", "1", "--step", "0.25", "--re-min", "-0.5", "--re-max", "0.5",
+            "--im-min", "-0.5", "--im-max", "0.5"]
+
+
+_N0_SURVIVORS = _survivor_grid(0)
+
+
+def _search_json_hits(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--format", "json"])
+    assert code == 0
+    return cases.strict_json(capsys.readouterr().out)["hits"]
 
 
 def test_search_dirichlet_alpha_n0_confirms_its_survivors(capsys):
     # q(1) = |alpha|^4 <= 1/4 on the whole 5 x 5 grid, so every point but
     # alpha = 0 survives the prefilter and is built as M_z + (alpha 1)⊗1.
     # On the two-label window the oracle's largest entry is q(1) itself.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main([*_N0_SURVIVORS, "--format", "json"])
-    assert code == 0
-    hits = _strict_json(capsys.readouterr().out)["hits"]
+    # The public builders referee the search's shared shift, for n >= 1 too:
+    # each hit's oracle is bit for bit the one of the builder's operator.
     grid = [-0.5, -0.25, 0.0, 0.25, 0.5]
-    assert [h["alpha"] for h in hits] == [[a, b] for a in grid for b in grid if (a, b) != (0, 0)]
-    for hit in hits:
-        re, im = hit["alpha"]
-        assert hit["defect_on_constant"] == hit["oracle_defect"] == (re**2 + im**2) ** 2
-        oracle = constant_perturbed_dirichlet(3, complex(re, im)).defect_form.max_residual
-        assert hit["oracle_defect"] == oracle
+    for n, count in ((0, 24), (1, 19), (2, 24)):
+        argv = _survivor_grid(n)
+        hits = _search_json_hits(argv, capsys)
+        assert len(hits) == count
+        N = int(argv[argv.index("-N") + 1])
+        for hit in hits:
+            re, im = hit["alpha"]
+            if n == 0:
+                assert hit["defect_on_constant"] == hit["oracle_defect"] == (re**2 + im**2) ** 2
+                op = constant_perturbed_dirichlet(N, complex(re, im))
+            else:
+                op = perturbed_dirichlet(N, PolyCoeffs((0.0,) * (n - 1) + (complex(re, im),)))
+            assert hit["oracle_defect"] == op.defect_form.max_residual
+        if n == 0:
+            assert [h["alpha"] for h in hits] == [[a, b] for a in grid for b in grid
+                                                  if (a, b) != (0, 0)]
 
 
 def test_search_text_output_lists_hits_or_says_none(capsys):
@@ -767,7 +781,7 @@ def test_search_overflowing_defect_on_constant_is_pruned(n, alpha, capsys):
         warnings.simplefilter("error")
         code = main(args)
     assert code == 0
-    assert _strict_json(capsys.readouterr().out)["hits"] == []
+    assert cases.strict_json(capsys.readouterr().out)["hits"] == []
 
 
 def test_search_prefilter_memory_does_not_grow_with_the_truncation():
@@ -783,6 +797,32 @@ def test_search_prefilter_memory_does_not_grow_with_the_truncation():
         tracemalloc.stop()
     assert hits == []
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "args, builds",
+    [
+        ([], 1),
+        (["-N", "400", "--re-min", "0", "--re-max", "0", "--im-min", "1", "--im-max", "5000",
+          "--step", "1", "--tol", "1e-8"], 0),
+    ],
+    ids=["default-grid", "no-survivor-at-N-400"],
+)
+def test_search_builds_one_shared_shift_and_none_without_survivors(args, builds, monkeypatch,
+                                                                  capsys):
+    # The default grid has 11 survivors, all confirmed on one shift; a
+    # search where no point survives builds no operator at all.
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return dirichlet_shift(N)
+
+    monkeypatch.setattr(cli, "dirichlet_shift", counted)
+    monkeypatch.setattr(function_spaces, "dirichlet_shift", counted)
+    hits = _search_json_hits(["search", "dirichlet-alpha", *args], capsys)
+    assert len(hits) == (11 if builds else 0)
+    assert len(calls) == builds
 
 
 def test_search_trials_above_the_cap_is_input_error(monkeypatch, capsys):
@@ -942,7 +982,7 @@ def test_negative_value_after_a_space_runs_as_after_an_equals_sign(args, capsys)
             codes.append(main(argv + ["--format", "json"]))
         captured = capsys.readouterr()
         assert captured.err == ""
-        outputs.append(_strict_json(captured.out))
+        outputs.append(cases.strict_json(captured.out))
     assert codes[0] == codes[1] == (1 if args[-1] == "-1e-3" else 0)
     assert outputs[0] == outputs[1]
 
