@@ -209,6 +209,9 @@ def _dirichlet_n0(ns, N):
 
 
 def _bidisc(ns, N):
+    if N < 4:  # the window check below reads degree <= N - 4
+        raise ValueError(f"reproduce bidisc needs N >= 4 for its window check "
+                         f"on degree <= N - 4, got N = {N}")
     problem = bidisc_example_problem(N, tol_rank=ns.tol_rank, tol_defect=ns.tol_defect)
     r = theorem_verdict(problem)
     # Growth 2, the degree of u's range, not the scanned 1: window degree <= N - 4.

@@ -16,17 +16,17 @@ evaluates the quadratic defect
 
     q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2
 
-or the form <D x, y> = <x, y> - 2 <Tx, Ty> + <T^2 x, T^2 y> of the defect
-operator D against a block of vectors y, from forward images only. Both are
-exact for every x and y in the truncation-safe window: the span of the
-labels of total degree <= max_degree - 2 * degree_growth, held as the index
-array :func:`safe_subspace` returns. On the window's orthonormal basis E
-(columns e_i / sqrt(w_i)) the form is the sum of three forward Gram
-products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is
-both the oracle and the source of the invariance condition of the decision
-procedure. The defect image that the kernel condition needs is the form of
-x against E over the band of window labels that D x can reach; every other
-entry is an exact zero. Four-term polarization of q is only the tests'
+or the defect image <D x, e_i> = <x, e_i> - 2 <Tx, Te_i> + <T^2 x, T^2 e_i>
+on a set of labels i, from forward images only: the image is read off one
+row conj(Wx) - 2 conj(W Tx) A + (conj(W T^2 x) A) A. Both are exact for
+every x and e_i in the truncation-safe window: the span of the labels of
+total degree <= max_degree - 2 * degree_growth, held as the index array
+:func:`safe_subspace` returns. On the window's orthonormal basis E (columns
+e_i / sqrt(w_i)) the form is the sum of three forward Gram products,
+E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
+oracle and the source of the invariance condition of the decision
+procedure. The defect image that the kernel condition needs is read on the
+whole window, in O(dim^2). Four-term polarization of q is only the tests'
 referee (tests/helpers.py). The perturbed operator T + u⊗v is built by
 :func:`perturb`, which adds the rank-one part on the block supp u x supp v
 of a copy of T.
@@ -36,8 +36,9 @@ every imaginary part is exactly zero, complex otherwise. The forward products
 of the form and of q run in that field. The shifts and their real
 perturbations have real matrices: their form is real, T E and its two Gram
 products are real products, and one helper multiplies them with a complex
-vector or block (of q and the form, of :func:`apply`, of the oracle update)
-through its float view, re and im columns side by side. A matrix with any
+vector, block or rows (of q and the image, of :func:`apply`, of the oracle
+update) in one real product, through the float view of the columns or with
+the re rows stacked over the im rows. A matrix with any
 nonzero imaginary part keeps complex products. The rule extends to the
 problem: a real matrix with u and v free of imaginary parts builds the oracle
 update's rows, the oracle and condition (a) in float64, and a real form's
@@ -208,14 +209,20 @@ def apply(A: Op, x) -> np.ndarray:
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a complex vector or block and a matrix in either field. A
     real matrix multiplies the complex factor's float view, re and im parts
-    side by side, in one real product: numpy would otherwise make a complex
-    copy of the real matrix."""
+    side by side, in one real product; complex rows meet a real matrix as
+    their re rows stacked over their im rows, in one real product: numpy
+    would otherwise make a complex copy of the real matrix."""
     if a.dtype == b.dtype:
         return a @ b
     if b.dtype.kind == "c":  # a real matrix times a vector or columns
         f = np.ascontiguousarray(b).view(float).reshape(len(b), -1)
         return (a @ f).view(complex).reshape(a.shape[:-1] + b.shape[1:])
-    return _matmul(b.T, a.T).T  # complex rows times a real matrix
+    rows = a.reshape(-1, a.shape[-1])  # complex rows times a real matrix
+    k = len(rows)
+    f = np.concatenate((rows.real, rows.imag)) @ b
+    out = np.empty((k,) + f.shape[1:], complex)
+    out.real, out.imag = f[:k], f[k:]
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def perturb(T: Op, u, v) -> Op:
@@ -264,38 +271,41 @@ def _norms2(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
 
 
-def defect_quadratic(T: Op, x, y=None):
+def defect_quadratic(T: Op, x, idx=None):
     """q(x) = ||x||^2 - 2 ||Tx||^2 + ||T^2 x||^2 with weighted norms, a float;
-    with a (dim, m) block y, the m complex values <D x, y_j> = <x, y_j>
-    - 2 <Tx, T y_j> + <T^2 x, T^2 y_j> of the defect form.
+    with an index array idx of labels, the complex values E^H W D x =
+    <D x, e_i> / sqrt(w_i), i in idx, of the defect image.
 
-    Forward images only (Tx, T^2 x, Ty, T^2 y), so every value is exact when
-    x and y lie in the truncation-safe window of T. A real y meets a complex
-    matrix as a complex copy of y, not of the matrix. Raises ValueError when
-    a value overflows to a non-finite number, so that no caller reads a NaN.
+    Forward images only. The image is read off one row r = conj(Wx)
+    - 2 conj(W Tx) A + (conj(W T^2 x) A) A, whose entry i is <e_i, x>
+    - 2 <Te_i, Tx> + <T^2 e_i, T^2 x> = conj <D x, e_i>; so every value is
+    exact when x and e_i lie in the truncation-safe window of T, and the cost
+    is Tx, T^2 x and two row products for any idx. Raises ValueError when
+    idx is not a 1-D array of integer labels of the space, or when a value
+    overflows to a non-finite number, so that no caller reads a NaN.
     """
     A, w, dim = T.matrix, T.space.weight_array, T.space.dim
     x = np.ascontiguousarray(T.space.check_vec(x)[:, None])
-    if y is not None:
-        y = np.ascontiguousarray(y, dtype=np.result_type(A, np.asarray(y)))
-        if y.ndim != 2 or len(y) != dim:
-            raise ValueError(f"block has shape {y.shape}, expected ({dim}, m)")
+    if idx is not None:
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+                idx.size and not 0 <= idx.min() <= idx.max() < dim):
+            raise ValueError(f"idx must be a 1-D array of integer labels in [0, {dim})")
     with np.errstate(over="ignore", invalid="ignore"):
         tx = _matmul(A, x)
         ttx = _matmul(A, tx)
-        if y is None:
+        if idx is None:
             value = _norms2(w, x) - 2.0 * _norms2(w, tx) + _norms2(w, ttx)
         else:
-            w = w[:, None]
-            ty = _matmul(A, y)
-            value = np.conj(_matmul(y.T, np.conj(w * x)) - 2.0 * _matmul(ty.T, np.conj(w * tx))
-                            + _matmul(_matmul(A, ty).T, np.conj(w * ttx)))[:, 0]
+            rows = _matmul(np.conj(w * np.concatenate((tx, ttx), axis=1).T), A)
+            r = np.conj(w * x[:, 0]) - 2.0 * rows[0] + _matmul(rows[1:], A)[0]
+            value = np.conj(r[idx]) / np.sqrt(w[idx])
     if not np.all(np.isfinite(value)):
         raise ValueError(
             "the defect overflows: the operator or the vector is too large "
             "for floating point"
         )
-    return float(value[0]) if y is None else value
+    return float(value[0]) if idx is None else value
 
 
 @dataclass(eq=False, frozen=True)
@@ -431,30 +441,14 @@ def polarized_defect_form(T: Op) -> DefectReport:
 
 
 def defect_apply_in_window(T: Op, x) -> np.ndarray:
-    """Component of (defect operator) x inside T's safe window: E^H W D x,
-    the b values <D x, e_i> of one :func:`defect_quadratic` call whose block
-    y is E, the basis e_i / sqrt(w_i) of the window labels that D x can
-    reach. The weights are diagonal, so <D x, e_i> = <x, e_i> - 2 <Tx, Te_i>
-    + <T^2 x, T^2 e_i> vanishes once deg e_i > top(x) + 2 (degree_growth +
-    drop): top(x) is the top degree of x's nonzero entries, drop the most a
-    column of T lowers degree (truncation removes only rows above the top
-    degree): the largest column degree minus row degree over T's nonzeros,
-    floored at zero. drop is scanned only when the band stops short of the
-    window without it. x must be truncation-safe; then the result is the
-    untruncated D x projected onto the window.
+    """Component of (defect operator) x inside T's safe window, as a vector:
+    <D x, e_i> / w_i at each window label i, from one :func:`defect_quadratic`
+    call over the whole window. x must be truncation-safe; then the result is
+    the untruncated D x projected onto the window.
     """
     idx = safe_subspace(T)
     x = T.space.check_vec(x)
     require_truncation_safe(T, x)
-    degs = T.space.degrees
-    band = int(degs[x != 0].max(initial=-1)) + 2 * T.degree_growth
-    if band < truncation_cutoff(T):
-        rows, cols = _nonzeros(T.matrix)
-        band += 2 * int(np.max(degs[cols] - degs[rows], initial=0))
-        idx = idx[degs[idx] <= band]
-    scale = 1.0 / np.sqrt(T.space.weight_array[idx])
-    E = np.zeros((T.space.dim, idx.size))
-    E[idx, np.arange(idx.size)] = scale
     out = T.space.zeros()
-    out[idx] = scale * defect_quadratic(T, x, E)
+    out[idx] = defect_quadratic(T, x, idx) / np.sqrt(T.space.weight_array[idx])
     return out

@@ -149,7 +149,7 @@ def _bidisc_v_mass_above_window() -> PerturbationProblem:
 def _bidisc_18_dense() -> PerturbationProblem:
     """The bidisc example at N = 18 with u moved by a real vector on degrees
     1 and 2: several entries in the column of z1, so the form is dense, with
-    the degree growth and the band of the kernel residual kept."""
+    the degree growth kept."""
     problem = bidisc_example_problem(18)
     degs = problem.space.degrees
     u = problem.u + 1e-3 * ((degs >= 1) & (degs <= 2))
@@ -246,8 +246,7 @@ CASES: dict[str, Case] = {
        for N in (12, 40)},
     "dirichlet-12-z3-reversed-labels": Case(_dirichlet_z3_reversed_labels, "real", "I", _FALSE),
     "dirichlet-12-z-reversed-labels": Case(_dirichlet_z_reversed_labels, "real", "II", _TRUE),
-    # Degree growth 3: the band that D 1 can reach is degree <= 6 inside a
-    # window of degree <= 18.
+    # Degree growth 3: D 1 reaches degree <= 6 of a window of degree <= 18.
     "dirichlet-24-cubic": Case(_dirichlet(24, 1j, 0.0, 0.3), "complex", "I", _FALSE),
     "dirichlet-24-cubic-v-mass-above-band": Case(_dirichlet_cubic_v_mass_above_band, "complex",
                                                  "I", _FALSE),

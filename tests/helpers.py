@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from twoiso import (
@@ -319,3 +322,56 @@ def complex_path_oracle(problem: PerturbationProblem, idx) -> np.ndarray:
     k = np.searchsorted(safe_subspace(problem.base), idx)
     Rh = R[:, idx] / np.sqrt(w[idx])
     return problem.base.defect_form.defect_matrix[np.ix_(k, k)] + Rh.conj().T @ M @ Rh
+
+
+def exact_kernel_image(T: Op, x, absolute: bool = False) -> list[Fraction]:
+    """<D x, e_i> = w_i x_i - 2 <Tx, Te_i> + <T^2 x, T^2 e_i> at each label i
+    of T's safe window, in exact rational arithmetic on the stored float64
+    matrix, weights and x: every float is an exact rational, so this is the
+    image that a float computation on the same inputs approximates. The
+    exact referee of ``defect_apply_in_window`` on a real operator and a
+    real x; Te_i and T^2 e_i are read column by column, not off a row.
+
+    With ``absolute``, the matrix and x are replaced by their absolute values
+    and the three terms are added: the scale of each entry's round-off.
+    """
+    x = T.space.check_vec(x)
+    if T.matrix.dtype != np.float64 or x.imag.any():
+        raise ValueError("the exact referee takes a real operator and a real vector")
+    n = T.space.dim
+    sign = 1 if absolute else -1
+    entry = abs if absolute else (lambda a: a)
+    w = [Fraction(c) for c in T.space.weight_array.tolist()]
+    cols = [[(i, Fraction(entry(a))) for i, a in enumerate(T.matrix[:, j].tolist()) if a]
+            for j in range(n)]
+
+    def apply_exact(y: list[Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * n
+        for j, yj in enumerate(y):
+            if yj:
+                for i, a in cols[j]:
+                    out[i] += a * yj
+        return out
+
+    def inner(a: list[Fraction], b: list[Fraction]) -> Fraction:
+        return sum((wk * ak * bk for wk, ak, bk in zip(w, a, b) if ak and bk), Fraction(0))
+
+    xs = [Fraction(entry(c)) for c in x.real.tolist()]
+    tx = apply_exact(xs)
+    ttx = apply_exact(tx)
+    image = []
+    for i in safe_subspace(T).tolist():
+        te = apply_exact([Fraction(int(k == i)) for k in range(n)])
+        image.append(w[i] * xs[i] + sign * 2 * inner(tx, te) + inner(ttx, apply_exact(te)))
+    return image
+
+
+def exact_sqrt(value: Fraction) -> float:
+    """The square root of a non-negative rational as a float, within about one
+    ulp. The rational is first scaled by a power of four into the float
+    range, so a value past that range whose root is in range does not
+    overflow."""
+    if not value:
+        return 0.0
+    k = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
+    return math.sqrt(value / Fraction(4) ** k) * 2.0 ** k

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 import sys
 import tracemalloc
 import warnings
@@ -21,14 +22,12 @@ from twoiso import (
     defect_quadratic,
     gamma_coefficient,
     kernel_condition_residual,
-    make_bidisc_space,
     make_coordinate_space,
     make_dirichlet_space,
     perturb,
     polarized_defect_form,
     safe_subspace,
     theorem_verdict,
-    truncation_cutoff,
     weighted_gram_schmidt,
     witness_vector,
 )
@@ -55,6 +54,8 @@ from helpers import (
     brute_force_adjoint,
     complex_path_oracle,
     defect_image_by_entries,
+    exact_kernel_image,
+    exact_sqrt,
     identity,
     orthogonal_complement,
     polarized_form_by_entries,
@@ -590,8 +591,8 @@ def test_witness_line_verdicts_match_the_block_formulation(family, seed, trials)
     "dirichlet-24-cubic", "dirichlet-24-cubic-v-mass-above-band", "dirichlet-24-iz",
     "dirichlet-n0-alpha-1e50", "weighted-c6-false", "weighted-c6-true"])
 def test_kernel_residual_matches_entrywise_polarization(case):
-    # One call of the defect form on the band's basis against the scalar
-    # referee, which polarizes one window entry at a time.
+    # One defect row read over the whole window against the scalar referee,
+    # which polarizes one window entry at a time.
     problem = cases.problem(case)
     Tt = problem.perturbed()
     image = defect_image_by_entries(Tt, problem.v)
@@ -611,99 +612,59 @@ def test_kernel_residual_matches_entrywise_polarization(case):
     assert abs(via_g - value) <= 1e-14 * max(1.0, value)
 
 
-def _kernel_block_widths(monkeypatch, Tt, v) -> list:
-    """Column counts of the blocks y that the kernel residual passes to
-    defect_quadratic: one block, the basis of the band."""
-    widths = []
+@pytest.mark.parametrize("case", [*cases.LADDER, "dirichlet-24-cubic",
+                                  "dirichlet-24-cubic-v-mass-above-band",
+                                  "bidisc-8-off-example", "weighted-c4"])
+def test_kernel_residual_is_one_window_call(monkeypatch, case):
+    # One defect_quadratic call, whose labels are the whole safe window.
+    if case == "weighted-c4":
+        rng = np.random.default_rng(71)
+        space = make_coordinate_space(4, weights=tuple(rng.uniform(0.5, 3.0, size=4)))
+        Tt, v = Op.from_exact_matrix(space, random_unitary(4, rng)), random_vec(space, rng)
+    else:
+        problem = cases.problem(case)
+        Tt, v = problem.perturbed(), problem.v
+    calls = []
 
-    def recording(T, x, y=None):
-        widths.append(np.shape(y)[1])
-        return defect_quadratic(T, x, y)
+    def recording(T, x, idx=None):
+        calls.append(idx)
+        return defect_quadratic(T, x, idx)
 
     monkeypatch.setattr(operators, "defect_quadratic", recording)
     kernel_condition_residual(Tt, v)
-    return widths
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], safe_subspace(Tt))
 
 
-# (band width, window) of each case's kernel residual. The ladder has degree
-# growth 1 and no column lowers degree: Dirichlet with v = 1 reads the labels
-# of degree <= 2 of its N - 1 window labels, bidisc with v = z1 those of
-# degree <= 3 of its (N - 1) N / 2. The off-example direction has a constant
-# term, so the perturbed column of z1 lowers degree by 1: degree <= 1 + 2 (1 + 1)
-# of the window's <= 6.
-_BAND_WIDTHS = {
-    **{f"dirichlet-{n}": (3, n - 1) for n in (12, 24, 48, 96)},
-    **{f"bidisc-{n}": (10, (n - 1) * n // 2) for n in (6, 10, 14, 18)},
-    "dirichlet-24-cubic": (7, 19),
-    "dirichlet-24-cubic-v-mass-above-band": (19, 19),
-    "bidisc-8-off-example": (21, 28),
-}
+# The real cases small enough for rational arithmetic whose defect is finite:
+# both exactly zero and nonzero kernel images occur among them.
+_EXACT_CASES = [name for name in cases.names(field="real")
+                if cases.CASES[name].verdicts is not None and cases.problem(name).space.dim <= 45]
+_EXACT_GAP = 4  # multiples of eps * scale; the worst case reads 0.77
 
 
-@pytest.mark.parametrize("case", list(_BAND_WIDTHS))
-def test_kernel_residual_polarizes_only_the_band(monkeypatch, case):
-    width, window = _BAND_WIDTHS[case]
+@pytest.mark.parametrize("case", _EXACT_CASES)
+def test_kernel_residual_matches_the_exact_rational_image(case):
+    # The kernel image of the stored floats in exact rational arithmetic: an
+    # entry that is exactly zero is read as exactly zero, and the residual is
+    # within _EXACT_GAP eps of the scale, the norm of the image of |T| and |v|
+    # with the three terms added.
     problem = cases.problem(case)
-    Tt = problem.perturbed()
-    assert safe_subspace(Tt).size == window
-    assert _kernel_block_widths(monkeypatch, Tt, problem.v) == [width]
+    Tt, v = problem.perturbed(), problem.v
+    idx = safe_subspace(Tt)
+    weights = [Fraction(w) for w in problem.space.weight_array[idx].tolist()]
+    exact = exact_kernel_image(Tt, v)
+    image = defect_apply_in_window(Tt, v)[idx]
+    assert all(image[i] == 0 for i, value in enumerate(exact) if value == 0)
 
+    def norm(values):
+        return exact_sqrt(sum((value * value / w for value, w in zip(values, weights)),
+                              Fraction(0)))
 
-def _band_width_by_dense_scan(T: Op, x) -> int:
-    """Width of the band that the kernel residual reads, with the most a
-    column lowers degree taken from a dim x dim ``np.where`` scan of the
-    matrix: the referee of the scan over its nonzeros."""
-    degs = T.space.degrees
-    band = int(degs[x != 0].max(initial=-1)) + 2 * T.degree_growth
-    if band < truncation_cutoff(T):
-        low = np.where(T.matrix != 0, degs[:, None], degs.max()).min(axis=0)
-        band += 2 * int(np.max(degs - low, initial=0))
-    return int(np.count_nonzero(degs[safe_subspace(T)] <= band))
-
-
-def _random_sparse_op(space, rng, lowering: int, field) -> Op:
-    """Nonzeros at random that raise degree by 0 or 1, and fewer that lower
-    it by up to ``lowering``; many columns stay zero."""
-    rise = space.degrees[:, None] - space.degrees[None, :]
-    draw = rng.random(rise.shape)
-    keep = ((rise >= 0) & (rise <= 1) & (draw < 0.2)) | (
-        (rise < 0) & (rise >= -lowering) & (draw < 0.02))
-    mat = np.where(keep, rng.standard_normal(rise.shape), 0.0)
-    if field is complex:
-        mat = mat * np.exp(2j * np.pi * rng.random(rise.shape))
-    return Op(space, mat, degree_growth=1)
-
-
-def test_kernel_residual_band_matches_the_dense_scan(monkeypatch):
-    # The lowest degree of each column is read off the matrix's nonzeros;
-    # the band must be the one that the dense scan of every entry gives.
-    ops = [(dirichlet_shift(12), None), (bidisc_shift(8, axis=1), None),
-           (bidisc_shift(8, axis=2), None)]
-    for name in ("dirichlet-24-cubic", "bidisc-8-off-example", "bidisc-8-v-off-unit"):
-        problem = cases.problem(name)
-        ops.append((problem.perturbed(), problem.v))
-    rng = np.random.default_rng(74)
-    for space in (make_dirichlet_space(24), make_bidisc_space(10)):
-        for lowering in (0, 2, 6):
-            for field in (float, complex):
-                ops.append((_random_sparse_op(space, rng, lowering, field), None))
-    widths = set()
-    for T, v in ops:
-        degs = T.space.degrees
-        if v is None:
-            v = np.where(degs <= 1, random_vec(T.space, rng), 0.0)
-        width = _band_width_by_dense_scan(T, v)
-        widths.add(width)
-        assert _kernel_block_widths(monkeypatch, T, v) == [width]
-    assert len(widths) > 5
-
-
-def test_kernel_residual_keeps_the_whole_weighted_c4_window(monkeypatch):
-    # Every label of C^4 has degree 1, so the band is the whole window.
-    rng = np.random.default_rng(71)
-    space = make_coordinate_space(4, weights=tuple(rng.uniform(0.5, 3.0, size=4)))
-    Tt = Op.from_exact_matrix(space, random_unitary(4, rng))
-    assert _kernel_block_widths(monkeypatch, Tt, random_vec(space, rng)) == [4]
+    scale = norm(exact_kernel_image(Tt, v, absolute=True))
+    value = kernel_condition_residual(Tt, v)
+    assert abs(value - norm(exact)) <= _EXACT_GAP * np.finfo(float).eps * scale
+    assert (value == 0) == (not any(exact))
 
 
 def _traced_peak(fn, *args) -> int:
@@ -722,9 +683,8 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_kernel_residual_peak_memory_within_the_oracle_form():
-    # The kernel residual reads the form on one (dim, b) block, the basis of
-    # the band of b labels that D v can reach, not of the whole window of r
-    # labels. The yardstick is the dense real form.
+    # The kernel residual reads one defect row of length dim, not a block of
+    # the window. The yardstick is the dense real form.
     problem = cases.problem("bidisc-18-dense")
     Tt = problem.perturbed()
     kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)

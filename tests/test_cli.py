@@ -93,11 +93,29 @@ def test_reproduce_n0_zero_alpha_is_input_error(capsys):
 @pytest.mark.parametrize("name", ["bidisc", "all"])
 def test_reproduce_bidisc_needs_room(name, capsys):
     # The bidisc check reads the polarized defect on degree <= N - 4, which
-    # is empty at N = 3: an input error, and no case is printed.
+    # is empty at N = 3: an input error that names the bound, and no case is
+    # printed.
     assert main(["reproduce", name, "-N", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: truncation too small: no labels of degree <= -1\n"
+    assert captured.err == ("error: reproduce bidisc needs N >= 4 for its window check "
+                            "on degree <= N - 4, got N = 3\n")
+
+
+@pytest.mark.parametrize("N", [-1, 0, 1, 2, 3])
+def test_reproduce_bidisc_refuses_n_below_4_up_front(N, capsys):
+    # N = 2 used to fail on the window of v and N = 3 on a degree of -1 that
+    # the user never asked for; every N below the bound names it.
+    assert main(["reproduce", "bidisc", "-N", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: reproduce bidisc needs N >= 4 for its window check "
+                            f"on degree <= N - 4, got N = {N}\n")
+
+
+def test_reproduce_bidisc_at_n_4_passes(capsys):
+    assert main(["reproduce", "bidisc", "-N", "4"]) == 0
+    assert "polarized defect on degree <= 0" in capsys.readouterr().out
 
 
 def test_reproduce_absent_value_fails_the_check(capsys):

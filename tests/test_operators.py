@@ -374,33 +374,43 @@ def test_defect_quadratic_matches_defect_operator_form():
         assert abs(form.imag) <= 1e-10 * max(1.0, abs(form))
 
 
+def _window_entries(T: Op, x, idx) -> np.ndarray:
+    """E^H W D x on the labels idx, one polarized entry <D x, e_i> / sqrt(w_i)
+    per label: the referee of the idx mode of ``defect_quadratic``."""
+    e = window_basis(T.space, idx).T
+    return np.array([polarized_defect_entry(T, x, col) for col in e], dtype=complex)
+
+
 def test_defect_quadratic_block_matches_column_calls():
-    # The m values of a block y against m one-column calls, and the same
-    # values from a Fortran-ordered block.
+    # The values on a set of k labels against k one-label calls, which read
+    # the same row, and against the polarized entry of each label.
     rng = np.random.default_rng(44)
     for k in (0, 1, 2, 5):
         for _ in range(10):
             space = random_weighted_space(rng)
             T = random_op(space, rng)
             x = random_vec(space, rng)
-            block = rng.standard_normal((space.dim, k)) + 1j * rng.standard_normal((space.dim, k))
-            values = defect_quadratic(T, x, block)
-            assert isinstance(values, np.ndarray) and values.shape == (k,)
+            idx = rng.permutation(space.dim)[:k]
+            values = defect_quadratic(T, x, idx)
+            assert isinstance(values, np.ndarray) and values.shape == (idx.size,)
             assert values.dtype == np.complex128
-            assert np.array_equal(defect_quadratic(T, x, np.asfortranarray(block)), values)
-            for j in range(k):
-                expected = defect_quadratic(T, x, block[:, j:j + 1])[0]
-                assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
+            for j in range(idx.size):
+                assert defect_quadratic(T, x, idx[j:j + 1])[0] == values[j]
+            expected = _window_entries(T, x, idx)
+            assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_defect_quadratic_vector_is_a_one_column_block():
-    # q(x) is the form <D x, y> at the one-column block y = x.
+    # q(x) = <D x, x> = Re(c_x^H E^H W D x) for x in the window, with window
+    # coordinates c_x = sqrt(w_i) x_i and the image on the whole window.
     rng = np.random.default_rng(47)
     for _ in range(30):
         space = random_weighted_space(rng)
         T = random_op(space, rng)
+        idx = safe_subspace(T)
         x = random_vec(space, rng)
-        value = defect_quadratic(T, x, x[:, None])[0]
+        c_x = np.sqrt(space.weight_array[idx]) * x[idx]
+        value = np.vdot(c_x, defect_quadratic(T, x, idx)).real
         assert abs(defect_quadratic(T, x) - value) <= 1e-12 * max(1.0, abs(value))
 
 
@@ -408,9 +418,9 @@ def test_defect_quadratic_vector_is_a_one_column_block():
     "dirichlet-shift-12", "bidisc-shift-8-z1", "bidisc-shift-8-z2", "dirichlet-12-iz",
     "bidisc-8-off-example", "unitary-c5", "weighted-c2", "weighted-c4", "weighted-c6"])
 def test_defect_quadratic_form_matches_polarized_entries(case):
-    # x and a block y of three columns on the safe window of each operator:
-    # real shifts, complex matrices and random weighted C^n, all drawn in
-    # this order from one seeded stream.
+    # x and a set of three labels on the safe window of each operator: real
+    # shifts, complex matrices and random weighted C^n, all drawn in this
+    # order from one seeded stream.
     rng = np.random.default_rng(75)
     pairs = {}
     for name, make in (
@@ -425,16 +435,14 @@ def test_defect_quadratic_form_matches_polarized_entries(case):
                 n, weights=tuple(rng.uniform(0.5, 3.0, size=n))), rng)) for n in (2, 4, 6))):
         T = make()
         keep = T.space.degrees <= truncation_cutoff(T)
+        window = np.flatnonzero(keep)
         x = np.where(keep, random_vec(T.space, rng), 0.0)
-        y = np.column_stack([np.where(keep, random_vec(T.space, rng), 0.0) for _ in range(3)])
-        pairs[name] = T, x, y
-    T, x, y = pairs[case]
-    values = defect_quadratic(T, x, y)
-    real_y = defect_quadratic(T, x, y.real)
-    for j in range(y.shape[1]):
-        for col, value in ((y[:, j], values[j]), (y[:, j].real, real_y[j])):
-            expected = polarized_defect_entry(T, x, col)
-            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+        pairs[name] = T, x, rng.choice(window, size=min(3, window.size), replace=False)
+    T, x, idx = pairs[case]
+    for vec in (x, x.real):
+        values = defect_quadratic(T, vec, idx)
+        expected = _window_entries(T, vec, idx)
+        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_defect_quadratic_shapes():
@@ -443,12 +451,14 @@ def test_defect_quadratic_shapes():
     x = space.basis_vector(1)
     value = defect_quadratic(T, x)
     assert type(value) is float
-    assert defect_quadratic(T, x, np.eye(3)[:, :2]).shape == (2,)
+    assert defect_quadratic(T, x, np.arange(2)).shape == (2,)
+    assert defect_quadratic(T, x, np.array([], dtype=int)).shape == (0,)
     for bad in (np.zeros((3, 2, 2)), np.zeros((2, 3)), np.zeros(2)):
         with pytest.raises(ValueError, match="shape"):
             defect_quadratic(T, bad)
-    for bad in (np.zeros((3, 2, 2)), np.zeros((2, 3)), np.zeros(3)):
-        with pytest.raises(ValueError, match=r"block has shape .*expected \(3, m\)"):
+    for bad in (np.zeros((3, 1), dtype=int), np.array([0.0, 1.0]), np.array([True, False]),
+                np.array([0, 3]), np.array([-1]), np.array(1)):
+        with pytest.raises(ValueError, match=r"idx must be a 1-D array of integer labels"):
             defect_quadratic(T, x, bad)
 
 
@@ -461,9 +471,9 @@ def test_defect_quadratic_overflow_is_value_error():
         assert T.matrix.dtype == (np.complex128 if phase != 1.0 else np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for block in ((), (np.eye(2),)):
+            for labels in ((), (np.arange(2),)):
                 with pytest.raises(ValueError, match="overflows"):
-                    defect_quadratic(T, space.basis_vector(0), *block)
+                    defect_quadratic(T, space.basis_vector(0), *labels)
             with pytest.raises(ValueError, match="overflows"):
                 polarized_defect_form(T)
 
@@ -636,32 +646,36 @@ def test_complex_operators_form_matches_complex_referee():
 @pytest.mark.parametrize("name", ["dirichlet-12", "bidisc-18", "dirichlet-40-z3"],
                          ids=lambda name: f"{name}-perturbed")
 def test_real_defect_quadratic_blocks_match_column_calls(name):
+    # A real matrix reads the row of a complex x through stacked re and im
+    # rows; against one-label calls, the same values in complex arithmetic on
+    # the complex matrix, and the polarized entries.
     T = cases.problem(name).perturbed()
+    assert T.matrix.dtype == np.float64
     rng = np.random.default_rng(72)
-    dim = T.space.dim
+    window = safe_subspace(T)
     w = T.space.weight_array[:, None]
     A = T.matrix.astype(complex)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = np.zeros(T.space.dim, dtype=complex)
+    x[window] = rng.standard_normal(window.size) + 1j * rng.standard_normal(window.size)
     tx = A @ x[:, None]
     ttx = A @ tx
 
-    def form(y):
-        ty = A @ y
-        return ((w * x[:, None]).T @ y.conj() - 2.0 * (w * tx).T @ ty.conj()
-                + (w * ttx).T @ (A @ ty).conj())[0]
+    def form(idx):
+        E = window_basis(T.space, idx)
+        TE = A @ E
+        return ((w * x[:, None]).T @ E.conj() - 2.0 * (w * tx).T @ TE.conj()
+                + (w * ttx).T @ (A @ TE).conj())[0]
 
     for k in (0, 1, 10):
-        for block in (rng.standard_normal((dim, k)),
-                      rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))):
-            values = defect_quadratic(T, x, block)
-            assert isinstance(values, np.ndarray) and values.shape == (k,)
-            assert np.array_equal(defect_quadratic(T, x, np.asfortranarray(block)), values)
-            # the same values in complex arithmetic on the complex matrix
-            direct = form(block.astype(complex))
-            for j in range(k):
-                expected = defect_quadratic(T, x, block[:, j:j + 1])[0]
-                assert abs(values[j] - expected) <= 1e-12 * max(1.0, abs(expected))
-                assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
+        idx = rng.choice(window, size=k, replace=False)
+        values = defect_quadratic(T, x, idx)
+        assert isinstance(values, np.ndarray) and values.shape == (k,)
+        direct = form(idx)
+        expected = _window_entries(T, x, idx)
+        for j in range(k):
+            assert defect_quadratic(T, x, idx[j:j + 1])[0] == values[j]
+            assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
+            assert abs(values[j] - expected[j]) <= 1e-12 * max(1.0, abs(expected[j]))
 
 
 def test_matmul_of_a_complex_matrix_and_a_real_block_of_other_width():
