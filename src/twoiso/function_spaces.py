@@ -148,24 +148,13 @@ def bidisc_shift(N: int, axis: int) -> Op:
     return Op(space, _Filled(mat), degree_growth=1)
 
 
-def dirichlet_perturbation_problem(
-    N: int,
-    p: PolyCoeffs,
-    tol_rank: float = DEFAULT_RANK_TOL,
-    tol_defect: float = DEFAULT_DEFECT_TOL,
-) -> PerturbationProblem:
+def dirichlet_perturbation_problem(N: int, p: PolyCoeffs) -> PerturbationProblem:
     """Problem instance for M_z + p(z)⊗1 with v the constant function."""
     if p.is_zero:
         raise ValueError("zero polynomial: there is no rank-one perturbation")
     base = dirichlet_shift(N)
     space = base.space
-    return PerturbationProblem(
-        base=base,
-        u=p.to_vector(space),
-        v=space.basis_vector(0),
-        tol_rank=tol_rank,
-        tol_defect=tol_defect,
-    )
+    return PerturbationProblem(base=base, u=p.to_vector(space), v=space.basis_vector(0))
 
 
 def bidisc_example_problem(

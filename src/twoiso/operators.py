@@ -265,10 +265,11 @@ def perturb(T: Op, u, v) -> Op:
 
 
 def _norms2(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Squared weighted norm of each column of a C-contiguous complex
-    (dim, k) block, summed over its float view re, im, re, ..."""
+    """Squared weighted norm of each column of a C-contiguous (dim, k)
+    block; a complex one is summed over its float view re, im, re, ..."""
     f = z.view(float)
-    return np.einsum("i,ij,ij->j", w, f, f).reshape(-1, 2).sum(axis=1)
+    norms = np.einsum("i,ij,ij->j", w, f, f)
+    return norms.reshape(-1, 2).sum(axis=1) if z.dtype.kind == "c" else norms
 
 
 def defect_quadratic(T: Op, x, idx=None):
@@ -280,12 +281,14 @@ def defect_quadratic(T: Op, x, idx=None):
     - 2 conj(W Tx) A + (conj(W T^2 x) A) A, whose entry i is <e_i, x>
     - 2 <Te_i, Tx> + <T^2 e_i, T^2 x> = conj <D x, e_i>; so every value is
     exact when x and e_i lie in the truncation-safe window of T, and the cost
-    is Tx, T^2 x and two row products for any idx. Raises ValueError when
+    is Tx, T^2 x and two row products for any idx, in float64 when T is real
+    and x has no nonzero imaginary part. Raises ValueError when
     idx is not a 1-D array of integer labels of the space, or when a value
     overflows to a non-finite number, so that no caller reads a NaN.
     """
     A, w, dim = T.matrix, T.space.weight_array, T.space.dim
-    x = np.ascontiguousarray(T.space.check_vec(x)[:, None])
+    x = T.space.check_vec(x)[:, None]
+    x = np.ascontiguousarray(x.real if A.dtype.kind == "f" and not x.imag.any() else x)
     if idx is not None:
         idx = np.asarray(idx)
         if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
@@ -299,7 +302,7 @@ def defect_quadratic(T: Op, x, idx=None):
         else:
             rows = _matmul(np.conj(w * np.concatenate((tx, ttx), axis=1).T), A)
             r = np.conj(w * x[:, 0]) - 2.0 * rows[0] + _matmul(rows[1:], A)[0]
-            value = np.conj(r[idx]) / np.sqrt(w[idx])
+            value = (np.conj(r[idx]) / np.sqrt(w[idx])).astype(complex, copy=False)
     if not np.all(np.isfinite(value)):
         raise ValueError(
             "the defect overflows: the operator or the vector is too large "

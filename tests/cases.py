@@ -1,15 +1,14 @@
-"""The reference cases of the test suite and of CI, in one table.
+"""The reference cases of the test suite, in one table.
 
 ``CASES`` maps a name to a :class:`Case`: a zero-argument builder of a
 :class:`PerturbationProblem` with the expectations that tests filter on.
 A test that needs an operator reads it off a case as ``.base`` or
 ``.perturbed()``. ``FAMILIES`` maps a name to a seeded generator
 ``(seed, trials)`` of problems. ``DOCUMENTS`` maps a name to a builder of
-an ``analyze`` or ``defect`` input document; CI writes its own with
+an ``analyze`` or ``defect`` input document; ``write_analyze_documents``
+writes the ones that the golden ``analyze`` rows read.
 
-    PYTHONPATH=src:tests python -c 'import cases, sys; cases.write_analyze_documents(sys.argv[1])' DIR
-
-``strict_json`` is the one reader of emitted JSON in the tests and in CI.
+``strict_json`` is the one reader of emitted JSON in the tests.
 
 The examples are the Dirichlet shift of Richter's model, the bidisc shift
 and weighted ``C^n`` with unitary bases; the defect is that of
@@ -363,13 +362,6 @@ def _weighted_document(scale: float) -> dict:
             "v": vec_to_pairs(3.0 * v0 / s)}
 
 
-def _kind_not_string() -> dict:
-    doc = c2_document(SWAP, [-2.0, 0.0], [0.0, 1.0])
-    op = doc["operator"]
-    doc["operator"] = dict(op, space=dict(op["space"], kind=json.loads("[" * 900 + "]" * 900)))
-    return doc
-
-
 def _weighted_swap_with_tolerances() -> dict:
     """The swap on C^2 with weights (1, 2.5), which is not a 2-isometry, and
     both tolerances in the document."""
@@ -394,12 +386,9 @@ DOCUMENTS: dict[str, Callable[[], object]] = {
     "weighted-false": lambda: _weighted_document(1.7),
     # Finite entries whose defect form or norms leave floating point.
     "overflow": lambda: c2_document(np.eye(2), [1e200, 0.0], [0.0, 1.0]),
-    "overflow-operator": lambda: Op.from_exact_matrix(make_coordinate_space(2),
-                                                      1e200 * np.eye(2)).to_dict(),
     "v-norm-overflow": lambda: c2_document(SWAP, [-2.0, 0.0], [0.0, 1e160]),
     "rescaled-u-overflow": lambda: c2_document(SWAP, [1e200, 0.0], [0.0, 1e150]),
     "u-norm-underflow": lambda: c2_document(SWAP, [1e-170, 0.0], [0.0, 1.0]),
-    "kind-not-string": _kind_not_string,
     "diagonal-1e200-base": lambda: c2_document(1e200 * np.eye(2), [0.5, 0.0], [0.0, 1.0]),
     "swap-times-1e200": lambda: c2_document(1e200 * np.array(SWAP), [-2.0, 0.0], [0.0, 1.0]),
     "swap-base-huge-u": lambda: c2_document(SWAP, [1e200, 0.0], [0.0, 1.0]),
@@ -407,20 +396,15 @@ DOCUMENTS: dict[str, Callable[[], object]] = {
     "dirichlet-4": _dirichlet_4_document,
 }
 
-# The documents that CI's analyze and defect step reads, besides deep.json.
-WORKFLOW_DOCUMENTS = ("problem", "operator", "vector", "complex-problem", "weighted-true",
-                      "weighted-false", "overflow", "overflow-operator", "v-norm-overflow",
-                      "rescaled-u-overflow", "u-norm-underflow", "kind-not-string")
+# The documents that the golden analyze rows read, in tests/test_golden.py.
+ANALYZE_DOCUMENTS = ("problem", "complex-problem", "weighted-true", "weighted-false")
 
 
 def write_analyze_documents(directory) -> None:
-    """Write each of ``WORKFLOW_DOCUMENTS`` to ``<directory>/<name>.json``,
-    and ``DEEP_JSON`` to ``deep.json``."""
-    out = Path(directory)
-    for name in WORKFLOW_DOCUMENTS:
-        with open(out / f"{name}.json", "w") as fh:
+    """Write each of ``ANALYZE_DOCUMENTS`` to ``<directory>/<name>.json``."""
+    for name in ANALYZE_DOCUMENTS:
+        with open(Path(directory) / f"{name}.json", "w") as fh:
             json.dump(DOCUMENTS[name](), fh)
-    (out / "deep.json").write_text(DEEP_JSON)
 
 
 def strict_json(text: str):

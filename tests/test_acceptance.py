@@ -107,9 +107,7 @@ def test_criterion_2_polynomial_perturbations_match_closed_form():
     mismatches = 0
     for p in cases:
         admissible = abs(dirichlet_admissibility_residual(p)) <= 1e-12
-        report = theorem_verdict(
-            dirichlet_perturbation_problem(N, p, tol_defect=1e-8)
-        )
+        report = theorem_verdict(dirichlet_perturbation_problem(N, p))
         if report.verdict_theorem != admissible or report.verdict_oracle != admissible:
             mismatches += 1
     elapsed = time.perf_counter() - t0

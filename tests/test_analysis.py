@@ -890,12 +890,20 @@ def test_base_form_and_verdict_peak_at_one_and_two_window_matrices_at_dirichlet_
     # The shift's base form is one r x r matrix, and the verdict holds T + u⊗v
     # and the oracle form, made once and in float64 for this real problem. An
     # abs temporary in the report and a complex oracle built as a sum peaked
-    # at 2.0 and 4.1 window matrices.
-    T = dirichlet_shift(400)
-    window = 8 * 399**2
-    assert _traced_peak(lambda: T.defect_form) <= 1.1 * window
-    problem = PerturbationProblem(T, -2.0 * T.space.basis_vector(1), T.space.basis_vector(0))
-    assert _traced_peak(theorem_verdict, problem) <= 2.2 * window
+    # at 2.0 and 4.1 window matrices. The same at MAX_DIM, with the complex
+    # verdict (p = (e^{i pi/3} - 1) z) within 5.5; there the kernel residual
+    # of each reads one defect row, within 0.05 window matrices.
+    for N in (400, 1999):
+        T = dirichlet_shift(N)
+        window = 8 * (N - 1) ** 2
+        one = T.space.basis_vector(0)
+        assert _traced_peak(lambda: T.defect_form) <= 1.1 * window
+        problems = [PerturbationProblem(T, p * T.space.basis_vector(1), one)
+                    for p in (-2.0, np.exp(1j * np.pi / 3) - 1)]
+        for problem, bound in zip(problems, (2.2, 5.5)):
+            assert _traced_peak(theorem_verdict, problem) <= bound * window
+    for problem in problems:
+        assert _traced_peak(kernel_condition_residual, problem.perturbed(), one) <= 0.05 * window
 
 
 # ---------------------------------------------------------------------------

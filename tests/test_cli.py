@@ -1,6 +1,10 @@
 """End-to-end CLI tests: exit codes, JSON stability, pipeline identity."""
 
 import json
+import os
+import runpy
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -30,6 +34,7 @@ from twoiso.function_spaces import (
 from twoiso.operators import defect_quadratic
 from twoiso.spaces import MAX_DIM
 import cases
+from cases import strict_json
 
 
 def write_json(path, doc):
@@ -207,11 +212,16 @@ ONE_REPORT = ["checks", "name", "pass", "report"]
             [("dirichlet-n0", ["checks", "name", "notes", "pass", "report"],
               n0_checks("1e-24", False))],
         ),
+        *(pytest.param(["dirichlet-pper", "-N", N], 0,
+                       [("dirichlet-pper", ["checks", "name", "pass", "reports"], PPER_CHECKS)],
+                       id=f"dirichlet-pper-{N}") for N in ("1000", "1999")),
+        pytest.param(["bidisc", "-N", "40"], 0, [("bidisc", ONE_REPORT, bidisc_checks(36))],
+                     id="bidisc-40"),
     ],
 )
 def test_reproduce_checks_are_pinned(args, code, cases, capsys):
     assert main(["reproduce", *args, "--format", "json"]) == code
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["pass"] is (code == 0)
     assert [case["name"] for case in doc["cases"]] == [name for name, _, _ in cases]
     for case, (name, keys, checks) in zip(doc["cases"], cases):
@@ -472,7 +482,7 @@ def test_analyze_json_condition_iia_finite_when_its_squares_overflow(tmp_path, c
         warnings.simplefilter("error")
         code = main(["analyze", "--input", path, "--format", "json"])
     assert code == 0
-    out = cases.strict_json(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     assert out["branch"] == "II"
     assert 1e200 < out["cond_iia_residual"] < float("inf")
     assert out["verdict_theorem"] is False and out["verdict_oracle"] is False
@@ -500,7 +510,7 @@ def test_reproduce_n0_large_alpha_json_is_finite(alpha, capsys):
         warnings.simplefilter("error")
         code = main(["reproduce", "dirichlet-n0", "--alpha", alpha, "--format", "json"])
     assert code == 0
-    doc = cases.strict_json(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["pass"] is True
     alpha4 = float(alpha) ** 4
     assert doc["cases"][0]["report"]["kernel_residual"] == pytest.approx(alpha4, rel=1e-10)
@@ -694,7 +704,7 @@ def _search_json_hits(argv, capsys):
         warnings.simplefilter("error")
         code = main([*argv, "--format", "json"])
     assert code == 0
-    return cases.strict_json(capsys.readouterr().out)["hits"]
+    return strict_json(capsys.readouterr().out)["hits"]
 
 
 def test_search_dirichlet_alpha_n0_confirms_its_survivors(capsys):
@@ -799,7 +809,7 @@ def test_search_overflowing_defect_on_constant_is_pruned(n, alpha, capsys):
         warnings.simplefilter("error")
         code = main(args)
     assert code == 0
-    assert cases.strict_json(capsys.readouterr().out)["hits"] == []
+    assert strict_json(capsys.readouterr().out)["hits"] == []
 
 
 def test_search_prefilter_memory_does_not_grow_with_the_truncation():
@@ -823,8 +833,10 @@ def test_search_prefilter_memory_does_not_grow_with_the_truncation():
         ([], 1),
         (["-N", "400", "--re-min", "0", "--re-max", "0", "--im-min", "1", "--im-max", "5000",
           "--step", "1", "--tol", "1e-8"], 0),
+        (["-N", "1999", "--re-min", "0", "--re-max", "0", "--im-min", "0", "--im-max", "99999",
+          "--step", "1"], 0),
     ],
-    ids=["default-grid", "no-survivor-at-N-400"],
+    ids=["default-grid", "no-survivor-at-N-400", "no-survivor-at-N-1999"],
 )
 def test_search_builds_one_shared_shift_and_none_without_survivors(args, builds, monkeypatch,
                                                                   capsys):
@@ -862,9 +874,12 @@ def test_search_c2_rankone_deterministic(capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
-    hits = json.loads(first)["hits"]
+    hits = strict_json(first)["hits"]
     assert hits
     assert all(h["verdict_theorem"] for h in hits)
+    # Half of 200 trials draw u on the correction locus, and each is a hit.
+    hits = _search_json_hits(["search", "c2-rankone", "--trials", "200"], capsys)
+    assert len(hits) == 100 and all(h["verdict_theorem"] is True for h in hits)
 
 
 # ---------------------------------------------------------------------------
@@ -872,16 +887,17 @@ def test_search_c2_rankone_deterministic(capsys):
 
 
 def test_defect_command_safe_vector(tmp_path, capsys):
+    # A monomial under the Dirichlet shift, and the bidisc example's v under
+    # its base, each read from a file.
     op = dirichlet_shift(6)
-    path = write_json(tmp_path / "shift.json", op.to_dict())
-    vec = vec_to_pairs(op.space.monomial((2,)))
-    code = main(
-        ["defect", "--operator", path, "--vector", json.dumps(vec), "--format", "json"]
-    )
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["defect"] == pytest.approx(0.0, abs=1e-12)
-    assert doc["truncation_safe"] is True
+    for operator, vector in ((op.to_dict(), vec_to_pairs(op.space.monomial((2,)))),
+                             (cases.DOCUMENTS["operator"](), cases.DOCUMENTS["vector"]())):
+        code = main(["defect", "--operator", write_json(tmp_path / "operator.json", operator),
+                     "--vector", write_json(tmp_path / "vector.json", vector), "--format", "json"])
+        assert code == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["defect"] == pytest.approx(0.0, abs=1e-12)
+        assert doc["truncation_safe"] is True
 
 
 def test_defect_command_constant_perturbation(tmp_path, capsys):
@@ -1000,7 +1016,7 @@ def test_negative_value_after_a_space_runs_as_after_an_equals_sign(args, capsys)
             codes.append(main(argv + ["--format", "json"]))
         captured = capsys.readouterr()
         assert captured.err == ""
-        outputs.append(cases.strict_json(captured.out))
+        outputs.append(strict_json(captured.out))
     assert codes[0] == codes[1] == (1 if args[-1] == "-1e-3" else 0)
     assert outputs[0] == outputs[1]
 
@@ -1008,3 +1024,24 @@ def test_negative_value_after_a_space_runs_as_after_an_equals_sign(args, capsys)
 def test_an_option_name_after_an_option_is_still_refused(capsys):
     assert main(["search", "dirichlet-alpha", "--re-min", "--re-max", "0"]) == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_the_module_runs_as_a_program_with_warnings_as_errors(monkeypatch):
+    # python -W error -m twoiso.cli: strict JSON and exit 0, or exit 2 with
+    # nothing on stdout. Then the error run in this process, as __main__.
+    path = (os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    bad = ["search", "c2-rankone", "--trials", "-5"]
+    for argv, code in ((["reproduce", "c2-example", "--format", "json"], 0), (bad, 2)):
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "twoiso.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == code, run.stderr
+        if code:
+            assert run.stdout == ""
+        else:
+            assert strict_json(run.stdout)["pass"] is True
+    monkeypatch.delitem(sys.modules, "twoiso.cli")
+    monkeypatch.setattr(sys, "argv", ["twoiso", *bad])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("twoiso.cli", run_name="__main__")
+    assert exit_.value.code == 2

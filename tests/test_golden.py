@@ -9,15 +9,15 @@ and write its standard output to the file:
     PYTHONPATH=$REPO/src python -m twoiso.cli ARGV > $REPO/tests/golden/FILE
 
 A change that moves a value regenerates its file and says so in CHANGES.md.
-Keys, strings, booleans, nulls, integers, list lengths and exit codes must
-match exactly. Each float, and each number in a text output, must agree
-within ``|a - b| <= BAND * max(1, |a|, |b|)``: absolute at unit scale, since
-a round-off residual such as 4.6e-16 has no meaningful relative band, and
-four orders below the default tol_defect 1e-8, so that another BLAS kernel
-may move last bits but no verdict.
+Both sides are read with ``cases.strict_json``, so a NaN or an Infinity in
+the output fails its row. Keys, strings, booleans, nulls, integers, list
+lengths and exit codes must match exactly. Each float, and each number in a
+text output, must agree within ``|a - b| <= BAND * max(1, |a|, |b|)``:
+absolute at unit scale, since a round-off residual such as 4.6e-16 has no
+meaningful relative band, and four orders below the default tol_defect 1e-8,
+so that another BLAS kernel may move last bits but no verdict.
 """
 
-import json
 import re
 from pathlib import Path
 
@@ -46,7 +46,7 @@ GOLDEN = [
     ("search-dirichlet-alpha.json", ["search", "dirichlet-alpha", "--format", "json"], 0),
     ("search-c2-rankone.json", ["search", "c2-rankone", "--format", "json"], 0),
     *((f"analyze-{doc}.json", ["analyze", "--input", f"{doc}.json", "--format", "json"], 0)
-      for doc in ("problem", "complex-problem", "weighted-true", "weighted-false")),
+      for doc in cases.ANALYZE_DOCUMENTS),
 ]
 
 
@@ -87,7 +87,7 @@ def test_cli_output_matches_its_golden_file(name, argv, code, tmp_path, monkeypa
     got = capsys.readouterr().out
     want = (GOLDEN_DIR / name).read_text()
     if name.endswith(".json"):
-        _assert_matches(json.loads(got), json.loads(want))
+        _assert_matches(cases.strict_json(got), cases.strict_json(want))
     else:
         _assert_text_matches(got, want)
 

@@ -31,6 +31,7 @@ from twoiso.function_spaces import (
     dirichlet_shift,
     perturbed_dirichlet,
 )
+from twoiso import operators
 from twoiso.operators import DefectReport, _matmul
 from twoiso.sampling import random_unitary
 import cases
@@ -307,8 +308,10 @@ def test_defect_form_on_exact_space_is_similar_to_the_adjoint_route():
 
 
 def test_op_refuses_assignment():
-    # The cached defect form is the form of the operator as built.
+    # The cached defect form is the form of the operator as built; the repr
+    # shows the fields that fix it, not the matrix.
     op = dirichlet_shift(6)
+    assert repr(op) == "Op(dim=7, kind='dirichlet', degree_growth=1)"
     for name, value in (("matrix", 1.5 * op.matrix), ("degree_growth", 2),
                         ("space", make_dirichlet_space(6))):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -676,6 +679,26 @@ def test_real_defect_quadratic_blocks_match_column_calls(name):
             assert defect_quadratic(T, x, idx[j:j + 1])[0] == values[j]
             assert abs(values[j] - direct[j]) <= 1e-12 * max(1.0, abs(direct[j]))
             assert abs(values[j] - expected[j]) <= 1e-12 * max(1.0, abs(expected[j]))
+
+
+def test_real_defect_quadratic_of_a_real_vector_makes_no_complex_product(monkeypatch):
+    # A real matrix and an x with no nonzero imaginary part run in float64;
+    # q stays a float and the image complex128, with the complex path's values.
+    T = cases.problem("dirichlet-12").perturbed()
+    x = T.space.basis_vector(1) - 0.5 * T.space.basis_vector(3)
+    idx = safe_subspace(T)
+    expected = _window_entries(T, x, idx)
+    products = []
+
+    def recorded(a, b):
+        products.append((a.dtype, b.dtype))
+        return _matmul(a, b)
+
+    monkeypatch.setattr(operators, "_matmul", recorded)
+    q, values = defect_quadratic(T, x), defect_quadratic(T, x, idx)
+    assert type(q) is float and values.dtype == np.complex128
+    assert len(products) == 6 and all(dtype == np.float64 for pair in products for dtype in pair)
+    assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_matmul_of_a_complex_matrix_and_a_real_block_of_other_width():

@@ -76,6 +76,7 @@ def test_label_validation():
         (((0,), (-1,)), "non-negative"),
         (((0, 1), (1, -2)), "non-negative"),
         (((0,), ()), "at least one entry"),
+        (((), ()), "at least one entry"),
         (((0,), (0, 1)), "same multi-index length"),
         (((0, 1), (0, 1)), "pairwise distinct"),
     ]:
