@@ -469,9 +469,7 @@ def search_c2_rank_one(trials: int, seed: int, tol: float) -> list[dict]:
         u, vhat = isometric_correction_pair(V, v, theta)
         if trial % 2 == 1:
             u = u + 0.3 * random_complex_vector(2, rng)
-        problem = PerturbationProblem(
-            base=base, u=u, v=vhat, tol_defect=tol, allow_non_2_isometric_base=False
-        )
+        problem = PerturbationProblem(base=base, u=u, v=vhat, tol_defect=tol)
         report = theorem_verdict(problem)
         if report.oracle_defect <= tol:
             hits.append(
@@ -631,7 +629,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return ns.func(ns)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

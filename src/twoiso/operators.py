@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Number
 
 import numpy as np
 
@@ -94,7 +95,12 @@ class Op:
 
     ``matrix`` is C-contiguous and in the field of its entries: float64 when
     every imaginary part is exactly zero, complex otherwise. The Op keeps a
-    copy of the matrix it is given."""
+    copy of the matrix it is given.
+
+    The constructor holds every rule on its input: a (dim, dim) matrix of
+    finite numbers, none a bool, a string or None, and a growth that is None
+    or a non-negative integer, not a bool. :meth:`from_dict` adds only the
+    JSON spellings, [re, im] pairs and ``"unbounded"``."""
 
     space: WeightedSpace
     matrix: np.ndarray
@@ -108,11 +114,13 @@ class Op:
             raise ValueError(f"matrix has shape {mat.shape}, expected ({n}, {n})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        if self.degree_growth is not None:
-            g = int(self.degree_growth)
+        g = self.degree_growth
+        if g is not None:
+            if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
+                raise ValueError(f"degree_growth must be an integer or 'unbounded', got {g!r}")
             if g < 0:
                 raise ValueError("degree_growth must be non-negative or None")
-            object.__setattr__(self, "degree_growth", g)
+            object.__setattr__(self, "degree_growth", int(g))
 
     @classmethod
     def from_exact_matrix(cls, space: WeightedSpace, matrix) -> "Op":
@@ -156,17 +164,9 @@ class Op:
         n = space.dim
         flat = vec_from_pairs(doc["matrix"])
         if flat.size != n * n:
-            raise ValueError(
-                f"matrix document has {flat.size} entries, expected {n * n}"
-            )
+            raise ValueError(f"matrix document has {flat.size} entries, expected {n * n}")
         growth = doc.get("degree_growth", "unbounded")
-        if growth is None or growth == "unbounded":
-            growth = None
-        elif type(growth) is not int:
-            raise ValueError(
-                f"degree_growth must be an integer or 'unbounded', got {growth!r}"
-            )
-        return cls(space, flat.reshape(n, n), degree_growth=growth)
+        return cls(space, flat.reshape(n, n), None if growth == "unbounded" else growth)
 
 
 class _Filled:
@@ -186,12 +186,16 @@ def _nonzeros(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return divmod(np.flatnonzero(a != 0), a.shape[1])
 
 
-def _in_field(matrix) -> np.ndarray:
-    """A C-contiguous copy of ``matrix`` in the field of its entries: float64
-    when every imaginary part is exactly zero, complex otherwise."""
-    mat = np.asarray(matrix)
-    if mat.dtype == object:  # Python numbers of any kind, complex among them
-        mat = mat.astype(complex)
+def _in_field(mat) -> np.ndarray:
+    """A C-contiguous copy of ``mat`` in the field of its entries: float64
+    when every imaginary part is exactly zero, complex otherwise. Python
+    entries are read by their own type, since numpy reads True as 1."""
+    if not isinstance(mat, np.ndarray) or mat.dtype == object:
+        mat = np.array(mat, dtype=object)
+        if all(isinstance(x, Number) and type(x) is not bool for x in mat.flat):
+            mat = mat.astype(complex)  # else it stays an object array, refused below
+    if mat.dtype.kind not in "iufc" or not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite numbers")
     if mat.dtype.kind == "c" and mat.imag.any():
         return np.array(mat, dtype=complex, order="C")
     return np.array(mat.real, dtype=float, order="C")

@@ -1,8 +1,7 @@
 """Finite-dimensional weighted coefficient spaces.
 
 A :class:`WeightedSpace` is an ordered list of monomial basis labels (exponent
-multi-indices, tuples of non-negative ints of one common length) together
-with strictly positive diagonal weights; the inner product is
+multi-indices) together with diagonal weights; the inner product is
 
     <x, y> = sum_i w_i * x_i * conj(y_i)
 
@@ -26,6 +25,13 @@ vectors and detects their rank at the caller's tolerance (this module has no
 default of its own); no library path calls it, the tests use it as a
 referee. The Dirichlet and bidisc constructors refuse more than ``MAX_DIM``
 labels.
+
+The constructor of :class:`WeightedSpace` holds every rule on its input: at
+least one label, pairwise distinct, of one common nonzero length, with
+non-negative integer entries (an integral float or a bool is one) and a total
+degree below 2**63; one finite weight above 0 per label, not a bool or a
+string; a string ``kind``. :meth:`WeightedSpace.from_dict` adds only that a
+label entry is spelled as a JSON integer.
 
 All objects here are immutable values; they can be shared freely across
 threads.
@@ -55,6 +61,8 @@ __all__ = [
 # ladder problem (bidisc N = 18) has 190 labels.
 MAX_DIM = 2000
 
+_WEIGHTS = "weights must be a list of finite and strictly positive numbers"
+
 
 def _check_dim(dim: int, what: str):
     if dim > MAX_DIM:
@@ -66,10 +74,9 @@ def pow2_scale(x: np.ndarray) -> float:
     return 2.0 ** -min(max(math.frexp(abs(x).max())[1], -1022), 1022)
 
 
-def _label_array(labels: tuple) -> np.ndarray:
-    """The labels as a (dim, nvars) int64 array, in one pass over the
-    entries. Refuses no label, an empty or ragged label, and an entry that
-    is negative or not an integer below 2**63 (an integral float is one)."""
+def _label_array(labels: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The labels as a (dim, nvars) int64 array and their total degrees, in
+    one pass over the entries; refuses labels that break the module's rules."""
     if not labels:
         raise ValueError("a space needs at least one basis label")
     try:
@@ -91,9 +98,13 @@ def _label_array(labels: tuple) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # NaN, inf and 2**63 on cast to other values
             ints = arr.astype(np.int64)
         _refuse_rows(arr, ints != arr, "integers below 2**63")
-    if ints.min() < 0:
+    # One maximum clears both a negative entry (2**63 or more as uint64) and
+    # a sum that may wrap; of non-negative terms, the first partial sum past
+    # 2**63 - 1 wraps negative, and no later one can hide it.
+    if ints.view(np.uint64).max() > (2**63 - 1) // ints.shape[1]:
         _refuse_rows(arr, ints < 0, "non-negative")
-    return ints
+        _refuse_rows(arr, np.cumsum(ints, axis=1) < 0, "integers with a sum below 2**63")
+    return ints, ints.sum(axis=1)
 
 
 def _refuse_rows(arr: np.ndarray, bad: np.ndarray, what: str):
@@ -105,46 +116,39 @@ def _refuse_rows(arr: np.ndarray, bad: np.ndarray, what: str):
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """An ordered monomial basis with strictly positive diagonal weights."""
+    """An ordered monomial basis with strictly positive diagonal weights. The
+    read-only arrays ``weight_array`` and ``degrees`` hold the weights and
+    the total degree of each label."""
 
     labels: tuple[tuple[int, ...], ...]
     weights: tuple[float, ...]
     kind: str = "custom"
 
     def __post_init__(self):
-        arr = _label_array(tuple(self.labels))
+        if not isinstance(self.kind, str):
+            raise ValueError("space kind must be a string")
+        arr, degrees = _label_array(tuple(self.labels))
         labels = tuple(map(tuple, arr.tolist()))
-        weights = tuple(float(w) for w in self.weights)
+        weight_array = _finite_reals(self.weights, 1, _WEIGHTS)
+        weights = tuple(weight_array.tolist())
         if len(labels) != len(weights):
-            raise ValueError(
-                f"{len(labels)} labels but {len(weights)} weights"
-            )
-        if not all(0 < w < math.inf for w in weights):  # NaN fails both
-            raise ValueError("all weights must be finite and strictly positive")
+            raise ValueError(f"{len(labels)} labels but {len(weights)} weights")
+        if min(weights) <= 0:
+            raise ValueError(_WEIGHTS)
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
-        degrees = arr.sum(axis=1)
+        weight_array.setflags(write=False)
         degrees.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_degrees", degrees)
+        object.__setattr__(self, "weight_array", weight_array)
+        object.__setattr__(self, "degrees", degrees)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        return w
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Total degree of each label, read-only."""
-        return self._degrees
 
     @cached_property
     def max_degree(self) -> int:
@@ -155,12 +159,12 @@ class WeightedSpace:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, multi_index) -> int:
-        key = (int(multi_index),) if np.isscalar(multi_index) else tuple(
-            int(k) for k in multi_index
-        )
+        """The index of the label equal to ``multi_index`` as given, a scalar
+        being a one-entry label: 2.0 finds (2,), and 1.5 finds none."""
+        key = (multi_index,) if np.isscalar(multi_index) else tuple(multi_index)
         try:
             return self._label_index[key]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable entry
             raise ValueError(f"no basis label with multi-index {key}") from None
 
     # -- vectors -----------------------------------------------------------
@@ -217,7 +221,7 @@ class WeightedSpace:
         return {
             "kind": self.kind,
             "max_degree": self.max_degree if self.kind in ("dirichlet", "bidisc") else None,
-            "weights": [float(w) for w in self.weights],
+            "weights": list(self.weights),
             "labels": [list(lab) for lab in self.labels],
         }
 
@@ -226,17 +230,12 @@ class WeightedSpace:
         """Decode :meth:`to_dict` output; raises ValueError on malformed input."""
         if not isinstance(doc, dict):
             raise ValueError("space document must be a JSON object")
-        kind = doc.get("kind", "custom")
-        if not isinstance(kind, str):
-            raise ValueError("space kind must be a string")
-        labels, weights = doc["labels"], doc["weights"]
+        labels = doc["labels"]
         if not isinstance(labels, list) or not all(
-            isinstance(ix, list) and all(type(k) is int and k < 2**31 for k in ix)
-            for ix in labels
+            isinstance(ix, list) and all(type(k) is int for k in ix) for ix in labels
         ):
             raise ValueError("labels must be a list of integer multi-indices")
-        weights = _finite_reals(weights, 1, "weights must be a list of finite numbers")
-        return cls(labels=labels, weights=tuple(weights), kind=kind)
+        return cls(labels=labels, weights=doc["weights"], kind=doc.get("kind", "custom"))
 
 
 def make_dirichlet_space(max_degree: int) -> WeightedSpace:
@@ -266,8 +265,7 @@ def make_bidisc_space(max_total_degree: int) -> WeightedSpace:
     for d in range(max_total_degree + 1):
         for m in range(d, -1, -1):
             labels.append((m, d - m))
-    weights = tuple(1.0 for _ in labels)
-    return WeightedSpace(labels=tuple(labels), weights=weights, kind="bidisc")
+    return WeightedSpace(labels=tuple(labels), weights=(1.0,) * len(labels), kind="bidisc")
 
 
 def make_coordinate_space(dim: int, weights: Sequence[float] | None = None) -> WeightedSpace:
@@ -279,9 +277,8 @@ def make_coordinate_space(dim: int, weights: Sequence[float] | None = None) -> W
     if dim < 1:
         raise ValueError("dim must be at least 1")
     labels = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-    if weights is None:
-        weights = tuple(1.0 for _ in range(dim))
-    return WeightedSpace(labels=labels, weights=tuple(weights), kind="custom")
+    weights = (1.0,) * dim if weights is None else tuple(weights)
+    return WeightedSpace(labels=labels, weights=weights, kind="custom")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +317,11 @@ def vec_to_pairs(x) -> list[list[float]]:
 
 
 def _finite_reals(values, ndim: int, message: str) -> np.ndarray:
-    """A JSON list of finite real numbers (ndim 1) or of [re, im] pairs
-    (ndim 2) as a float array; anything else, booleans included, raises
-    ValueError(message)."""
+    """A list, tuple or array of finite real numbers (ndim 1) or of [re, im]
+    pairs (ndim 2) as a new float array; anything else, booleans included,
+    raises ValueError(message)."""
     try:
-        arr = np.array(values) if isinstance(values, (list, tuple)) else None
+        arr = np.array(values) if isinstance(values, (list, tuple, np.ndarray)) else None
     except ValueError:  # ragged nesting
         arr = None
     if (

@@ -78,7 +78,7 @@ def test_reproduce_mismatch_exit_one(capsys):
 
 def test_reproduce_json_format(capsys):
     assert main(["reproduce", "c2-example", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["pass"] is True
     case = doc["cases"][0]
     assert case["name"] == "c2-example"
@@ -129,7 +129,7 @@ def test_reproduce_absent_value_fails_the_check(capsys):
     # reproduction (exit 1), not a crash.
     args = ["reproduce", "c2-example", "--tol-rank", "10", "--format", "json"]
     assert main(args) == 1
-    checks = json.loads(capsys.readouterr().out)["cases"][0]["checks"]
+    checks = strict_json(capsys.readouterr().out)["cases"][0]["checks"]
     gamma = next(c for c in checks if c["label"] == "gamma")
     assert gamma["value"] is None and gamma["pass"] is False
 
@@ -238,7 +238,7 @@ def test_reproduce_checks_are_pinned(args, code, cases, capsys):
 def test_analyze_matches_reproduce_numbers(tmp_path, capsys):
     path = write_json(tmp_path / "swap.json", swap_input_doc())
     assert main(["analyze", "--input", path, "--format", "json"]) == 0
-    got = json.loads(capsys.readouterr().out)
+    got = strict_json(capsys.readouterr().out)
 
     expected = theorem_verdict(cases.problem("c2-swap")).to_dict()
     for key in (
@@ -545,7 +545,7 @@ def test_analyze_identity_base_with_phase_rotation(tmp_path, capsys):
     }
     path = write_json(tmp_path / "identity.json", doc)
     assert main(["analyze", "--input", path, "--format", "json"]) == 0
-    got = json.loads(capsys.readouterr().out)
+    got = strict_json(capsys.readouterr().out)
     assert got["paper_branch"] == "(i)"
     assert got["verdict_theorem"] is True
     assert got["verdict_oracle"] is True
@@ -576,7 +576,7 @@ def test_analyze_tolerance_precedence(doc_tol, flags, verdict, tol_defect, tmp_p
     path = write_json(tmp_path / "near.json", _near_tolerance_doc(**doc_tol))
     assert main(["analyze", "--input", path, "--format", "json", *flags]) == 0
     text = capsys.readouterr().out
-    got = json.loads(text)
+    got = strict_json(text)
     assert got["verdict_theorem"] is verdict
     assert got["verdict_oracle"] is verdict
     assert got["tol_defect"] == tol_defect
@@ -618,7 +618,7 @@ def test_search_dirichlet_alpha_hits_lie_on_circle(capsys):
         ]
     )
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     hits = doc["hits"]
     assert hits
     for hit in hits:
@@ -685,7 +685,7 @@ def test_search_dirichlet_alpha_n2_empty(capsys):
         ]
     )
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["hits"] == []
+    assert strict_json(capsys.readouterr().out)["hits"] == []
 
 
 def _survivor_grid(n):
@@ -735,12 +735,12 @@ def test_search_dirichlet_alpha_n0_confirms_its_survivors(capsys):
 def test_search_text_output_lists_hits_or_says_none(capsys):
     # One compact JSON line per hit, the hits of --format json, then a count.
     assert main([*_N0_SURVIVORS, "--format", "json"]) == 0
-    hits = json.loads(capsys.readouterr().out)["hits"]
+    hits = strict_json(capsys.readouterr().out)["hits"]
     assert main(_N0_SURVIVORS) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("search {'family': 'dirichlet-alpha', 'n': 0, 'N': 3")
     assert all(line.startswith("  {") for line in out[1:-1])
-    assert [json.loads(line) for line in out[1:-1]] == hits
+    assert [strict_json(line) for line in out[1:-1]] == hits
     assert out[-1] == "24 hit(s)"
     assert main(["search", "dirichlet-alpha", "--n", "2", "--re-min", "0.5", "--re-max", "0.5",
                  "--im-min", "0", "--im-max", "0", "--step", "1"]) == 0
@@ -910,7 +910,7 @@ def test_defect_command_constant_perturbation(tmp_path, capsys):
         ["defect", "--operator", path, "--vector", json.dumps(vec), "--format", "json"]
     )
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["defect"] == pytest.approx(1.0, abs=1e-10)
     assert doc["truncation_safe"] is True
 

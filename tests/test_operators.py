@@ -11,6 +11,7 @@ import pytest
 from twoiso import (
     Op,
     TruncationError,
+    WeightedSpace,
     apply,
     defect_apply_in_window,
     defect_quadratic,
@@ -771,6 +772,19 @@ def test_matrix_is_stored_in_the_field_of_its_entries():
     assert perturb(base, -1j * e0, e1).matrix.dtype == np.complex128
 
 
+@pytest.mark.parametrize("bad", ["1", True, np.inf, np.nan, None],
+                         ids=["str", "bool", "inf", "nan", "None"])
+def test_op_refuses_a_matrix_entry_that_is_not_a_finite_number(bad):
+    # Each of them built an Op. None was stored as nan+nanj, and the first
+    # defect form then reported an overflow.
+    space = make_coordinate_space(2)
+    for given in ([[bad, 0.0], [0.0, 1.0]], np.array([[bad, 0.0], [0.0, 1.0]], dtype=object),
+                  np.full((2, 2), bad)):
+        for build in (Op, Op.from_exact_matrix):
+            with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
+                build(space, given)
+
+
 def test_to_dict_is_byte_identical_for_a_real_matrix_given_as_complex():
     rng = np.random.default_rng(75)
     space = make_dirichlet_space(5)
@@ -1079,6 +1093,14 @@ def test_negative_degree_growth_is_refused():
         Op(make_coordinate_space(2), np.eye(2), degree_growth=-1)
 
 
+@pytest.mark.parametrize("growth", [0.5, 1.7, "2", True])
+def test_non_integer_degree_growth_is_refused(growth):
+    # The growth was read through int(): 0.5 certified growth 0, and so a
+    # wider truncation-exact window than the operator has.
+    with pytest.raises(ValueError, match="degree_growth must be an integer or 'unbounded'"):
+        Op(make_coordinate_space(2), np.eye(2), degree_growth=growth)
+
+
 def test_unbounded_growth_is_never_truncation_safe():
     T = Op(make_dirichlet_space(4), dirichlet_shift(4).matrix)
     assert T.degree_growth is None
@@ -1156,3 +1178,85 @@ def test_operator_json_bad_degree_growth(growth):
     doc["degree_growth"] = growth
     with pytest.raises(ValueError, match="degree_growth"):
         Op.from_dict(doc)
+
+
+# The inputs of a shift on a two-label space, one field at a time replaced:
+# labels, weights, kind, the row-major matrix entries and the degree growth.
+_FIELDS = {"labels": [[0], [1]], "weights": [1.0, 2.0], "kind": "custom",
+           "matrix": [0.0, 0.0, 1.0, 0.0], "degree_growth": 1}
+_NAN, _INF = float("nan"), float("inf")
+_ONE_RULE = [
+    ("labels", [[2**31], [0]], True),
+    ("labels", [[2**62, 2**62 - 1], [0, 1]], True),
+    ("labels", [[2**62, 2**62], [0, 1]], False),
+    ("labels", [[2**62] * 4, [0, 0, 0, 1]], False),
+    ("labels", [[0], [-1]], False),
+    ("labels", [[0], [0]], False),
+    ("labels", [[0], [0, 1]], False),
+    ("labels", [[0], []], False),
+    ("labels", [], False),
+    ("weights", [2, 0.5], True),
+    ("weights", ["2.5", 1.0], False),
+    ("weights", [True, 1.0], False),
+    ("weights", [1.0, _NAN], False),
+    ("weights", [_INF, 1.0], False),
+    ("weights", [1.0, -_INF], False),
+    ("weights", [0.0, 1.0], False),
+    ("weights", [1.0], False),
+    ("weights", [1.0, _NAN, 3.0], False),
+    ("weights", [True, 2.0, 3.0], False),
+    ("weights", "123", False),
+    ("kind", "dirichlet", True),
+    ("kind", 7, False),
+    ("kind", None, False),
+    ("matrix", [0.0, 1.5, 2, 0.0], True),
+    ("matrix", ["1", 0.0, 1.0, 0.0], False),
+    ("matrix", [True, 0.0, 1.0, 0.0], False),
+    ("matrix", [_INF, 0.0, 1.0, 0.0], False),
+    ("matrix", [_NAN, 0.0, 1.0, 0.0], False),
+    ("matrix", [None, 0.0, 1.0, 0.0], False),
+    ("matrix", [0.0, 0.0, 1.0], False),
+    ("degree_growth", 0, True),
+    ("degree_growth", None, True),
+    ("degree_growth", -1, False),
+    ("degree_growth", 0.5, False),
+    ("degree_growth", 1.7, False),
+    ("degree_growth", "2", False),
+    ("degree_growth", True, False),
+    ("degree_growth", "fast", False),
+    ("degree_growth", 1.5, False),
+    ("degree_growth", [1], False),
+]
+
+
+def _construct(f: dict) -> Op:
+    m = f["matrix"]
+    space = WeightedSpace(f["labels"], f["weights"], f["kind"])
+    return Op(space, [m[:2], m[2:]], degree_growth=f["degree_growth"])
+
+
+def _decode(f: dict) -> Op:
+    space = {"kind": f["kind"], "max_degree": None, "labels": f["labels"], "weights": f["weights"]}
+    doc = {"space": space, "matrix": [[x, 0.0] for x in f["matrix"]],
+           "degree_growth": f["degree_growth"]}
+    return Op.from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field, value, accepted", _ONE_RULE)
+def test_construction_and_from_dict_accept_and_refuse_the_same_inputs(field, value, accepted):
+    fields = {**_FIELDS, field: value}
+    for build in (_construct, _decode):
+        if accepted:
+            assert build(fields).matrix.shape == (2, 2)
+        else:
+            with pytest.raises(ValueError):
+                build(fields)
+
+
+def test_json_alone_spells_a_label_entry_as_an_integer():
+    # The one rule that only a document meets: an integral float is a label
+    # entry for the constructor, but not in JSON.
+    fields = {**_FIELDS, "labels": [[0.0], [1.0]]}
+    assert _construct(fields).space.labels == ((0,), (1,))
+    with pytest.raises(ValueError, match="labels must be a list of integer multi-indices"):
+        _decode(fields)

@@ -100,9 +100,13 @@ def test_labels_are_int_tuples():
     ((0,), (2**63,)),
     ((0,), (2**70,)),
     ((0,), ("1",)),
+    ((2**62, 2**62), (0, 1)),
+    ((2**62,) * 4, (0, 0, 0, 1)),
 ])
 def test_labels_refuse_an_entry_that_is_not_an_integer(labels):
     # A non-integral entry was truncated: ((1.5,), (2.7,)) gave ((1,), (2,)).
+    # A total degree of 2**63 or more wrapped: (2**62, 2**62) read degree
+    # -2**63, and four times 2**62 read 0.
     with pytest.raises(ValueError, match="multi-index entries must be integers"):
         WeightedSpace(labels=labels, weights=(1.0, 1.0))
 
@@ -116,6 +120,8 @@ def test_degrees_are_read_off_the_labels():
         space.degrees[0] = 0
     bidisc = make_bidisc_space(6)
     assert bidisc.degrees.tolist() == [sum(lab) for lab in bidisc.labels]
+    top = WeightedSpace(labels=((2**62, 2**62 - 1), (0, 1)), weights=(1.0, 1.0))
+    assert top.degrees.tolist() == [2**63 - 1, 1] and top.max_degree == 2**63 - 1
 
 
 def test_space_validation():
@@ -127,10 +133,12 @@ def test_space_validation():
         WeightedSpace(labels=(), weights=())
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2.5", True],
+                         ids=["nan", "inf", "-inf", "str", "bool"])
 def test_space_refuses_a_non_finite_weight_on_direct_construction(bad):
     # `w <= 0` is False for NaN, and such a space's norm read NaN with a
-    # RuntimeWarning; only from_dict checked that weights are finite.
+    # RuntimeWarning; only from_dict checked that weights are finite. A
+    # string or a bool weight was read as the float it spells.
     for weights in ((bad, 1.0), (1.0, bad)):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             WeightedSpace(labels=((0,), (1,)), weights=weights)
@@ -487,3 +495,11 @@ def test_index_of_an_unknown_label_is_value_error():
         make_bidisc_space(2).index_of((3, 0))
     with pytest.raises(ValueError, match=r"no basis label with multi-index \(7,\)"):
         make_dirichlet_space(3).index_of(7)
+    # The key is looked up as given: 1.5 was truncated to z, (1.9, 0.2) to z1.
+    dirichlet, bidisc = make_dirichlet_space(4), make_bidisc_space(3)
+    for space, key in ((dirichlet, 1.5), (bidisc, (1.9, 0.2)), (dirichlet, [[1]])):
+        with pytest.raises(ValueError, match="no basis label with multi-index"):
+            space.index_of(key)
+    assert dirichlet.index_of(2.0) == dirichlet.index_of(np.int64(2)) == 2
+    assert bidisc.index_of((2.0, np.int64(0))) == bidisc.index_of((2, 0))
+    assert np.array_equal(bidisc.monomial(np.array([2, 0])), bidisc.basis_vector(3))
