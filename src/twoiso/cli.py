@@ -11,12 +11,15 @@ Subcommands:
 * ``defect``: evaluate the quadratic defect of an operator at one vector.
 
 Exit codes: 0 when everything passed, 1 when a reproduction check missed
-its expected outcome, 2 on input errors.
+its expected outcome, 2 on input errors. ``main(argv)`` returns that code and
+can be called repeatedly in one process: it builds its parser on the first
+call and looks up the subcommand at each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -561,7 +564,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = _Parser(
         prog="twoiso",
         description=(
@@ -582,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--alpha", type=_finite_complex, default=1.0,
                      help="constant perturbation for dirichlet-n0")
     rep.add_argument("--format", choices=("text", "json"), default="text")
-    rep.set_defaults(func=cmd_reproduce)
 
     ana = sub.add_parser("analyze", help="analyze a problem from a JSON file")
     ana.add_argument("--input", required=True, help="operator+vectors JSON file")
@@ -593,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--allow-non-2iso-base", action="store_true",
                      dest="allow_non_2iso_base")
     ana.add_argument("--format", choices=("text", "json"), default="text")
-    ana.set_defaults(func=cmd_analyze)
 
     sea = sub.add_parser("search", help="scan a perturbation family for hits")
     sea.add_argument("family", choices=("dirichlet-alpha", "c2-rankone"))
@@ -609,14 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--seed", type=_non_negative_int, default=0)
     sea.add_argument("--tol", type=_positive_float, default=DEFAULT_DEFECT_TOL)
     sea.add_argument("--format", choices=("text", "json"), default="text")
-    sea.set_defaults(func=cmd_search)
 
     dfc = sub.add_parser("defect", help="quadratic defect at one vector")
     dfc.add_argument("--operator", required=True, help="operator JSON file")
     dfc.add_argument("--vector", required=True,
                      help="vector as inline JSON [[re,im],...] or a file path")
     dfc.add_argument("--format", choices=("text", "json"), default="text")
-    dfc.set_defaults(func=cmd_defect)
 
     return parser
 
@@ -627,8 +628,10 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    func = {"reproduce": cmd_reproduce, "analyze": cmd_analyze,
+            "search": cmd_search, "defect": cmd_defect}[ns.command]
     try:
-        return ns.func(ns)
+        return func(ns)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

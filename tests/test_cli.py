@@ -1045,3 +1045,59 @@ def test_the_module_runs_as_a_program_with_warnings_as_errors(monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         runpy.run_module("twoiso.cli", run_name="__main__")
     assert exit_.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# many calls in one process
+
+
+def test_repeated_calls_in_one_process_match_each_call_on_its_own(tmp_path, capsys):
+    # main builds its parser on the first call and reuses it. Each command of
+    # the sequence, exit-2 errors and --help among them, must give the exit
+    # code, stdout and stderr it gives on a parser built for it alone.
+    cases.write_analyze_documents(tmp_path)
+    bad = swap_input_doc()
+    _nan_u(bad)
+    first = ["analyze", "--input", str(tmp_path / f"{cases.ANALYZE_DOCUMENTS[0]}.json"),
+             "--format", "json"]
+    sequence = [
+        first,
+        ["search", "dirichlet-alpha", "--step", "x"],
+        ["analyze", "--input", write_json(tmp_path / "bad.json", bad)],
+        ["reproduce", "c2-example", "--format", "json"],
+        ["--help"],
+        first,
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    parser = cli.build_parser()
+    assert [run(argv) for argv in sequence] == alone
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in alone] == [0, 2, 2, 0, 0, 0]
+    assert "argument --step: must be " in alone[1][2]
+    assert strict_json(alone[0][1]) == strict_json(alone[-1][1])
+
+
+def test_main_looks_up_the_subcommand_when_it_is_called(tmp_path, monkeypatch):
+    # The parser outlives the first call, so it must not hold the command
+    # functions: one replaced on the module after that call, as a tracer
+    # wraps cmd_analyze, is the one the next call runs.
+    path = write_json(tmp_path / "swap.json", swap_input_doc())
+    assert main(["analyze", "--input", path]) == 0
+    seen = []
+
+    def spy(ns):
+        seen.append(ns.input)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_analyze", spy)
+    assert main(["analyze", "--input", path]) == 7
+    assert seen == [path]
