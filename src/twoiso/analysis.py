@@ -18,8 +18,9 @@ operator and exactly one of two mutually exclusive branches holds:
 
 Every residual reported here is evaluated through forward applications of
 the operator only, so all numbers are exact on the truncation-safe window of
-a degree-truncated model. The oracle is the matrix G of the defect form of
-T + u⊗v over its safe window: the base form, built once per operator and
+a degree-truncated model, which each operator builds once and keeps as
+``Op.window``. The oracle is the matrix G of the defect form of T + u⊗v
+over its window: the base form, built once per operator and
 cached on the frozen ``Op`` (it validates T), plus a rank-4 update R^H M R
 whose five rows R = [c, b, p, s, t] are products of conj(W v), conj(W u)
 and conj(W y) with the truncated matrix A, built once per problem
@@ -31,8 +32,9 @@ no mass above the truncation degree, which nothing certifies yet. The rows,
 the oracle and condition (a) run in the field of the problem: float64 when
 A is real and u and v have no nonzero imaginary part, as for the shifts and
 their reference perturbations, complex otherwise. Condition
-(a) is read off G on the witness line alone, in window coordinates
-sqrt(w_i) x_i, i in the safe index set: given the kernel condition, D maps
+(a) is read off G on the witness line alone, in the window coordinates
+``window.sqrt_w * x[window.idx]`` of a witness the window contains: given
+the kernel condition, D maps
 the stable kernel into itself exactly when it maps the witness line into
 itself. The witness norm against tol_rank is the one rank decision. The
 kernel residual reads its defect image <D v, e_i> on the whole window off
@@ -55,11 +57,10 @@ from .operators import (
     ROUNDOFF_RTOL,
     DefectReport,
     Op,
+    Window,
     _matmul,
     defect_apply_in_window,
     perturb,
-    safe_subspace,
-    require_truncation_safe,
 )
 from .spaces import WeightedSpace, pow2_scale
 
@@ -300,10 +301,10 @@ def kernel_condition_residual(Ttilde: Op, v) -> float:
     return Ttilde.space.norm(defect_apply_in_window(Ttilde, v))
 
 
-def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> DefectReport:
-    """Defect form of T + u⊗v on its safe window ``idx``, a subset of the
-    base's: the base form on ``idx`` plus the rank-4 update R^H M R, R the
-    rows of ``problem.update`` on ``idx`` over sqrt(w).
+def _perturbed_defect_form(problem: PerturbationProblem, window: Window) -> DefectReport:
+    """Defect form of T + u⊗v on its safe window, a subset of the base's: the
+    base form on ``window.idx`` plus the rank-4 update R^H M R, R the rows of
+    ``problem.update`` on ``window.idx`` over ``window.sqrt_w``.
 
     With E the window basis, c = E^H W v and y = Tu + <u, v> u, the blocks
     are TE + u c^H and T^2 E + u b^H + y c^H, where b, p, s, t are E^H of
@@ -315,16 +316,16 @@ def _perturbed_defect_form(problem: PerturbationProblem, idx: np.ndarray) -> Def
     the base form is added into it. Raises ValueError on an overflow.
     """
     R, M = problem.update
-    w = problem.space.weight_array
+    idx = window.idx
     G = problem.base.defect_form.defect_matrix
     if idx.size < len(G):
-        k = np.searchsorted(safe_subspace(problem.base), idx)
+        k = np.searchsorted(problem.base.window.idx, idx)
         G = G[np.ix_(k, k)]
     with np.errstate(over="ignore", invalid="ignore"):
-        Rh = R[:, idx] / np.sqrt(w[idx])
+        Rh = R[:, idx] / window.sqrt_w
         form = Rh.conj().T @ M @ Rh  # the one r x r result, in the field of R
         form += G
-    return DefectReport.of(form)
+    return DefectReport.of(form, window)
 
 
 def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
@@ -339,8 +340,8 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     """
     space, tol = problem.space, problem.tol_defect
     Ttilde = problem.perturbed()
-    idx = safe_subspace(Ttilde)
-    oracle = _perturbed_defect_form(problem, idx)
+    window = Ttilde.window
+    oracle = _perturbed_defect_form(problem, window)
     kernel_residual = kernel_condition_residual(Ttilde, problem.v)
 
     x = witness_vector(problem)
@@ -350,14 +351,14 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     else:
         branch = "II"
         xhat = x / space.norm(x)
-        require_truncation_safe(Ttilde, xhat, "witness vector")
+        window.require(xhat, "witness vector")
         gamma = gamma_coefficient(problem, xhat)
         iib = condition_iib_residual(problem, gamma)
         # xhat is truncation-safe, so its window coordinates carry all of
         # the witness line; the stable kernel is the complement of v and xhat.
-        c_x = np.sqrt(space.weight_array[idx]) * xhat[idx]
+        c_x = window.sqrt_w * xhat[window.idx]
         iia = condition_iia_residual(oracle.defect_matrix, c_x)
-        s_dim = idx.size - 2
+        s_dim = window.idx.size - 2
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
 
     return TheoremReport(
@@ -371,7 +372,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         verdict_oracle=bool(oracle.max_residual <= tol),
         tol_rank=problem.tol_rank,
         tol_defect=problem.tol_defect,
-        safe_dim=idx.size,
+        safe_dim=window.idx.size,
         s_dim_evaluated=s_dim,
         v_was_normalized=problem.v_was_normalized,
         base_defect=problem.base_defect,

@@ -40,13 +40,7 @@ from .function_spaces import (
     dirichlet_admissibility_residual,
     dirichlet_shift,
 )
-from .operators import (
-    Op,
-    defect_quadratic,
-    perturb,
-    truncation_cutoff,
-    truncation_safe,
-)
+from .operators import Op, defect_quadratic, perturb
 from .sampling import isometric_correction_pair, random_complex_vector
 from .spaces import (make_coordinate_space, make_dirichlet_space, vec_from_pairs,
                      vec_to_pairs)
@@ -229,7 +223,7 @@ def _bidisc(ns, N):
         ("cond_iia_residual", r.cond_iia_residual, _at_most(1e-12)),
         ("cond_iib_residual", r.cond_iib_residual, _at_most(1e-12)),
         (
-            f"polarized defect on degree <= {truncation_cutoff(op)}",
+            f"polarized defect on degree <= {op.window.cutoff}",
             window_defect,
             _at_most(1e-10),
         ),
@@ -535,7 +529,7 @@ def cmd_defect(ns) -> int:
     pairs = _parse_json(text) if text.startswith("[") else _load_json(ns.vector)
     x = op.space.check_vec(vec_from_pairs(pairs))
     value = defect_quadratic(op, x)
-    safe = truncation_safe(op, x)
+    safe = op.degree_growth is not None and op.window.contains(x)
     if ns.format == "json":
         print(_dumps({"defect": value, "truncation_safe": bool(safe)}, indent=None))
     else:

@@ -4,8 +4,7 @@ An :class:`Op` stores the dense matrix of an operator in coefficient
 coordinates (column j is the image of basis monomial j), the owning space,
 and a ``degree_growth`` bound: applying the operator raises the total degree
 of any basis monomial by at most that much. ``degree_growth=None`` means
-unknown or unbounded; such operators are refused by the truncation-safety
-machinery.
+unknown or unbounded; such an operator has no truncation-safe window.
 
 On a degree-truncated model of an infinite-dimensional space, the adjoint
 matrix W^-1 A^H W is wrong near the top degree, so no adjoint matrix is
@@ -20,8 +19,8 @@ or the defect image <D x, e_i> = <x, e_i> - 2 <Tx, Te_i> + <T^2 x, T^2 e_i>
 on a set of labels i, from forward images only: the image is read off one
 row conj(Wx) - 2 conj(W Tx) A + (conj(W T^2 x) A) A. Both are exact for
 every x and e_i in the truncation-safe window: the span of the labels of
-total degree <= max_degree - 2 * degree_growth, held as the index array
-:func:`safe_subspace` returns. On the window's orthonormal basis E (columns
+total degree <= max_degree - 2 * degree_growth, which the operator keeps
+as its :attr:`Op.window`. On the window's orthonormal basis E (columns
 e_i / sqrt(w_i)) the form is the sum of three forward Gram products,
 E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
 oracle and the source of the invariance condition of the decision
@@ -71,10 +70,6 @@ __all__ = [
     "defect_quadratic",
     "polarized_defect_form",
     "defect_apply_in_window",
-    "truncation_cutoff",
-    "truncation_safe",
-    "require_truncation_safe",
-    "safe_subspace",
 ]
 
 
@@ -136,6 +131,11 @@ class Op:
         return cls(space, _Filled(mat), degree_growth=growth)
 
     @cached_property
+    def window(self) -> "Window":
+        """This operator's truncation-safe :class:`Window`, built on first use."""
+        return safe_subspace(self)
+
+    @cached_property
     def defect_form(self) -> "DefectReport":
         """:func:`polarized_defect_form` of this operator, built on first use."""
         return polarized_defect_form(self)
@@ -167,6 +167,52 @@ class Op:
             raise ValueError(f"matrix document has {flat.size} entries, expected {n * n}")
         growth = doc.get("degree_growth", "unbounded")
         return cls(space, flat.reshape(n, n), None if growth == "unbounded" else growth)
+
+
+class Window:
+    """The truncation-safe window of an operator T: the labels of total degree
+    <= ``cutoff`` = max_degree - 2 * degree_growth, on which T and T^2 are
+    exact. ``idx`` holds them sorted and ``sqrt_w`` = sqrt(w[idx]), both
+    read-only, so the window coordinates E^H W x of a vector x are
+    ``sqrt_w * x[idx]``. The window may be empty; a defect form on it is
+    refused (:meth:`DefectReport.of`). A plain class, as :class:`_Filled`."""
+
+    __slots__ = ("space", "cutoff", "idx", "sqrt_w")
+
+    def __init__(self, space: WeightedSpace, cutoff: int):
+        self.space, self.cutoff = space, cutoff
+        self.idx = np.flatnonzero(space.degrees <= cutoff)
+        self.sqrt_w = np.sqrt(space.weight_array[self.idx])
+        self.idx.setflags(write=False)
+        self.sqrt_w.setflags(write=False)
+
+    def contains(self, x) -> bool:
+        """Whether x is supported on the window's degrees. Mass above the
+        cutoff up to ``ROUNDOFF_RTOL`` relative to max(1, max |x_i|) is
+        round-off and does not count."""
+        x = self.space.check_vec(x)
+        unsafe = np.abs(x[self.space.degrees > self.cutoff])
+        return float(np.max(unsafe, initial=0.0)) <= ROUNDOFF_RTOL * max(1.0, float(np.max(np.abs(x))))
+
+    def require(self, x, what: str = "vector") -> None:
+        """Raise TruncationError unless the window contains x."""
+        if not self.contains(x):
+            raise TruncationError(
+                f"{what} is not supported on the truncation-safe window "
+                f"(total degree <= {self.cutoff})"
+            )
+
+
+def safe_subspace(T: Op) -> Window:
+    """Build T's window, which :attr:`Op.window` keeps; raises TruncationError
+    when T has unknown (unbounded) degree growth. A function of its own, which
+    :attr:`Op.window` looks up at call time, since perfbench traces it."""
+    if T.degree_growth is None:
+        raise TruncationError(
+            "operator has unknown (unbounded) degree growth; "
+            "certify a bound before asking for truncation safety"
+        )
+    return Window(T.space, T.space.max_degree - 2 * T.degree_growth)
 
 
 class _Filled:
@@ -330,10 +376,14 @@ class DefectReport:
     max_residual: float
 
     @classmethod
-    def of(cls, mat: np.ndarray) -> "DefectReport":
-        """Report ``mat``; raises ValueError on an entry that overflowed. The
+    def of(cls, mat: np.ndarray, window: Window) -> "DefectReport":
+        """Report ``mat``, the form on ``window``; raises TruncationError when
+        the window is empty and ValueError on an entry that overflowed. The
         largest entry of a real matrix is read off its max and min, with no
         temporary; a NaN makes both NaN."""
+        if not window.idx.size:
+            raise TruncationError(
+                f"truncation too small: no labels of degree <= {window.cutoff}")
         if mat.dtype.kind == "f":
             max_residual = max(float(mat.max()), -float(mat.min()))
         else:
@@ -344,58 +394,6 @@ class DefectReport:
                              "are too large for floating point")
         mat.setflags(write=False)
         return cls(defect_matrix=mat, max_residual=max_residual)
-
-
-# ---------------------------------------------------------------------------
-# truncation bookkeeping
-
-
-def truncation_cutoff(T: Op) -> int:
-    """Largest total degree on which T^2 is truncation-exact."""
-    if T.degree_growth is None:
-        raise TruncationError(
-            "operator has unknown (unbounded) degree growth; "
-            "certify a bound before asking for truncation safety"
-        )
-    return T.space.max_degree - 2 * T.degree_growth
-
-
-def truncation_safe(T: Op, x) -> bool:
-    """Whether x is supported on the truncation-safe degrees.
-
-    Mass above the cutoff up to ``ROUNDOFF_RTOL`` relative to
-    max(1, max |x_i|) is round-off and does not count.
-    """
-    if T.degree_growth is None:
-        return False
-    x = T.space.check_vec(x)
-    unsafe = np.abs(x[T.space.degrees > truncation_cutoff(T)])
-    return float(np.max(unsafe, initial=0.0)) <= ROUNDOFF_RTOL * max(1.0, float(np.max(np.abs(x))))
-
-
-def require_truncation_safe(T: Op, x, what: str = "vector"):
-    """Raise TruncationError unless x is safe for T."""
-    if not truncation_safe(T, x):
-        raise TruncationError(
-            f"{what} is not supported on the truncation-safe window "
-            f"(total degree <= {truncation_cutoff(T)})"
-        )
-
-
-def safe_subspace(T: Op) -> np.ndarray:
-    """Sorted indices idx of the labels of total degree at most
-    max_degree - 2 * degree_growth, on which T and T^2 are truncation-exact.
-
-    The window coordinates E^H W x of a vector x are sqrt(w[idx]) * x[idx].
-    Raises if there are no such labels.
-    """
-    cutoff = truncation_cutoff(T)
-    idx = np.flatnonzero(T.space.degrees <= cutoff)
-    if idx.size == 0:
-        raise TruncationError(
-            f"truncation too small: no labels of degree <= {cutoff}"
-        )
-    return idx
 
 
 def polarized_defect_form(T: Op) -> DefectReport:
@@ -412,10 +410,11 @@ def polarized_defect_form(T: Op) -> DefectReport:
     dense path's operations in its order, has the same bits. One scan of the
     nonzeros certifies that. A complex matrix keeps the dense path.
     """
-    idx = safe_subspace(T)
+    window = T.window
+    idx = window.idx
     A = T.matrix
     w = T.space.weight_array[:, None]
-    scale = 1.0 / np.sqrt(w[idx, 0])
+    scale = 1.0 / window.sqrt_w
     shift = A.dtype == np.float64
     if shift:
         rows, cols = _nonzeros(A)
@@ -433,7 +432,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
             d = -2.0 * ((f * w[p, 0]) * f)
             d += (g * w[to[p], 0]) * g
             d += w[idx, 0] * scale * scale
-            return DefectReport.of(np.diag(d))
+            return DefectReport.of(np.diag(d), window)
         fwd = np.take(A, idx, axis=1) * scale
         buf = np.conjugate(fwd)
         buf *= w
@@ -444,7 +443,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
         mat += fwd.T @ buf
         # E^H W E, diagonal: w_i scale_i^2 with the same rounded scale as E.
         mat[np.diag_indices(idx.size)] += w[idx, 0] * scale * scale
-    return DefectReport.of(mat)
+    return DefectReport.of(mat, window)
 
 
 def defect_apply_in_window(T: Op, x) -> np.ndarray:
@@ -453,9 +452,8 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
     call over the whole window. x must be truncation-safe; then the result is
     the untruncated D x projected onto the window.
     """
-    idx = safe_subspace(T)
-    x = T.space.check_vec(x)
-    require_truncation_safe(T, x)
+    window = T.window
+    window.require(x)
     out = T.space.zeros()
-    out[idx] = defect_quadratic(T, x, idx) / np.sqrt(T.space.weight_array[idx])
+    out[window.idx] = defect_quadratic(T, x, window.idx) / window.sqrt_w
     return out

@@ -138,7 +138,7 @@ def _bidisc_v_off_unit() -> PerturbationProblem:
 
 def _bidisc_v_mass_above_window() -> PerturbationProblem:
     """The off-example problem with 1e-14 of v on z1 z2^7, above the safe
-    window but within the round-off that truncation_safe forgives; T*v
+    window but within the round-off that Op.window.contains forgives; T*v
     carries it to z2^7, also above the window."""
     problem = _bidisc_off_example()
     v = problem.v + 1e-14 * problem.space.monomial((1, 7))

@@ -17,8 +17,6 @@ from twoiso import (
     make_bidisc_space,
     make_coordinate_space,
     make_dirichlet_space,
-    require_truncation_safe,
-    safe_subspace,
     weighted_gram_schmidt,
 )
 
@@ -171,7 +169,7 @@ def dense_defect_form(T: Op) -> np.ndarray:
     basis E of T's safe window, from dense complex products with ``matrix``
     cast to complex: the complex-arithmetic referee of
     ``polarized_defect_form``."""
-    E = window_basis(T.space, safe_subspace(T))
+    E = window_basis(T.space, T.window.idx)
     W = np.diag(T.space.weight_array).astype(complex)
     A = T.matrix.astype(complex)
     TE = A @ E
@@ -185,7 +183,7 @@ def field_gram_form(T: Op) -> np.ndarray:
     entries (float64 for a real matrix), with the operations and order of
     ``polarized_defect_form``'s dense path: the bit-for-bit referee of the
     form that a weighted shift reads off its diagonal."""
-    idx = safe_subspace(T)
+    idx = T.window.idx
     A = T.matrix
     w = T.space.weight_array[:, None]
     scale = 1.0 / np.sqrt(w[idx, 0])
@@ -230,9 +228,9 @@ def defect_image_by_entries(T: Op, x) -> np.ndarray:
     """Component of D x inside T's safe window, one polarized entry per
     window label: the scalar referee of ``defect_apply_in_window``.
     """
-    idx = safe_subspace(T)
+    idx = T.window.idx
     x = T.space.check_vec(x)
-    require_truncation_safe(T, x)
+    T.window.require(x)
     out = T.space.zeros()
     e = T.space.zeros()
     for i in idx:
@@ -319,7 +317,7 @@ def complex_path_oracle(problem: PerturbationProblem, idx) -> np.ndarray:
     nu2, ny2, yu = np.vdot(u, w * u).real, np.vdot(y, w * y).real, np.vdot(u, w * y)
     M = np.array([[ny2 - 2.0 * nu2, np.conj(yu), -2, 0, 1], [yu, nu2, 0, 1, 0],
                   [-2, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
-    k = np.searchsorted(safe_subspace(problem.base), idx)
+    k = np.searchsorted(problem.base.window.idx, idx)
     Rh = R[:, idx] / np.sqrt(w[idx])
     return problem.base.defect_form.defect_matrix[np.ix_(k, k)] + Rh.conj().T @ M @ Rh
 
@@ -360,7 +358,7 @@ def exact_kernel_image(T: Op, x, absolute: bool = False) -> list[Fraction]:
     tx = apply_exact(xs)
     ttx = apply_exact(tx)
     image = []
-    for i in safe_subspace(T).tolist():
+    for i in T.window.idx.tolist():
         te = apply_exact([Fraction(int(k == i)) for k in range(n)])
         image.append(w[i] * xs[i] + sign * 2 * inner(tx, te) + inner(ttx, apply_exact(te)))
     return image

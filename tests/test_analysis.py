@@ -15,6 +15,7 @@ from twoiso import (
     DEFAULT_RANK_TOL,
     Op,
     PerturbationProblem,
+    TruncationError,
     apply,
     condition_iia_residual,
     condition_iib_residual,
@@ -26,7 +27,6 @@ from twoiso import (
     make_dirichlet_space,
     perturb,
     polarized_defect_form,
-    safe_subspace,
     theorem_verdict,
     weighted_gram_schmidt,
     witness_vector,
@@ -145,7 +145,7 @@ def test_stable_kernel_swap_case_is_trivial():
 def test_stable_kernel_bidisc_case():
     problem = cases.problem("bidisc-6")
     space = problem.space
-    safe = safe_subspace(problem.perturbed())
+    safe = problem.perturbed().window.idx
     report = theorem_verdict(problem)
     assert report.safe_dim == safe.size
     assert report.s_dim_evaluated == safe.size - 2
@@ -430,7 +430,7 @@ def test_condition_iia_over_stable_kernel_only_branch_I():
     # so the stable kernel is the complement of v in the window.
     problem = dirichlet_perturbation_problem(10, PolyCoeffs((-2.0,)))
     Tt = problem.perturbed()
-    safe = safe_subspace(Tt)
+    safe = Tt.window.idx
     c_v = np.sqrt(problem.space.weight_array[safe]) * problem.v[safe]
     Q = (c_v / np.linalg.norm(c_v))[:, None]
     G = polarized_defect_form(Tt).defect_matrix
@@ -489,7 +489,7 @@ def test_condition_iia_matches_polarization_referee(case):
     report = theorem_verdict(problem)
     assert report.branch == "II"
     Tt = problem.perturbed()
-    safe = safe_subspace(Tt)
+    safe = Tt.window.idx
     G_pol = polarized_form_by_entries(Tt, safe)
     Q = stable_kernel_referee(problem.base, problem.v, safe, problem.tol_rank)
     r, k = Q.shape
@@ -522,7 +522,7 @@ def test_condition_iia_spectral_norm_within_basis_max_bounds(case):
     # residual of the block.
     problem = cases.problem(case)
     Tt = problem.perturbed()
-    safe = safe_subspace(Tt)
+    safe = Tt.window.idx
     space = problem.space
     E = window_basis(space, safe)
     coords = E.conj().T * space.weight_array
@@ -559,7 +559,7 @@ def _verdicts_with_block(problem: PerturbationProblem, report) -> tuple:
     if x is None:
         return "I", report.kernel_residual <= tol, oracle.max_residual <= tol
     space = problem.space
-    safe = safe_subspace(Tt)
+    safe = Tt.window.idx
     pair = np.stack([problem.v, x / space.norm(x)], 1)[safe]
     Q = np.linalg.qr(np.sqrt(space.weight_array[safe, None]) * pair)[0]
     iia = max(stable_kernel_block_residual(oracle.defect_matrix, Q), report.cond_iia_residual)
@@ -604,7 +604,7 @@ def test_kernel_residual_matches_entrywise_polarization(case):
     # The same residual off the oracle's G: for a truncation-safe v with
     # window coordinates c_v, E^H W D v = G c_v. Its norm is taken after the
     # power-of-two scaling of the library's norms, so 1e200 stays finite.
-    idx = safe_subspace(Tt)
+    idx = Tt.window.idx
     c_v = np.sqrt(problem.space.weight_array[idx]) * problem.v[idx]
     g_image = polarized_defect_form(Tt).defect_matrix @ c_v
     scale = pow2_scale(g_image)
@@ -633,7 +633,32 @@ def test_kernel_residual_is_one_window_call(monkeypatch, case):
     monkeypatch.setattr(operators, "defect_quadratic", recording)
     kernel_condition_residual(Tt, v)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], safe_subspace(Tt))
+    assert np.array_equal(calls[0], Tt.window.idx)
+
+
+@pytest.mark.parametrize("case", ["dirichlet-12", "bidisc-6"])
+def test_one_verdict_builds_each_operators_window_once(monkeypatch, case):
+    # The base builds its window when the problem validates it, T + u⊗v when
+    # the verdict reads it; the form, the kernel residual, the witness and
+    # the slice of the base form all read the cached windows.
+    built = []
+    build = operators.safe_subspace
+    monkeypatch.setattr(operators, "safe_subspace", lambda T: built.append(T) or build(T))
+    problem = cases.problem(case)
+    report = theorem_verdict(problem)
+    assert len(built) == 2
+    assert built[0] is problem.base and built[1] is not problem.base
+    assert report.safe_dim == built[1].window.idx.size
+
+
+def test_verdict_refuses_an_empty_perturbed_window():
+    # M_z on Dirichlet N = 3 has growth 1 and the window {1, z}; z^3 ⊗ 1 has
+    # growth 3, so T + u⊗v has no label of degree <= 3 - 6.
+    base = dirichlet_shift(3)
+    problem = PerturbationProblem(base, base.space.monomial((3,)), base.space.basis_vector(0))
+    assert base.window.idx.size == 2
+    with pytest.raises(TruncationError, match="truncation too small: no labels of degree <= -3"):
+        theorem_verdict(problem)
 
 
 # The real cases small enough for rational arithmetic whose defect is finite:
@@ -661,7 +686,7 @@ def test_kernel_residual_matches_the_exact_rational_image(case):
     else:
         problem = cases.problem(case)
         Tt, v = problem.perturbed(), problem.v
-    idx = safe_subspace(Tt)
+    idx = Tt.window.idx
     weights = [Fraction(w) for w in Tt.space.weight_array[idx].tolist()]
     exact = exact_kernel_image(Tt, v)
     scales = exact_kernel_image(Tt, v, absolute=True)
@@ -895,8 +920,7 @@ def test_oracle_update_peak_memory_below_the_direct_build():
     # through real products, with no complex dim x dim copy.
     problem = cases.problem("bidisc-18-dense")
     Tt = problem.perturbed()
-    idx = safe_subspace(Tt)
-    update = _traced_peak(analysis._perturbed_defect_form, problem, idx)
+    update = _traced_peak(analysis._perturbed_defect_form, problem, Tt.window)
     assert update < _traced_peak(polarized_defect_form, Tt)
 
 
@@ -930,9 +954,9 @@ def _verdict_forms(monkeypatch) -> list:
     seen = []
     form = analysis._perturbed_defect_form
 
-    def kept(problem, idx):
-        report = form(problem, idx)
-        seen.append((problem, idx, report.defect_matrix))
+    def kept(problem, window):
+        report = form(problem, window)
+        seen.append((problem, window.idx, report.defect_matrix))
         return report
 
     monkeypatch.setattr(analysis, "_perturbed_defect_form", kept)
@@ -1083,13 +1107,13 @@ def test_oracle_update_overflows_with_the_direct_build(case):
         problem = cases.problem(case)
         Tt = problem.perturbed()
         if cases.CASES[case].verdicts is None:
-            for form in (lambda: analysis._perturbed_defect_form(problem, safe_subspace(Tt)),
+            for form in (lambda: analysis._perturbed_defect_form(problem, Tt.window),
                          lambda: polarized_defect_form(Tt)):
                 with pytest.raises(ValueError, match="the defect form overflows"):
                     form()
             return
         direct = polarized_defect_form(Tt)
-        update = analysis._perturbed_defect_form(problem, safe_subspace(Tt))
+        update = analysis._perturbed_defect_form(problem, Tt.window)
     slack = 1e-13 * direct.max_residual
     assert float(np.max(np.abs(update.defect_matrix - direct.defect_matrix))) <= slack
     assert abs(update.max_residual - direct.max_residual) <= slack

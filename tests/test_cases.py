@@ -7,7 +7,7 @@ declaration must fail here rather than drop a case from a referee test.
 import numpy as np
 import pytest
 
-from twoiso import theorem_verdict, truncation_cutoff, truncation_safe
+from twoiso import theorem_verdict
 import cases
 
 
@@ -28,12 +28,12 @@ def test_declared_field_branch_and_verdicts_hold(name):
 
 def test_perturbed_v_cases_stay_within_round_off():
     # ||v|| = 1 + 5e-13 is not renormalized, and the 1e-14 of v above the
-    # window is within the round-off that truncation_safe forgives.
+    # window is within the round-off that Op.window.contains forgives.
     assert not cases.problem("bidisc-8-v-off-unit").v_was_normalized
     problem = cases.problem("bidisc-8-v-mass-above-window")
     Tt = problem.perturbed()
-    assert truncation_safe(Tt, problem.v)
-    assert np.any(problem.v[Tt.space.degrees > truncation_cutoff(Tt)])
+    assert Tt.window.contains(problem.v)
+    assert np.any(problem.v[Tt.space.degrees > Tt.window.cutoff])
     assert cases.problem("non-2-isometric-base").base_defect > 1.0
 
 

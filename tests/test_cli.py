@@ -926,6 +926,43 @@ def test_defect_command_flags_top_degree(tmp_path, capsys):
     assert "warning" in out
 
 
+def _defect_json(operator: Op, x, tmp_path, capsys) -> dict:
+    path = write_json(tmp_path / "operator.json", operator.to_dict())
+    code = main(["defect", "--operator", path, "--vector", json.dumps(vec_to_pairs(x)),
+                 "--format", "json"])
+    assert code == 0
+    return strict_json(capsys.readouterr().out)
+
+
+def test_defect_command_unbounded_growth_is_never_safe(tmp_path, capsys):
+    # No growth certificate, no window: not even the zero vector is safe.
+    shift = dirichlet_shift(4)
+    op = Op(shift.space, shift.matrix)
+    assert op.to_dict()["degree_growth"] == "unbounded"
+    for x in (op.space.zeros(), op.space.basis_vector(0)):
+        assert _defect_json(op, x, tmp_path, capsys)["truncation_safe"] is False
+
+
+def test_defect_command_empty_window_holds_only_zero(tmp_path, capsys):
+    # Growth 3 on Dirichlet N = 4: the window is degree <= -2, empty.
+    shift = dirichlet_shift(4)
+    op = Op(shift.space, shift.matrix, degree_growth=3)
+    assert op.window.idx.size == 0
+    assert _defect_json(op, op.space.zeros(), tmp_path, capsys)["truncation_safe"] is True
+    assert _defect_json(op, op.space.basis_vector(0), tmp_path, capsys)["truncation_safe"] is False
+
+
+def test_analyze_empty_perturbed_window_is_input_error(tmp_path, capsys):
+    # The base M_z on Dirichlet N = 3 has a window; T + z^3 ⊗ 1 has none.
+    base = dirichlet_shift(3)
+    doc = {"operator": base.to_dict(), "u": vec_to_pairs(base.space.monomial((3,))),
+           "v": vec_to_pairs(base.space.basis_vector(0))}
+    assert main(["analyze", "--input", write_json(tmp_path / "p.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncation too small: no labels of degree <= -3" in captured.err
+
+
 def test_defect_command_vector_from_file(tmp_path, capsys):
     op = dirichlet_shift(4)
     op_path = write_json(tmp_path / "shift.json", op.to_dict())

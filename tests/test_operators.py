@@ -20,9 +20,6 @@ from twoiso import (
     make_dirichlet_space,
     perturb,
     polarized_defect_form,
-    safe_subspace,
-    truncation_cutoff,
-    truncation_safe,
 )
 from twoiso.function_spaces import (
     PolyCoeffs,
@@ -347,7 +344,7 @@ def test_defect_quadratic_vanishes_for_isometry_on_safe_vectors():
 
     op = bidisc_shift(4, axis=2)
     rng = np.random.default_rng(37)
-    E = window_basis(op.space, safe_subspace(op))
+    E = window_basis(op.space, op.window.idx)
     for _ in range(10):
         coeffs = rng.standard_normal(E.shape[1]) + 1j * rng.standard_normal(E.shape[1])
         x = E @ coeffs
@@ -411,7 +408,7 @@ def test_defect_quadratic_vector_is_a_one_column_block():
     for _ in range(30):
         space = random_weighted_space(rng)
         T = random_op(space, rng)
-        idx = safe_subspace(T)
+        idx = T.window.idx
         x = random_vec(space, rng)
         c_x = np.sqrt(space.weight_array[idx]) * x[idx]
         value = np.vdot(c_x, defect_quadratic(T, x, idx)).real
@@ -438,7 +435,7 @@ def test_defect_quadratic_form_matches_polarized_entries(case):
             *((f"weighted-c{n}", lambda n=n: random_op(make_coordinate_space(
                 n, weights=tuple(rng.uniform(0.5, 3.0, size=n))), rng)) for n in (2, 4, 6))):
         T = make()
-        keep = T.space.degrees <= truncation_cutoff(T)
+        keep = T.space.degrees <= T.window.cutoff
         window = np.flatnonzero(keep)
         x = np.where(keep, random_vec(T.space, rng), 0.0)
         pairs[name] = T, x, rng.choice(window, size=min(3, window.size), replace=False)
@@ -492,7 +489,7 @@ def test_polarized_form_matches_defect_operator_restriction():
         space = random_weighted_space(rng)
         T = random_op(space, rng)
         report = polarized_defect_form(T)
-        E = window_basis(space, safe_subspace(T))
+        E = window_basis(space, T.window.idx)
         W = np.diag(space.weight_array)
         direct = E.conj().T @ W @ (defect_operator(T).matrix @ E)
         scale_ref = max(1.0, np.max(np.abs(direct)))
@@ -511,7 +508,7 @@ def test_polarized_form_hermitian():
 
 def _assert_form_matches_polarization(T) -> np.ndarray:
     G = polarized_defect_form(T).defect_matrix
-    P = polarized_form_by_entries(T, safe_subspace(T))
+    P = polarized_form_by_entries(T, T.window.idx)
     assert np.max(np.abs(G - P)) <= 1e-12 * max(1.0, np.max(np.abs(P)))
     return P
 
@@ -532,7 +529,7 @@ def test_gram_form_matches_polarization_non_admissible_dirichlet():
 
 def test_gram_form_matches_polarization_bidisc_window():
     op = cases.problem("bidisc-8").perturbed()
-    assert safe_subspace(op).size == 28
+    assert op.window.idx.size == 28
     _assert_form_matches_polarization(op)
 
 
@@ -582,7 +579,7 @@ def test_defect_apply_in_window_reaches_past_the_plain_band(make):
     assert abs(referee[label]) > 0.0
     image = defect_apply_in_window(T, x)
     assert np.max(np.abs(image - referee)) <= 1e-12 * np.max(np.abs(referee))
-    idx = safe_subspace(T)
+    idx = T.window.idx
     root_w = np.sqrt(T.space.weight_array[idx])
     dense = dense_defect_form(T) @ (root_w * x[idx]) / root_w
     at = int(np.flatnonzero(idx == label)[0])
@@ -656,7 +653,7 @@ def test_real_defect_quadratic_blocks_match_column_calls(name):
     T = cases.problem(name).perturbed()
     assert T.matrix.dtype == np.float64
     rng = np.random.default_rng(72)
-    window = safe_subspace(T)
+    window = T.window.idx
     w = T.space.weight_array[:, None]
     A = T.matrix.astype(complex)
     x = np.zeros(T.space.dim, dtype=complex)
@@ -687,7 +684,7 @@ def test_real_defect_quadratic_of_a_real_vector_makes_no_complex_product(monkeyp
     # q stays a float and the image complex128, with the complex path's values.
     T = cases.problem("dirichlet-12").perturbed()
     x = T.space.basis_vector(1) - 0.5 * T.space.basis_vector(3)
-    idx = safe_subspace(T)
+    idx = T.window.idx
     expected = _window_entries(T, x, idx)
     products = []
 
@@ -884,7 +881,7 @@ def test_weighted_shift_diagonal_is_nonzero_and_matches_polarization():
     T = _weighted_shift_c7()
     assert T.degree_growth == 0
     G = polarized_defect_form(T).defect_matrix
-    P = polarized_form_by_entries(T, safe_subspace(T))
+    P = polarized_form_by_entries(T, T.window.idx)
     assert np.min(np.abs(np.diag(G))) >= 0.1
     assert np.max(np.abs(G - P)) <= 1e-12 * max(1.0, np.max(np.abs(P)))
 
@@ -993,13 +990,13 @@ def test_defect_report_refuses_a_non_finite_real_entry(bad, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="the defect form overflows"):
-            DefectReport.of(mat)
+            DefectReport.of(mat, dirichlet_shift(4).window)
 
 
 def test_defect_report_reads_the_largest_entry_of_a_real_matrix():
     for mat in (np.array([[-3.0, 2.0], [1.0, 0.5]]), np.array([[0.5, 2.0], [-1.0, 3.0]]),
                 np.array([[-0.0]]), np.zeros((3, 3))):
-        report = DefectReport.of(mat.copy())
+        report = DefectReport.of(mat.copy(), dirichlet_shift(4).window)
         assert report.max_residual == float(np.abs(mat).max())
         assert report.defect_matrix.dtype == np.float64
 
@@ -1013,7 +1010,7 @@ def test_safe_subspace_growth_zero_is_whole_space():
     rng = np.random.default_rng(42)
     T = random_op(space, rng)
     assert T.degree_growth == 0
-    assert np.array_equal(safe_subspace(T), np.arange(5))
+    assert np.array_equal(T.window.idx, np.arange(5))
 
 
 @pytest.mark.parametrize(
@@ -1030,26 +1027,35 @@ def test_safe_window_certificate(make):
     # The window is safe by construction: every monomial it lists is
     # truncation-safe and every other one is not.
     op = make()
-    idx = safe_subspace(op)
+    window = op.window
+    idx = window.idx
+    assert window is op.window
     assert idx.dtype.kind == "i" and np.all(np.diff(idx) > 0)
+    assert not (idx.flags.writeable or window.sqrt_w.flags.writeable)
+    assert np.array_equal(window.sqrt_w, np.sqrt(op.space.weight_array[idx]))
     inside = set(idx.tolist())
     for i in range(op.space.dim):
-        assert truncation_safe(op, op.space.basis_vector(i)) == (i in inside)
+        assert op.window.contains(op.space.basis_vector(i)) == (i in inside)
 
 
 def test_safe_subspace_too_small():
+    # An empty window is a value: it holds the zero vector and no label.
+    # A defect form on it is refused.
     space = make_dirichlet_space(1)
     mat = np.zeros((2, 2))
     mat[1, 0] = 1.0
     T = Op(space, mat, degree_growth=1)
-    with pytest.raises(TruncationError, match="truncation too small"):
-        safe_subspace(T)
+    assert T.window.cutoff == -1 and T.window.idx.size == 0
+    assert T.window.contains(space.zeros())
+    assert not T.window.contains(space.basis_vector(0))
+    with pytest.raises(TruncationError, match="truncation too small: no labels of degree <= -1"):
+        T.defect_form
 
 
 def test_safe_subspace_requires_growth_certificate():
     op = adjoint(dirichlet_shift(4))
     with pytest.raises(TruncationError, match="unknown"):
-        safe_subspace(op)
+        op.window
 
 
 def test_safe_vectors_match_larger_truncation():
@@ -1063,7 +1069,7 @@ def test_safe_vectors_match_larger_truncation():
         return apply(op, apply(op, x))
 
     x10 = t10.space.basis_vector(0) + t10.space.monomial((4,))
-    assert truncation_safe(t10, x10)
+    assert t10.window.contains(x10)
     x14 = np.zeros(t14.space.dim, dtype=complex)
     x14[: t10.space.dim] = x10
     y10 = twice(t10, x10)
@@ -1072,7 +1078,7 @@ def test_safe_vectors_match_larger_truncation():
     assert np.max(np.abs(y14[t10.space.dim:])) <= 1e-13
 
     bad10 = t10.space.monomial((9,))
-    assert not truncation_safe(t10, bad10)
+    assert not t10.window.contains(bad10)
     bad14 = np.zeros(t14.space.dim, dtype=complex)
     bad14[: t10.space.dim] = bad10
     z10_embedded = np.zeros(t14.space.dim, dtype=complex)
@@ -1083,9 +1089,9 @@ def test_safe_vectors_match_larger_truncation():
 
 def test_truncation_safe_flags_top_degree():
     op = dirichlet_shift(6)
-    assert truncation_safe(op, op.space.monomial((4,)))
-    assert not truncation_safe(op, op.space.monomial((5,)))
-    assert not truncation_safe(op, op.space.monomial((6,)))
+    assert op.window.contains(op.space.monomial((4,)))
+    assert not op.window.contains(op.space.monomial((5,)))
+    assert not op.window.contains(op.space.monomial((6,)))
 
 
 def test_negative_degree_growth_is_refused():
@@ -1104,9 +1110,10 @@ def test_non_integer_degree_growth_is_refused(growth):
 def test_unbounded_growth_is_never_truncation_safe():
     T = Op(make_dirichlet_space(4), dirichlet_shift(4).matrix)
     assert T.degree_growth is None
-    assert not truncation_safe(T, T.space.basis_vector(0))
     with pytest.raises(TruncationError, match="unbounded"):
-        safe_subspace(T)
+        T.window
+    with pytest.raises(TruncationError, match="unbounded"):
+        defect_apply_in_window(T, T.space.basis_vector(0))
 
 
 def test_scanned_degree_growth():
