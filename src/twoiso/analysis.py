@@ -19,8 +19,10 @@ operator and exactly one of two mutually exclusive branches holds:
 Every residual reported here is evaluated through forward applications of
 the operator only, so all numbers are exact on the truncation-safe window of
 a degree-truncated model, which each operator builds once and keeps as
-``Op.window``. The oracle is the matrix G of the defect form of T + u⊗v
-over its window: the base form, built once per operator and
+``Op.window``; the window of T + u⊗v is read off its growth
+(``PerturbationProblem.window``), and the verdict builds no T + u⊗v. The
+oracle is the defect form G of T + u⊗v over that window: the base form,
+built once per operator and
 cached on the frozen ``Op`` (it validates T), plus a rank-4 update R^H M R
 whose five rows R = [c, b, p, s, t] are products of conj(W v), conj(W u)
 and conj(W y) with the truncated matrix A, built once per problem
@@ -31,15 +33,20 @@ are read off the same rows: T*v = W^-1 conj(b), gamma = Re( (s x - (b x)(p v))
 no mass above the truncation degree, which nothing certifies yet. The rows,
 the oracle and condition (a) run in the field of the problem: float64 when
 A is real and u and v have no nonzero imaginary part, as for the shifts and
-their reference perturbations, complex otherwise. Condition
+their reference perturbations, complex otherwise. The update vanishes off
+S x S, S the window labels where a column of R is nonzero, so on a base
+whose form is its diagonal (a real weighted shift) G is kept as that
+diagonal and the |S| x |S| block: the verdict has no r x r temporary, and
+its oracle, condition (a) and kernel residual cost O(dim^2 + r + |S|^2).
+A dense base form keeps S the whole window. Condition
 (a) is read off G on the witness line alone, in the window coordinates
 ``window.sqrt_w * x[window.idx]`` of a witness the window contains: given
 the kernel condition, D maps
 the stable kernel into itself exactly when it maps the witness line into
 itself. The witness norm against tol_rank is the one rank decision. The
 kernel residual reads its defect image <D v, e_i> on the whole window off
-forward images only, as one row of defect_quadratic; it reads T + u⊗v,
-built once by ``perturb``.
+forward images only: the base's image as one row of defect_quadratic, plus
+the rank-4 update at the window coordinates of v.
 The oracle verdict thresholds the entries of G, the theorem verdict the branch
 residuals; the two must agree and both are in the report.
 """
@@ -59,7 +66,8 @@ from .operators import (
     Op,
     Window,
     _matmul,
-    defect_apply_in_window,
+    _rank_one_part,
+    defect_quadratic,
     perturb,
 )
 from .spaces import WeightedSpace, pow2_scale
@@ -133,8 +141,9 @@ class PerturbationProblem:
     overflows, or a squared norm of u that underflows to zero. A u whose
     squared norm overflows is left to the defect form, which reports the
     overflow. The verdict reads the oracle off the base's form, so the
-    problem is frozen like its base. :meth:`perturbed` builds T + u⊗v, the
-    one perturbed operator that the verdict and the reference cases read.
+    problem is frozen like its base. :attr:`window` is the window of
+    T + u⊗v, read off its growth; :meth:`perturbed` builds T + u⊗v itself,
+    for ``reproduce`` and the reference cases, and the verdict builds none.
     """
 
     base: Op
@@ -193,7 +202,17 @@ class PerturbationProblem:
         return self.base.space
 
     def perturbed(self) -> Op:
+        """T + u⊗v, for ``reproduce`` and the tests; the verdict builds none."""
         return perturb(self.base, self.u, self.v)
+
+    @cached_property
+    def window(self) -> Window:
+        """The truncation-safe window of T + u⊗v, built once without the
+        operator: its cutoff is max_degree - 2 * growth, with the growth that
+        :func:`operators.perturb` reads (``operators._rank_one_part``), so
+        it is ``perturbed().window``."""
+        growth = _rank_one_part(self.base, self.u, self.v)[3]
+        return Window(self.space, self.space.max_degree - 2 * growth)
 
     @cached_property
     def update(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,40 +290,64 @@ def condition_iib_residual(problem: PerturbationProblem, gamma: float) -> float:
     return float(abs(nu * nu + 2.0 * (gamma + np.real(p @ problem.v))))
 
 
-def condition_iia_residual(G: np.ndarray, c_x: np.ndarray) -> float:
+def condition_iia_residual(form: DefectReport, c_x: np.ndarray) -> float:
     """Invariance residual of the perturbed defect on the witness line,
     ||G c_x - (c_x^H G c_x) c_x||.
 
-    ``G[l, j] = <D e_j, e_l>`` is the defect form on the safe window's
-    orthonormal basis and ``c_x`` the window coordinates of the unit
-    witness. D is self-adjoint, so it maps the stable kernel into itself
+    ``form`` is the defect form G on the safe window's orthonormal basis,
+    ``G[l, j] = <D e_j, e_l>``, and ``c_x`` the window coordinates of the
+    unit witness; G c_x is read off the form's layout (:meth:`DefectReport.image`).
+    D is self-adjoint, so it maps the stable kernel into itself
     exactly when it maps the complement span{v, x} into itself; given the
     kernel condition D v = 0, which the verdict also requires, that is the
     witness line, because <D x, v> = <x, D v> = 0. The norm is taken after
     an exact power-of-two scaling, so it is finite whenever it is in range.
-    A real G multiplies a complex c_x through its float view, with no
-    complex copy of G.
     """
-    img = _matmul(G, c_x)
+    img = form.image(c_x)
     res = img - np.vdot(c_x, img) * c_x
     scale = pow2_scale(res)
     return float(np.linalg.norm(res * scale) / scale)
 
 
-def kernel_condition_residual(Ttilde: Op, v) -> float:
-    """|| (perturbed defect) v || read off the safe window: the image
-    <D v, e_i> at every window label, from one defect_quadratic row
-    (:func:`defect_apply_in_window`).
+def _window_rows(problem: PerturbationProblem) -> np.ndarray:
+    """Rh = R[:, idx] / sqrt(w[idx]), the rows of ``problem.update`` on the
+    problem's window in window coordinates, where the rank-4 update is
+    Rh^H M Rh. Overflow is left to the readers."""
+    window = problem.window
+    return problem.update[0][:, window.idx] / window.sqrt_w
 
-    Raises when v is not supported on the truncation-safe window.
+
+def kernel_condition_residual(problem: PerturbationProblem) -> float:
+    """|| (perturbed defect) v || read off the problem's window: the image
+    E^H W D~ v = E^H W D v + Rh^H M Rh c_v, the base's image off one
+    defect_quadratic row plus the rank-4 update at the window coordinates
+    c_v of v, so no T + u⊗v is built. The norm is taken after an exact
+    power-of-two scaling.
+
+    Raises when v is not supported on the truncation-safe window, and
+    ValueError when the image overflows.
     """
-    return Ttilde.space.norm(defect_apply_in_window(Ttilde, v))
+    window, v = problem.window, problem.v
+    window.require(v)
+    M = problem.update[1]
+    img = defect_quadratic(problem.base, v, window.idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Rh = _window_rows(problem)  # real only when v is
+        c_v = window.sqrt_w * (v if Rh.dtype.kind == "c" else v.real)[window.idx]
+        img += Rh.conj().T @ (M @ (Rh @ c_v))
+    if not np.isfinite(img).all():
+        raise ValueError(
+            "the defect overflows: the operator or the vector is too large "
+            "for floating point"
+        )
+    scale = pow2_scale(img)
+    return float(np.linalg.norm(img * scale) / scale)
 
 
-def _perturbed_defect_form(problem: PerturbationProblem, window: Window) -> DefectReport:
-    """Defect form of T + u⊗v on its safe window, a subset of the base's: the
-    base form on ``window.idx`` plus the rank-4 update R^H M R, R the rows of
-    ``problem.update`` on ``window.idx`` over ``window.sqrt_w``.
+def _perturbed_defect_form(problem: PerturbationProblem) -> DefectReport:
+    """Defect form G~ of T + u⊗v on ``problem.window``, a subset of the
+    base's: the base form G there plus the rank-4 update Rh^H M Rh, Rh the
+    rows of ``problem.update`` on the window (:func:`_window_rows`).
 
     With E the window basis, c = E^H W v and y = Tu + <u, v> u, the blocks
     are TE + u c^H and T^2 E + u b^H + y c^H, where b, p, s, t are E^H of
@@ -312,20 +355,33 @@ def _perturbed_defect_form(problem: PerturbationProblem, window: Window) -> Defe
     as in the direct build. The Gram products change by (t - 2p) c^H + (||y||^2
     - 2||u||^2) c c^H + <y, u> b c^H + s b^H + ||u||^2 b b^H and the adjoints
     of the off-diagonal terms, which is R^H M R; M has rank 4 since p and t
-    enter as t - 2p. The form is made once, in the field of the problem, and
-    the base form is added into it. Raises ValueError on an overflow.
+    enter as t - 2p.
+
+    Every entry of the update off S x S is an exact zero, S the window
+    positions where a column of Rh is nonzero. So on a base whose form is
+    its diagonal d (a real weighted shift), G~ keeps d and the |S| x |S|
+    block d[S] + Rh_S^H M Rh_S, and its largest entry is the larger of
+    max |d_i|, i not in S, and the block's: no r x r matrix is formed. A
+    dense base form keeps S the whole window, and G~ is made once as one
+    r x r matrix with G added into it. The block is in the field of the
+    problem. Raises ValueError on an overflow.
     """
-    R, M = problem.update
-    idx = window.idx
-    G = problem.base.defect_form.defect_matrix
-    if idx.size < len(G):
-        k = np.searchsorted(problem.base.window.idx, idx)
-        G = G[np.ix_(k, k)]
+    M = problem.update[1]
+    window, base_idx = problem.window, problem.base.window.idx
+    base = problem.base.defect_form
+    k = np.searchsorted(base_idx, window.idx) if window.idx.size < base_idx.size else None
     with np.errstate(over="ignore", invalid="ignore"):
-        Rh = R[:, idx] / window.sqrt_w
-        form = Rh.conj().T @ M @ Rh  # the one r x r result, in the field of R
-        form += G
-    return DefectReport.of(form, window)
+        Rh = _window_rows(problem)
+        if base.diagonal is None:
+            form = Rh.conj().T @ M @ Rh  # the one r x r result, in the field of R
+            form += base.block if k is None else base.block[np.ix_(k, k)]
+            return DefectReport.of(form, window)
+        d = base.diagonal if k is None else base.diagonal[k]
+        S = np.flatnonzero(Rh.any(axis=0))
+        Rh = Rh[:, S]
+        block = Rh.conj().T @ M @ Rh
+        block.flat[::S.size + 1] += d[S]
+    return DefectReport.of(block, window, d, S)
 
 
 def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
@@ -335,14 +391,13 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
     conditions; the oracle verdict thresholds the defect form of the
     perturbed operator over its whole safe window, read as the base form
     plus a rank-4 update. Condition (a) reads that form; the witness, gamma
-    and condition (b) read the update's rows. The two verdicts must agree;
-    both are reported.
+    and condition (b) read the update's rows, and the kernel residual the
+    base's defect row and the update. No T + u⊗v is built. The two verdicts
+    must agree; both are reported.
     """
-    space, tol = problem.space, problem.tol_defect
-    Ttilde = problem.perturbed()
-    window = Ttilde.window
-    oracle = _perturbed_defect_form(problem, window)
-    kernel_residual = kernel_condition_residual(Ttilde, problem.v)
+    space, tol, window = problem.space, problem.tol_defect, problem.window
+    oracle = _perturbed_defect_form(problem)
+    kernel_residual = kernel_condition_residual(problem)
 
     x = witness_vector(problem)
     if x is None:
@@ -357,7 +412,7 @@ def theorem_verdict(problem: PerturbationProblem) -> TheoremReport:
         # xhat is truncation-safe, so its window coordinates carry all of
         # the witness line; the stable kernel is the complement of v and xhat.
         c_x = window.sqrt_w * xhat[window.idx]
-        iia = condition_iia_residual(oracle.defect_matrix, c_x)
+        iia = condition_iia_residual(oracle, c_x)
         s_dim = window.idx.size - 2
         verdict_theorem = kernel_residual <= tol and iia <= tol and iib <= tol
 

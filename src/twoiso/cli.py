@@ -396,8 +396,11 @@ def search_dirichlet_alpha(
     q(1) over the whole grid at once and builds no operator. Only the points
     with |q(1)| <= tol are built, on one shift M_z that the first of them
     builds for the whole search, and confirmed against the oracle form on
-    the whole safe window, :func:`polarized_defect_form` (read off the
-    diagonal for a real shift). The unperturbed point alpha = 0 is skipped.
+    the whole safe window, :func:`polarized_defect_form` of the perturbed
+    shift. That form is dense: M_z + (alpha z^n)⊗1 is a real shift, whose
+    form is its diagonal, only for n = 1 and a real alpha, and the search
+    does not read the verdict's base-plus-update form on its support. The
+    unperturbed point alpha = 0 is skipped.
     Hits come in row-major order. An inverted range, a grid of more than
     ``MAX_SEARCH_POINTS`` points or a dimension above ``MAX_DIM`` is refused
     with a ValueError.

@@ -22,13 +22,14 @@ every x and e_i in the truncation-safe window: the span of the labels of
 total degree <= max_degree - 2 * degree_growth, which the operator keeps
 as its :attr:`Op.window`. On the window's orthonormal basis E (columns
 e_i / sqrt(w_i)) the form is the sum of three forward Gram products,
-E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). That one matrix is both the
-oracle and the source of the invariance condition of the decision
-procedure. The defect image that the kernel condition needs is read on the
-whole window, in O(dim^2). Four-term polarization of q is only the tests'
-referee (tests/helpers.py). The perturbed operator T + u⊗v is built by
-:func:`perturb`, which adds the rank-one part on the block supp u x supp v
-of a copy of T.
+E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). The base's form, with a
+rank-4 update, is both the oracle and the source of the invariance condition
+of the decision procedure (``analysis``). The defect image that the kernel
+condition needs is read on the whole window, in O(dim^2). Four-term
+polarization of q is only the tests' referee (tests/helpers.py). The
+perturbed operator T + u⊗v is built by :func:`perturb`, which adds the
+rank-one part on the block supp u x supp v of a copy of T; the verdict reads
+its growth (:func:`_rank_one_part`) and builds no such operator.
 
 An Op stores its matrix once, in the field of its entries: float64 when
 every imaginary part is exactly zero, complex otherwise. The forward products
@@ -48,7 +49,8 @@ degree, and whether it is a weighted shift, is read off its nonzeros.
 
 A real weighted shift, T e_j = a_j e_pi(j) with pi injective, needs no Gram
 product: T*T and T*^2 T^2 are diagonal (Agler-Stankus), so is the form, and
-it is read off the diagonal in O(dim^2 + r^2) against O(dim^2 r).
+it is read off the diagonal in O(dim^2 + r) against O(dim^2 r) and kept as
+that diagonal, with no r x r matrix (:class:`DefectReport`).
 """
 
 from __future__ import annotations
@@ -278,23 +280,13 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def perturb(T: Op, u, v) -> Op:
     """T + u⊗v, the operator x -> Tx + <x, v> u; errors on zero u or v.
 
-    The rank-one part u_i * w_j * conj(v_j) is added on the block
+    The rank-one part (:func:`_rank_one_part`) is added on the block
     supp u x supp v only, where all its nonzero entries lie, to the one copy
     of T's matrix, made in the field of the sum: complex only when the block
-    of the sum, or T outside it, has a nonzero imaginary part. The degree
-    growth is the max of T's and the growth scanned off that block, where a
-    product that underflows to zero counts as zero, as in a scan of the whole
-    rank-one matrix; it is None when T's is. The growth of a nonzero entry
-    is its row's degree minus its column's.
+    of the sum, or T outside it, has a nonzero imaginary part.
     """
-    space = T.space
-    u = space.check_vec(u)
-    v = space.check_vec(v)
-    su, sv = np.flatnonzero(u), np.flatnonzero(v)
-    if not (su.size and sv.size):
-        raise ValueError("not rank one: u and v must both be nonzero")
+    su, sv, block, growth = _rank_one_part(T, u, v)
     rows = su[:, None]
-    block = np.outer(u[su], space.weight_array[sv] * v[sv].conj())
     A = T.matrix
     part = A[rows, sv] + block
     complex_sum = bool(part.imag.any()) or (
@@ -302,12 +294,31 @@ def perturb(T: Op, u, v) -> Op:
     )
     mat = np.array(A, dtype=complex) if complex_sum else np.array(A.real, order="C")
     mat[rows, sv] = part if complex_sum else part.real
+    return Op(T.space, _Filled(mat), degree_growth=growth)
+
+
+def _rank_one_part(T: Op, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """supp u, supp v, the block u_i * w_j * conj(v_j) of u⊗v on
+    supp u x supp v, where all its nonzero entries lie, and the degree growth
+    of T + u⊗v; errors on zero u or v. The growth is the max of T's and the
+    growth scanned off the block, where a product that underflows to zero
+    counts as zero, as in a scan of the whole rank-one matrix; it is None
+    when T's is. The growth of a nonzero entry is its row's degree minus its
+    column's. :func:`perturb` and the window of a perturbation problem both
+    read the growth here, so the two windows are the same."""
+    space = T.space
+    u = space.check_vec(u)
+    v = space.check_vec(v)
+    su, sv = np.flatnonzero(u), np.flatnonzero(v)
+    if not (su.size and sv.size):
+        raise ValueError("not rank one: u and v must both be nonzero")
+    block = np.outer(u[su], space.weight_array[sv] * v[sv].conj())
     growth = T.degree_growth
     if growth is not None:
         degs = space.degrees
         i, j = _nonzeros(block)
         growth = max(growth, int(np.max(degs[su[i]] - degs[sv[j]], initial=0)))
-    return Op(space, _Filled(mat), degree_growth=growth)
+    return su, sv, block, growth
 
 
 # ---------------------------------------------------------------------------
@@ -363,37 +374,79 @@ def defect_quadratic(T: Op, x, idx=None):
 
 @dataclass(eq=False, frozen=True)
 class DefectReport:
-    """Defect form restricted to the safe window.
+    """Defect form G restricted to the safe window, ``G[l, j] = <D e_j, e_l>``
+    over the window's orthonormal basis. G is Hermitian up to round-off
+    because the defect operator is self-adjoint, real (float64) for a real
+    operator, and its size is the dimension of the window. ``max_residual``
+    is the largest |entry|.
 
-    ``defect_matrix[l, j] = <D e_j, e_l>`` over the window's orthonormal
-    basis, read-only since an operator caches its form; it is Hermitian up
-    to round-off because the defect operator is self-adjoint, real (float64)
-    for a real operator, and its size is the dimension of the window.
-    ``max_residual`` is the largest entry.
+    A dense form keeps G as ``block``. A form that vanishes off its diagonal
+    and off one block keeps its ``diagonal`` over the whole window, and
+    ``block`` is G on ``support`` x ``support``, ``support`` being sorted
+    positions in the window; every other entry is an exact zero. That is the
+    layout of a real weighted shift's form, with an empty support, and of the
+    form of T + u⊗v on such a base, whose support is where the rank-4 update
+    lives (``analysis``). The arrays are read-only, since an operator caches
+    its form.
     """
 
-    defect_matrix: np.ndarray
+    block: np.ndarray
     max_residual: float
+    diagonal: np.ndarray | None = None
+    support: np.ndarray | None = None
 
     @classmethod
-    def of(cls, mat: np.ndarray, window: Window) -> "DefectReport":
-        """Report ``mat``, the form on ``window``; raises TruncationError when
-        the window is empty and ValueError on an entry that overflowed. The
-        largest entry of a real matrix is read off its max and min, with no
+    def of(cls, block: np.ndarray, window: Window, diagonal=None, support=None) -> "DefectReport":
+        """Report the form on ``window`` kept as ``block``, or as ``diagonal``
+        with ``block`` on ``support``; raises TruncationError when the window
+        is empty and ValueError on an entry that overflowed. The largest
+        entry of a real form is read off its max and min, with no abs
         temporary; a NaN makes both NaN."""
         if not window.idx.size:
             raise TruncationError(
                 f"truncation too small: no labels of degree <= {window.cutoff}")
-        if mat.dtype.kind == "f":
-            max_residual = max(float(mat.max()), -float(mat.min()))
+        entries = block
+        if diagonal is not None:
+            rest = diagonal.copy()
+            rest[support] = 0.0  # G there is in the block
+            entries = np.concatenate((block.ravel(), rest))
+        if entries.dtype.kind == "f":
+            max_residual = max(float(entries.max()), -float(entries.min()))
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                max_residual = float(abs(mat).max())
+                max_residual = float(abs(entries).max())
         if not max_residual < np.inf:
             raise ValueError("the defect form overflows: the operator or the vectors "
                              "are too large for floating point")
+        for arr in (block, diagonal, support):
+            if arr is not None:
+                arr.setflags(write=False)
+        return cls(block, max_residual, diagonal, support)
+
+    @property
+    def defect_matrix(self) -> np.ndarray:
+        """G as an r x r matrix, read-only: ``block`` for a dense form, and
+        for a diagonal one a matrix built on each call, for the tests; no
+        library path reads it."""
+        if self.diagonal is None:
+            return self.block
+        mat = np.diag(self.diagonal).astype(np.result_type(self.diagonal, self.block))
+        mat[np.ix_(self.support, self.support)] = self.block
         mat.setflags(write=False)
-        return cls(defect_matrix=mat, max_residual=max_residual)
+        return mat
+
+    def image(self, c: np.ndarray) -> np.ndarray:
+        """G c for window coordinates c: one product with ``block`` for a
+        dense form, and O(r + |support|^2) for a diagonal one, whose entries
+        off the support are d_i c_i. A real G multiplies a complex c through
+        its float view, with no complex copy of G."""
+        if self.diagonal is None:
+            return _matmul(self.block, c)
+        s = self.support
+        out = np.multiply(self.diagonal, c, dtype=np.result_type(self.diagonal, self.block, c))
+        if s.size:
+            out[s] = _matmul(self.block, c[s])
+        return out
 
 
 def polarized_defect_form(T: Op) -> DefectReport:
@@ -408,7 +461,8 @@ def polarized_defect_form(T: Op) -> DefectReport:
     shift: distinct columns of TE and of T^2 E have disjoint supports, every
     off-diagonal term is an exact zero, and the diagonal, computed with the
     dense path's operations in its order, has the same bits. One scan of the
-    nonzeros certifies that. A complex matrix keeps the dense path.
+    nonzeros certifies that, and the report keeps the diagonal alone. A
+    complex matrix keeps the dense path.
     """
     window = T.window
     idx = window.idx
@@ -432,7 +486,7 @@ def polarized_defect_form(T: Op) -> DefectReport:
             d = -2.0 * ((f * w[p, 0]) * f)
             d += (g * w[to[p], 0]) * g
             d += w[idx, 0] * scale * scale
-            return DefectReport.of(np.diag(d), window)
+            return DefectReport.of(np.zeros((0, 0)), window, d, np.zeros(0, int))
         fwd = np.take(A, idx, axis=1) * scale
         buf = np.conjugate(fwd)
         buf *= w
@@ -451,6 +505,11 @@ def defect_apply_in_window(T: Op, x) -> np.ndarray:
     <D x, e_i> / w_i at each window label i, from one :func:`defect_quadratic`
     call over the whole window. x must be truncation-safe; then the result is
     the untruncated D x projected onto the window.
+
+    No library path calls it: the verdict's kernel residual reads the base's
+    image plus the rank-4 update and builds no T + u⊗v. It stays as the
+    tests' referee of that image on T + u⊗v itself, and as a function that
+    the benchmark traces by name.
     """
     window = T.window
     window.require(x)

@@ -202,6 +202,16 @@ def _dirichlet_z_reversed_labels() -> PerturbationProblem:
     return _reversed_labels(PerturbationProblem(base=T, u=-z2, v=z))
 
 
+def _identity_underflow() -> PerturbationProblem:
+    """The identity on Dirichlet N = 8, growth 0, with u = 1e-200 z^5 + z and
+    v = 1e-200 + z^4: the entry u_5 w_0 conj(v_0) of u⊗v underflows to 0, so
+    T + u⊗v grows degree by 1, not by 5, and its window is degree <= 6."""
+    space = dirichlet_shift(8).space
+    u = 1e-200 * space.basis_vector(5) + space.basis_vector(1)
+    v = 1e-200 * space.basis_vector(0) + space.basis_vector(4)
+    return PerturbationProblem(Op(space, np.eye(space.dim), degree_growth=0), u, v)
+
+
 def _non_2_isometric_base() -> PerturbationProblem:
     """A seeded random operator on weighted C^5, far from a 2-isometry, so
     that the base form is not zero."""
@@ -245,6 +255,7 @@ CASES: dict[str, Case] = {
        for N in (12, 40)},
     "dirichlet-12-z3-reversed-labels": Case(_dirichlet_z3_reversed_labels, "real", "I", _FALSE),
     "dirichlet-12-z-reversed-labels": Case(_dirichlet_z_reversed_labels, "real", "II", _TRUE),
+    "dirichlet-8-identity-underflow": Case(_identity_underflow, "real", "I", _FALSE),
     # Degree growth 3: D 1 reaches degree <= 6 of a window of degree <= 18.
     "dirichlet-24-cubic": Case(_dirichlet(24, 1j, 0.0, 0.3), "complex", "I", _FALSE),
     "dirichlet-24-cubic-v-mass-above-band": Case(_dirichlet_cubic_v_mass_above_band, "complex",

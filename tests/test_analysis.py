@@ -37,7 +37,6 @@ from twoiso.function_spaces import (
     PolyCoeffs,
     bidisc_example_problem,
     bidisc_shift,
-    constant_perturbed_dirichlet,
     dirichlet_perturbation_problem,
     dirichlet_shift,
 )
@@ -54,6 +53,7 @@ from helpers import (
     brute_force_adjoint,
     complex_path_oracle,
     defect_image_by_entries,
+    dense_perturbed_form,
     exact_kernel_image,
     exact_sqrt,
     identity,
@@ -504,10 +504,11 @@ def test_condition_iia_matches_polarization_referee(case):
     witness = float(np.linalg.norm(img - np.vdot(c_x, img) * c_x))
     # cond_iia_residual is the witness-line residual, read off the Gram G;
     # the block on the stable kernel is the test helper's referee.
-    G = polarized_defect_form(Tt).defect_matrix
+    form = polarized_defect_form(Tt)
+    G = form.defect_matrix
     tol = 1e-12 * max(1.0, float(np.linalg.norm(G, 2)))
     assert abs(block_norm - stable_kernel_block_residual(G, Q)) <= tol
-    assert abs(witness - condition_iia_residual(G, c_x)) <= tol
+    assert abs(witness - condition_iia_residual(form, c_x)) <= tol
     assert abs(witness - report.cond_iia_residual) <= tol
 
 
@@ -591,19 +592,20 @@ def test_witness_line_verdicts_match_the_block_formulation(family, seed, trials)
     "dirichlet-24-cubic", "dirichlet-24-cubic-v-mass-above-band", "dirichlet-24-iz",
     "dirichlet-n0-alpha-1e50", "weighted-c6-false", "weighted-c6-true"])
 def test_kernel_residual_matches_entrywise_polarization(case):
-    # One defect row read over the whole window against the scalar referee,
-    # which polarizes one window entry at a time.
+    # The base's defect row plus the rank-4 update, read over the whole window,
+    # against the scalar referee, which polarizes one window entry of
+    # T + u⊗v at a time.
     problem = cases.problem(case)
     Tt = problem.perturbed()
     image = defect_image_by_entries(Tt, problem.v)
     referee = problem.space.norm(image)
-    value = kernel_condition_residual(Tt, problem.v)
+    value = kernel_condition_residual(problem)
     assert abs(value - referee) <= 1e-12 * max(1.0, referee)
     batched = defect_apply_in_window(Tt, problem.v)
     assert problem.space.norm(batched - image) <= 1e-12 * max(1.0, referee)
-    # The same residual off the oracle's G: for a truncation-safe v with
-    # window coordinates c_v, E^H W D v = G c_v. Its norm is taken after the
-    # power-of-two scaling of the library's norms, so 1e200 stays finite.
+    # The same residual off the direct build of G~: for a truncation-safe v
+    # with window coordinates c_v, E^H W D v = G c_v. Its norm is taken after
+    # the power-of-two scaling of the library's norms, so 1e200 stays finite.
     idx = Tt.window.idx
     c_v = np.sqrt(problem.space.weight_array[idx]) * problem.v[idx]
     g_image = polarized_defect_form(Tt).defect_matrix @ c_v
@@ -616,39 +618,45 @@ def test_kernel_residual_matches_entrywise_polarization(case):
                                   "dirichlet-24-cubic-v-mass-above-band",
                                   "bidisc-8-off-example", "weighted-c4"])
 def test_kernel_residual_is_one_window_call(monkeypatch, case):
-    # One defect_quadratic call, whose labels are the whole safe window.
+    # One defect_quadratic call, on the base, whose labels are the whole
+    # window of T + u⊗v.
     if case == "weighted-c4":
         rng = np.random.default_rng(71)
         space = make_coordinate_space(4, weights=tuple(rng.uniform(0.5, 3.0, size=4)))
-        Tt, v = Op.from_exact_matrix(space, random_unitary(4, rng)), random_vec(space, rng)
+        T = Op.from_exact_matrix(space, random_unitary(4, rng))
+        problem = stage_problem(T, random_vec(space, rng), random_vec(space, rng))
     else:
         problem = cases.problem(case)
-        Tt, v = problem.perturbed(), problem.v
     calls = []
 
     def recording(T, x, idx=None):
-        calls.append(idx)
+        calls.append((T, idx))
         return defect_quadratic(T, x, idx)
 
-    monkeypatch.setattr(operators, "defect_quadratic", recording)
-    kernel_condition_residual(Tt, v)
+    monkeypatch.setattr(analysis, "defect_quadratic", recording)
+    kernel_condition_residual(problem)
     assert len(calls) == 1
-    assert np.array_equal(calls[0], Tt.window.idx)
+    assert calls[0][0] is problem.base
+    assert np.array_equal(calls[0][1], problem.window.idx)
 
 
 @pytest.mark.parametrize("case", ["dirichlet-12", "bidisc-6"])
 def test_one_verdict_builds_each_operators_window_once(monkeypatch, case):
-    # The base builds its window when the problem validates it, T + u⊗v when
-    # the verdict reads it; the form, the kernel residual, the witness and
-    # the slice of the base form all read the cached windows.
-    built = []
-    build = operators.safe_subspace
+    # The base builds its window through safe_subspace when the problem
+    # validates it, and the problem builds the window of T + u⊗v from the
+    # growth when the verdict reads it; no T + u⊗v and so no window of it is
+    # built. The form, the kernel residual and the witness read the cached
+    # windows.
+    built, windows = [], []
+    build, init = operators.safe_subspace, operators.Window.__init__
     monkeypatch.setattr(operators, "safe_subspace", lambda T: built.append(T) or build(T))
+    monkeypatch.setattr(operators.Window, "__init__",
+                        lambda self, *args: windows.append(self) or init(self, *args))
     problem = cases.problem(case)
     report = theorem_verdict(problem)
-    assert len(built) == 2
-    assert built[0] is problem.base and built[1] is not problem.base
-    assert report.safe_dim == built[1].window.idx.size
+    assert built == [problem.base]
+    assert windows == [problem.base.window, problem.window]
+    assert report.safe_dim == problem.window.idx.size
 
 
 def test_verdict_refuses_an_empty_perturbed_window():
@@ -674,15 +682,19 @@ _EXACT_GAP = 4  # multiples of eps * scale; the worst case reads 0.79
 
 @pytest.mark.parametrize("case", _EXACT_CASES)
 def test_kernel_residual_matches_the_exact_rational_image(case):
-    # The kernel image of the stored floats in exact rational arithmetic: an
-    # entry that is exactly zero is read as exactly zero, each entry is within
-    # _EXACT_GAP eps of its own scale, the entry of the image of |T| and |v|
-    # with the three terms added, and the residual is within _EXACT_GAP eps
-    # of the norm of that scale.
+    # The kernel image of the stored floats of T + u⊗v in exact rational
+    # arithmetic: an entry that is exactly zero is read as exactly zero, each
+    # entry is within _EXACT_GAP eps of its own scale, the entry of the image
+    # of |T + u⊗v| and |v| with the three terms added, and the norm is within
+    # _EXACT_GAP eps of the norm of that scale. The verdict's kernel residual
+    # reads the base's row plus the rank-4 update, so its referee is the image
+    # of the problem's own floats, T + u⊗v added exactly: within the same gap,
+    # and exactly zero where that image is.
     if case == _SMALL_ENTRY:
         shift = dirichlet_shift(24)
         Tt = Op(shift.space, 2.0 * shift.matrix, degree_growth=1)
         v = shift.space.basis_vector(0) + 1e-14 * shift.space.monomial((10,))
+        problem = None
     else:
         problem = cases.problem(case)
         Tt, v = problem.perturbed(), problem.v
@@ -701,7 +713,15 @@ def test_kernel_residual_matches_the_exact_rational_image(case):
         return exact_sqrt(sum((value * value / w for value, w in zip(values, weights)),
                               Fraction(0)))
 
-    value = kernel_condition_residual(Tt, v)
+    value = Tt.space.norm(defect_apply_in_window(Tt, v))
+    assert abs(value - norm(exact)) <= _EXACT_GAP * np.finfo(float).eps * norm(scales)
+    assert (value == 0) == (not any(exact))
+    if problem is None:
+        return
+    assert np.array_equal(problem.window.idx, idx)
+    exact = exact_kernel_image(problem.base, v, u=problem.u, idx=idx)
+    scales = exact_kernel_image(problem.base, v, absolute=True, u=problem.u, idx=idx)
+    value = kernel_condition_residual(problem)
     assert abs(value - norm(exact)) <= _EXACT_GAP * np.finfo(float).eps * norm(scales)
     assert (value == 0) == (not any(exact))
 
@@ -722,24 +742,20 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_kernel_residual_peak_memory_within_the_oracle_form():
-    # The kernel residual reads one defect row of length dim, not a block of
-    # the window. The yardstick is the dense real form.
+    # The kernel residual reads one defect row of length dim and the update's
+    # five rows, not a block of the window. The yardstick is the dense real
+    # form.
     problem = cases.problem("bidisc-18-dense")
-    Tt = problem.perturbed()
-    kernel = _traced_peak(kernel_condition_residual, Tt, problem.v)
-    assert kernel <= _traced_peak(polarized_defect_form, Tt)
+    kernel = _traced_peak(kernel_condition_residual, problem)
+    assert kernel <= _traced_peak(polarized_defect_form, problem.perturbed())
 
 
 def test_kernel_condition_residuals():
-    assert kernel_condition_residual(
-        cases.problem("bidisc-6").perturbed(), cases.problem("bidisc-6").v
-    ) <= 1e-12
-    problem = cases.problem("c2-swap")
-    assert kernel_condition_residual(problem.perturbed(), problem.v) <= 1e-14
-
-    op = constant_perturbed_dirichlet(10, 1.0)
-    one = op.space.basis_vector(0)
-    assert kernel_condition_residual(op, one) >= 0.9
+    assert kernel_condition_residual(cases.problem("bidisc-6")) <= 1e-12
+    assert kernel_condition_residual(cases.problem("c2-swap")) <= 1e-14
+    shift = dirichlet_shift(10)
+    one = shift.space.basis_vector(0)
+    assert kernel_condition_residual(PerturbationProblem(shift, one, one)) >= 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +857,51 @@ def test_verdict_makes_no_apply_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verdict_builds_no_perturbed_operator(monkeypatch):
+    # The window of T + u⊗v comes from the growth, the oracle and condition
+    # (a) from the base form and the update's rows, and the kernel residual
+    # from the base's defect row: a verdict calls no perturb and constructs
+    # no Op.
+    problems = [cases.problem(name) for name in (*cases.LADDER, "c2-swap", "weighted-c6-false",
+                                                 "dirichlet-24-complex-p", "bidisc-18-dense")]
+    perturbs, ops = [], []
+    real, init = operators.perturb, Op.__post_init__
+    for module in (operators, analysis):
+        monkeypatch.setattr(module, "perturb", lambda *args: perturbs.append(args) or real(*args))
+    monkeypatch.setattr(Op, "__post_init__", lambda self: ops.append(self) or init(self))
+    for problem in problems:
+        theorem_verdict(problem)
+    assert perturbs == [] and ops == []
+    problems[0].perturbed()
+    assert len(perturbs) == len(ops) == 1
+
+
+@pytest.mark.parametrize("case", cases.LADDER)
+def test_ladder_update_lives_on_one_or_two_labels(case):
+    # M_z - 2z⊗1 with v = 1 moves the form at the constant alone; the bidisc
+    # example M_z1 + (-z1^2 + z2)⊗z1 at 1 and z1.
+    form = analysis._perturbed_defect_form(cases.problem(case))
+    assert form.diagonal is not None
+    assert form.support.size == (1 if case.startswith("dirichlet") else 2)
+    assert form.block.shape == (form.support.size,) * 2
+
+
+@pytest.mark.parametrize("case", [name for name in cases.CASES
+                                  if cases.CASES[name].verdicts is not None])
+def test_oracle_defect_is_the_largest_entry_of_the_dense_form(case):
+    # The dense build of G~ is the referee of the support path: the report's
+    # oracle_defect is its largest entry within 4 ulp, and the form that the
+    # verdict reads, built as a dense matrix for this check, is that matrix.
+    problem = cases.problem(case)
+    report = theorem_verdict(problem)
+    dense = dense_perturbed_form(problem)
+    largest = float(np.abs(dense).max())
+    assert abs(report.oracle_defect - largest) <= 4 * np.spacing(largest)
+    form = analysis._perturbed_defect_form(problem)
+    assert form.defect_matrix.dtype == dense.dtype
+    assert float(np.abs(form.defect_matrix - dense).max()) <= 4 * np.spacing(largest)
+
+
 def test_update_rows_are_built_once_per_problem_and_read_only(monkeypatch):
     builds = []
     build = PerturbationProblem.__dict__["update"].func
@@ -915,33 +976,33 @@ def test_problem_is_frozen_so_its_base_form_stays_the_bases():
 
 
 def test_oracle_update_peak_memory_below_the_direct_build():
-    # The update allocates r x r and (5, r) arrays; the direct dense build
-    # holds two (dim, r) buffers as well. A real A enters the update's rows
-    # through real products, with no complex dim x dim copy.
+    # On a dense base the update allocates r x r and (5, r) arrays; the
+    # direct dense build holds two (dim, r) buffers as well. A real A enters
+    # the update's rows through real products, with no complex dim x dim copy.
     problem = cases.problem("bidisc-18-dense")
-    Tt = problem.perturbed()
-    update = _traced_peak(analysis._perturbed_defect_form, problem, Tt.window)
-    assert update < _traced_peak(polarized_defect_form, Tt)
+    update = _traced_peak(analysis._perturbed_defect_form, problem)
+    assert update < _traced_peak(polarized_defect_form, problem.perturbed())
 
 
 def test_base_form_and_verdict_peak_at_one_and_two_window_matrices_at_dirichlet_400():
-    # The shift's base form is one r x r matrix, and the verdict holds T + u⊗v
-    # and the oracle form, made once and in float64 for this real problem. An
-    # abs temporary in the report and a complex oracle built as a sum peaked
-    # at 2.0 and 4.1 window matrices. The same at MAX_DIM, with the complex
-    # verdict (p = (e^{i pi/3} - 1) z) within 5.5; there the kernel residual
-    # of each reads one defect row, within 0.05 window matrices.
+    # The shift's base form is its diagonal: the scan of its nonzeros holds a
+    # boolean dim x dim mask, 1/8 of an r x r float64 matrix (it kept the
+    # r x r matrix, within 1.1, before). The verdict, real or complex
+    # (p = (e^{i pi/3} - 1) z), builds no T + u⊗v and no r x r matrix: the
+    # oracle is the |S| x |S| block and the update's rows (within 2.2 and
+    # 5.5 before). The same at MAX_DIM; there the kernel residual of each
+    # reads one defect row, within 0.05 window matrices.
     for N in (400, 1999):
         T = dirichlet_shift(N)
         window = 8 * (N - 1) ** 2
         one = T.space.basis_vector(0)
-        assert _traced_peak(lambda: T.defect_form) <= 1.1 * window
+        assert _traced_peak(lambda: T.defect_form) <= 0.25 * window
         problems = [PerturbationProblem(T, p * T.space.basis_vector(1), one)
                     for p in (-2.0, np.exp(1j * np.pi / 3) - 1)]
-        for problem, bound in zip(problems, (2.2, 5.5)):
-            assert _traced_peak(theorem_verdict, problem) <= bound * window
+        for problem in problems:
+            assert _traced_peak(theorem_verdict, problem) <= 0.25 * window
     for problem in problems:
-        assert _traced_peak(kernel_condition_residual, problem.perturbed(), one) <= 0.05 * window
+        assert _traced_peak(kernel_condition_residual, problem) <= 0.05 * window
 
 
 # ---------------------------------------------------------------------------
@@ -949,14 +1010,14 @@ def test_base_form_and_verdict_peak_at_one_and_two_window_matrices_at_dirichlet_
 
 
 def _verdict_forms(monkeypatch) -> list:
-    """Collects (problem, window, oracle matrix) of every verdict run after
-    the call."""
+    """Collects (problem, window labels, oracle form) of every verdict run
+    after the call."""
     seen = []
     form = analysis._perturbed_defect_form
 
-    def kept(problem, window):
-        report = form(problem, window)
-        seen.append((problem, window.idx, report.defect_matrix))
+    def kept(problem):
+        report = form(problem)
+        seen.append((problem, problem.window.idx, report))
         return report
 
     monkeypatch.setattr(analysis, "_perturbed_defect_form", kept)
@@ -987,7 +1048,7 @@ def test_real_problems_build_rows_and_oracle_in_float64(monkeypatch, capsys):
     assert len(seen) == len(fields)
     for (problem, _, G), field in zip(seen, fields):
         R, M = problem.update
-        assert R.dtype == M.dtype == G.dtype == cases.DTYPES[field]
+        assert R.dtype == M.dtype == G.block.dtype == cases.DTYPES[field]
 
 
 def test_real_oracle_matches_the_complex_path(monkeypatch, capsys):
@@ -998,7 +1059,7 @@ def test_real_oracle_matches_the_complex_path(monkeypatch, capsys):
     for problem, idx, G in seen:
         referee = complex_path_oracle(problem, idx)
         scale = max(1.0, float(np.abs(referee).max()))
-        assert float(np.abs(G - referee).max()) <= 1e-15 * scale
+        assert float(np.abs(G.defect_matrix - referee).max()) <= 1e-15 * scale
 
 
 def test_complex_u_or_base_keeps_complex_rows_and_oracle(monkeypatch):
@@ -1015,9 +1076,10 @@ def test_complex_u_or_base_keeps_complex_rows_and_oracle(monkeypatch):
     assert [p.base.matrix.dtype for p, _, _ in seen] == [np.float64, np.complex128]
     for problem, idx, G in seen:
         R, M = problem.update
-        assert R.dtype == M.dtype == G.dtype == np.complex128
+        assert R.dtype == M.dtype == G.block.dtype == np.complex128
         referee = complex_path_oracle(problem, idx)
-        assert float(np.abs(G - referee).max()) <= 1e-15 * max(1.0, float(np.abs(referee).max()))
+        scale = max(1.0, float(np.abs(referee).max()))
+        assert float(np.abs(G.defect_matrix - referee).max()) <= 1e-15 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -1107,13 +1169,13 @@ def test_oracle_update_overflows_with_the_direct_build(case):
         problem = cases.problem(case)
         Tt = problem.perturbed()
         if cases.CASES[case].verdicts is None:
-            for form in (lambda: analysis._perturbed_defect_form(problem, Tt.window),
+            for form in (lambda: analysis._perturbed_defect_form(problem),
                          lambda: polarized_defect_form(Tt)):
                 with pytest.raises(ValueError, match="the defect form overflows"):
                     form()
             return
         direct = polarized_defect_form(Tt)
-        update = analysis._perturbed_defect_form(problem, Tt.window)
+        update = analysis._perturbed_defect_form(problem)
     slack = 1e-13 * direct.max_residual
     assert float(np.max(np.abs(update.defect_matrix - direct.defect_matrix))) <= slack
     assert abs(update.max_residual - direct.max_residual) <= slack

@@ -26,6 +26,20 @@ def test_declared_field_branch_and_verdicts_hold(name):
     assert (report.verdict_theorem, report.verdict_oracle) == case.verdicts
 
 
+@pytest.mark.parametrize("name", list(cases.CASES))
+def test_problem_window_is_the_window_of_the_perturbed_operator(name):
+    # The problem reads the window of T + u⊗v off the growth without building
+    # the operator; dirichlet-8-identity-underflow pins the rule that a
+    # product u_i w_j conj(v_j) that underflows to 0 grows no degree.
+    problem = cases.problem(name)
+    window = problem.perturbed().window
+    assert problem.window.cutoff == window.cutoff
+    assert np.array_equal(problem.window.idx, window.idx)
+    assert np.array_equal(problem.window.sqrt_w, window.sqrt_w)
+    if name == "dirichlet-8-identity-underflow":
+        assert problem.window.cutoff == 6
+
+
 def test_perturbed_v_cases_stay_within_round_off():
     # ||v|| = 1 + 5e-13 is not renormalized, and the 1e-14 of v above the
     # window is within the round-off that Op.window.contains forgives.

@@ -329,6 +329,30 @@ def test_defect_form_is_cached_and_read_only():
         report.max_residual = 0.0
 
 
+def test_shift_form_keeps_its_diagonal():
+    # A real weighted shift's report keeps the diagonal alone, read-only; its
+    # matrix is built on each call, for the tests, and G c is read off the
+    # diagonal. A dense report keeps its matrix as its block.
+    op = dirichlet_shift(12)
+    report = op.defect_form
+    assert report.block.shape == (0, 0) and report.support.size == 0
+    assert report.diagonal.shape == op.window.idx.shape
+    with pytest.raises(ValueError, match="read-only"):
+        report.diagonal[0] = 1.0
+    G = report.defect_matrix
+    assert G is not report.defect_matrix
+    assert np.array_equal(G, np.diag(report.diagonal))
+    with pytest.raises(ValueError, match="read-only"):
+        G[0, 0] = 1.0
+    rng = np.random.default_rng(84)
+    c = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
+    assert np.array_equal(report.image(c), report.diagonal * c)
+    dense = polarized_defect_form(_unitary_c5())
+    assert dense.diagonal is None and dense.defect_matrix is dense.block
+    c = c[:5]
+    assert np.allclose(dense.image(c), dense.block @ c, rtol=1e-15, atol=1e-15)
+
+
 def test_defect_quadratic_constant_perturbation():
     # brute-force expansion: 1 - 2(|a|^2 + 2) + (|a|^4 + 2|a|^2 + 3) = |a|^4
     for alpha in (1.0, 0.5 + 0.5j, -2.0, 3j):
