@@ -65,6 +65,7 @@ from .operators import (
     DefectReport,
     Op,
     Window,
+    _in_field,
     _matmul,
     _rank_one_part,
     defect_quadratic,
@@ -131,9 +132,10 @@ class PerturbationProblem:
 
     The pair (u, v) is rescaled at construction to (||v|| u, v / ||v||), so
     that ||v|| = 1 without changing u⊗v; ``v_was_normalized`` records whether
-    that happened (||v|| off 1 by more than ``ROUNDOFF_RTOL``). Both
-    tolerances must be finite and positive real numbers, not booleans, and
-    are stored as floats. The base operator is validated to be a 2-isometry
+    that happened (||v|| off 1 by more than ``ROUNDOFF_RTOL``). u and v are
+    kept in the field of their entries, as ``Op.matrix`` is. Both tolerances
+    must be finite and positive real numbers, not booleans, and are stored
+    as floats. The base operator is validated to be a 2-isometry
     at truncation scale via ``base.defect_form``, built once per base, on
     its safe window (override with ``allow_non_2_isometric_base`` for
     exploratory use). A non-finite or zero u or v raises ValueError, and so
@@ -167,10 +169,10 @@ class PerturbationProblem:
                 raise ValueError(f"{name} must be finite and positive, got {tol!r}")
             object.__setattr__(self, name, val)
         space = self.base.space
-        u = space.check_vec(self.u)
-        v = space.check_vec(self.v)
+        u, v = space.check_vec(self.u), space.check_vec(self.v)
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError("u and v must be finite")
+        u, v = _in_field(u), _in_field(v)
         if not (np.any(u) and np.any(v)):
             raise ValueError("not rank one: u and v must both be nonzero")
         nv = space.norm(v)
@@ -208,11 +210,10 @@ class PerturbationProblem:
     @cached_property
     def window(self) -> Window:
         """The truncation-safe window of T + u⊗v, built once without the
-        operator: its cutoff is max_degree - 2 * growth, with the growth that
-        :func:`operators.perturb` reads (``operators._rank_one_part``), so
-        it is ``perturbed().window``."""
-        growth = _rank_one_part(self.base, self.u, self.v)[3]
-        return Window(self.space, self.space.max_degree - 2 * growth)
+        operator from the growth that :func:`operators.perturb` reads off the
+        supports of u and v (``operators._rank_one_part``), so it is
+        ``perturbed().window``."""
+        return Window(self.space, _rank_one_part(self.base, self.u, self.v)[2])
 
     @cached_property
     def update(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,15 +223,11 @@ class PerturbationProblem:
         A row times a vector is an inner product, c x = <x, v>, b x = <Tx, v>,
         p x = <Tx, u>, s x = <T^2 x, u>. Overflow is left to the readers.
 
-        R and M are in the field of the problem: float64 when A is real and
-        u and v have no nonzero imaginary part, complex otherwise; the oracle
-        and condition (a) follow them.
+        R and M are in the field of the problem, which follows A, u and v,
+        each kept in the field of its entries: float64 when all three are
+        real, complex otherwise; the oracle and condition (a) follow them.
         """
-        A = self.base.matrix
-        w = self.space.weight_array
-        u, v = self.u, self.v
-        if A.dtype == np.float64 and not (u.imag.any() or v.imag.any()):
-            u, v = u.real, v.real
+        A, w, u, v = self.base.matrix, self.space.weight_array, self.u, self.v
         with np.errstate(over="ignore", invalid="ignore"):
             y = _matmul(A, u) + np.vdot(v, w * u) * u
             vuy = np.array([v, u, y])
@@ -332,8 +329,8 @@ def kernel_condition_residual(problem: PerturbationProblem) -> float:
     M = problem.update[1]
     img = defect_quadratic(problem.base, v, window.idx)
     with np.errstate(over="ignore", invalid="ignore"):
-        Rh = _window_rows(problem)  # real only when v is
-        c_v = window.sqrt_w * (v if Rh.dtype.kind == "c" else v.real)[window.idx]
+        Rh = _window_rows(problem)
+        c_v = window.sqrt_w * v[window.idx]
         img += Rh.conj().T @ (M @ (Rh @ c_v))
     if not np.isfinite(img).all():
         raise ValueError(

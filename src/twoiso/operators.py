@@ -18,18 +18,20 @@ evaluates the quadratic defect
 or the defect image <D x, e_i> = <x, e_i> - 2 <Tx, Te_i> + <T^2 x, T^2 e_i>
 on a set of labels i, from forward images only: the image is read off one
 row conj(Wx) - 2 conj(W Tx) A + (conj(W T^2 x) A) A. Both are exact for
-every x and e_i in the truncation-safe window: the span of the labels of
-total degree <= max_degree - 2 * degree_growth, which the operator keeps
-as its :attr:`Op.window`. On the window's orthonormal basis E (columns
-e_i / sqrt(w_i)) the form is the sum of three forward Gram products,
-E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). The base's form, with a
-rank-4 update, is both the oracle and the source of the invariance condition
-of the decision procedure (``analysis``). The defect image that the kernel
-condition needs is read on the whole window, in O(dim^2). Four-term
-polarization of q is only the tests' referee (tests/helpers.py). The
-perturbed operator T + u⊗v is built by :func:`perturb`, which adds the
-rank-one part on the block supp u x supp v of a copy of T; the verdict reads
-its growth (:func:`_rank_one_part`) and builds no such operator.
+every x and e_i in the truncation-safe window (:class:`Window`): the span
+of the labels of total degree <= max_degree - 2 * degree_growth, which the
+operator keeps as its :attr:`Op.window`. On the window's orthonormal basis
+E (columns e_i / sqrt(w_i)) the form is the sum of three forward Gram
+products, E^H W E - 2 (TE)^H W (TE) + (T^2 E)^H W (T^2 E). The base's
+form, with a rank-4 update, is both the oracle and the source of the
+invariance condition of the decision procedure (``analysis``). The defect
+image that the kernel condition needs is read on the whole window, in
+O(dim^2). Four-term polarization of q is only the tests' referee
+(tests/helpers.py). The perturbed operator T + u⊗v is built by
+:func:`perturb`, which adds the rank-one part on the block supp u x supp v
+of a copy of T; its growth is read off the supports, with no block
+(:func:`_rank_one_part`), and the verdict reads it and builds no such
+operator.
 
 An Op stores its matrix once, in the field of its entries: float64 when
 every imaginary part is exactly zero, complex otherwise. The forward products
@@ -38,14 +40,15 @@ perturbations have real matrices: their form is real, T E and its two Gram
 products are real products, and one helper multiplies them with a complex
 vector, block or rows (of q and the image, of :func:`apply`, of the oracle
 update) in one real product, through the float view of the columns or with
-the re rows stacked over the im rows. A matrix with any
-nonzero imaginary part keeps complex products. The rule extends to the
-problem: a real matrix with u and v free of imaginary parts builds the oracle
+the re rows stacked over the im rows. A matrix with any nonzero imaginary
+part keeps complex products. The rule extends to the problem, which keeps u
+and v in their field: a real matrix with real u and v builds the oracle
 update's rows, the oracle and condition (a) in float64, and a real form's
-largest entry is read without an abs temporary. The library builders hand the
-array they filled to the Op they build; a caller's array is copied once, into
-its field, and never kept or frozen in place. How far a matrix raises or lowers
-degree, and whether it is a weighted shift, is read off its nonzeros.
+largest entry is read without an abs temporary. The library builders hand
+the array they filled to the Op they build; a caller's array is copied once,
+into its field, and never kept or frozen in place. How far a matrix raises
+or lowers degree, and whether it is a weighted shift, is read off its
+nonzeros.
 
 A real weighted shift, T e_j = a_j e_pi(j) with pi injective, needs no Gram
 product: T*T and T*^2 T^2 are diagonal (Agler-Stankus), so is the form, and
@@ -172,18 +175,23 @@ class Op:
 
 
 class Window:
-    """The truncation-safe window of an operator T: the labels of total degree
-    <= ``cutoff`` = max_degree - 2 * degree_growth, on which T and T^2 are
-    exact. ``idx`` holds them sorted and ``sqrt_w`` = sqrt(w[idx]), both
-    read-only, so the window coordinates E^H W x of a vector x are
-    ``sqrt_w * x[idx]``. The window may be empty; a defect form on it is
-    refused (:meth:`DefectReport.of`). A plain class, as :class:`_Filled`."""
+    """The truncation-safe window of an operator T on ``space`` of degree
+    growth ``growth``: the labels of total degree <= ``cutoff`` = max_degree
+    - 2 * growth, on which T and T^2 are exact; a growth of None (unbounded)
+    raises TruncationError. ``idx`` holds them sorted and ``sqrt_w`` =
+    sqrt(w[idx]), both read-only, so the window coordinates E^H W x of a
+    vector x are ``sqrt_w * x[idx]``. The window may be empty; a defect form
+    on it is refused (:meth:`DefectReport.of`). A plain class, as
+    :class:`_Filled`."""
 
     __slots__ = ("space", "cutoff", "idx", "sqrt_w")
 
-    def __init__(self, space: WeightedSpace, cutoff: int):
-        self.space, self.cutoff = space, cutoff
-        self.idx = np.flatnonzero(space.degrees <= cutoff)
+    def __init__(self, space: WeightedSpace, growth: int | None):
+        if growth is None:
+            raise TruncationError("operator has unknown (unbounded) degree growth; "
+                                  "certify a bound before asking for truncation safety")
+        self.space, self.cutoff = space, space.max_degree - 2 * growth
+        self.idx = np.flatnonzero(space.degrees <= self.cutoff)
         self.sqrt_w = np.sqrt(space.weight_array[self.idx])
         self.idx.setflags(write=False)
         self.sqrt_w.setflags(write=False)
@@ -206,15 +214,10 @@ class Window:
 
 
 def safe_subspace(T: Op) -> Window:
-    """Build T's window, which :attr:`Op.window` keeps; raises TruncationError
-    when T has unknown (unbounded) degree growth. A function of its own, which
-    :attr:`Op.window` looks up at call time, since perfbench traces it."""
-    if T.degree_growth is None:
-        raise TruncationError(
-            "operator has unknown (unbounded) degree growth; "
-            "certify a bound before asking for truncation safety"
-        )
-    return Window(T.space, T.space.max_degree - 2 * T.degree_growth)
+    """``Window(T.space, T.degree_growth)``, which :attr:`Op.window` keeps. A
+    function of its own, which :attr:`Op.window` looks up at call time,
+    since perfbench traces it."""
+    return Window(T.space, T.degree_growth)
 
 
 class _Filled:
@@ -280,45 +283,42 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def perturb(T: Op, u, v) -> Op:
     """T + u⊗v, the operator x -> Tx + <x, v> u; errors on zero u or v.
 
-    The rank-one part (:func:`_rank_one_part`) is added on the block
+    The rank-one part u_i * w_j * conj(v_j) is added on the block
     supp u x supp v only, where all its nonzero entries lie, to the one copy
     of T's matrix, made in the field of the sum: complex only when the block
-    of the sum, or T outside it, has a nonzero imaginary part.
+    of the sum, or T outside it, has a nonzero imaginary part. The growth is
+    read off the supports (:func:`_rank_one_part`), not off the block.
     """
-    su, sv, block, growth = _rank_one_part(T, u, v)
+    space = T.space
+    u, v = space.check_vec(u), space.check_vec(v)
+    su, sv, growth = _rank_one_part(T, u, v)
     rows = su[:, None]
     A = T.matrix
-    part = A[rows, sv] + block
+    part = A[rows, sv] + np.outer(u[su], space.weight_array[sv] * v[sv].conj())
     complex_sum = bool(part.imag.any()) or (
         A.dtype.kind == "c" and np.count_nonzero(A.imag) > np.count_nonzero(A.imag[rows, sv])
     )
     mat = np.array(A, dtype=complex) if complex_sum else np.array(A.real, order="C")
     mat[rows, sv] = part if complex_sum else part.real
-    return Op(T.space, _Filled(mat), degree_growth=growth)
+    return Op(space, _Filled(mat), degree_growth=growth)
 
 
-def _rank_one_part(T: Op, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """supp u, supp v, the block u_i * w_j * conj(v_j) of u⊗v on
-    supp u x supp v, where all its nonzero entries lie, and the degree growth
-    of T + u⊗v; errors on zero u or v. The growth is the max of T's and the
-    growth scanned off the block, where a product that underflows to zero
-    counts as zero, as in a scan of the whole rank-one matrix; it is None
-    when T's is. The growth of a nonzero entry is its row's degree minus its
-    column's. :func:`perturb` and the window of a perturbation problem both
-    read the growth here, so the two windows are the same."""
-    space = T.space
-    u = space.check_vec(u)
-    v = space.check_vec(v)
+def _rank_one_part(T: Op, u, v) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """supp u and supp v of two arrays, where all the nonzero entries of u⊗v
+    lie, and the degree growth of T + u⊗v, max(T's, max deg(supp u) -
+    min deg(supp v)), None when T's is; errors on zero u or v. Read off the
+    supports, not the products u_i w_j conj(v_j), it bounds the operator
+    itself, whether or not a product underflows to 0. :func:`perturb` and
+    the window of a perturbation problem both read it, so the two windows
+    are the same."""
     su, sv = np.flatnonzero(u), np.flatnonzero(v)
     if not (su.size and sv.size):
         raise ValueError("not rank one: u and v must both be nonzero")
-    block = np.outer(u[su], space.weight_array[sv] * v[sv].conj())
     growth = T.degree_growth
     if growth is not None:
-        degs = space.degrees
-        i, j = _nonzeros(block)
-        growth = max(growth, int(np.max(degs[su[i]] - degs[sv[j]], initial=0)))
-    return su, sv, block, growth
+        degs = T.space.degrees
+        growth = max(growth, int(degs[su].max() - degs[sv].min()))
+    return su, sv, growth
 
 
 # ---------------------------------------------------------------------------

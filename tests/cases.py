@@ -203,12 +203,13 @@ def _dirichlet_z_reversed_labels() -> PerturbationProblem:
 
 
 def _identity_underflow() -> PerturbationProblem:
-    """The identity on Dirichlet N = 8, growth 0, with u = 1e-200 z^5 + z and
-    v = 1e-200 + z^4: the entry u_5 w_0 conj(v_0) of u⊗v underflows to 0, so
-    T + u⊗v grows degree by 1, not by 5, and its window is degree <= 6."""
+    """The identity on Dirichlet N = 8, growth 0, with u = 1e-200 z^3 + z and
+    v = 1e-200 + z^2: the entry u_3 w_0 conj(v_0) of u⊗v underflows to 0, yet
+    T + u⊗v grows degree by 3, read off the supports of u and v, not by the
+    1 of its nonzero entries, and its window is degree <= 2."""
     space = dirichlet_shift(8).space
-    u = 1e-200 * space.basis_vector(5) + space.basis_vector(1)
-    v = 1e-200 * space.basis_vector(0) + space.basis_vector(4)
+    u = 1e-200 * space.basis_vector(3) + space.basis_vector(1)
+    v = 1e-200 * space.basis_vector(0) + space.basis_vector(2)
     return PerturbationProblem(Op(space, np.eye(space.dim), degree_growth=0), u, v)
 
 

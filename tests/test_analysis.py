@@ -669,6 +669,38 @@ def test_verdict_refuses_an_empty_perturbed_window():
         theorem_verdict(problem)
 
 
+def test_perturbed_window_at_max_dim_reads_the_supports_in_little_memory():
+    # Seeded normals times 2^-k, k < 2000, keep about 1,075 nonzeros each:
+    # a scan of the products u_i w_j conj(v_j) built their 1,075^2 block and
+    # its mask and peaked at 40 MiB, only to refuse an empty window. The
+    # growth reads the top degree of u and the lowest of v.
+    base = dirichlet_shift(1999)
+    rng = np.random.default_rng(1999)
+    u, v = (rng.standard_normal(2000) * 2.0 ** -rng.integers(0, 2000, 2000) for _ in "uv")
+    problem = PerturbationProblem(base, u, v)
+    degs = base.space.degrees
+    top, low = degs[problem.u != 0].max(), degs[problem.v != 0].min()
+    assert 1000 < np.count_nonzero(problem.u) and 1000 < np.count_nonzero(problem.v)
+    assert _traced_peak(lambda: problem.window) < 2**20
+    assert problem.window.cutoff == base.space.max_degree - 2 * (top - low)
+    assert not problem.window.idx.size
+
+
+def test_kernel_residual_refuses_its_own_overflow_without_a_warning():
+    # ||u||^2 = 2e320 overflows and so does the update's core M, while the
+    # base's row is finite: the kernel residual's own check raises, with no
+    # RuntimeWarning. A verdict refuses the problem earlier, at the oracle.
+    base = dirichlet_shift(12)
+    problem = PerturbationProblem(base, 1e160 * base.space.monomial((1,)),
+                                  base.space.basis_vector(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the defect overflows"):
+            kernel_condition_residual(problem)
+        with pytest.raises(ValueError, match="^the defect form overflows"):
+            theorem_verdict(problem)
+
+
 # The real cases small enough for rational arithmetic whose defect is finite:
 # both exactly zero and nonzero kernel images occur among them. The last one
 # is 2 M_z on Dirichlet N = 24 at v = 1 + 1e-14 z^10, whose image at z^10 is
@@ -1111,18 +1143,27 @@ def test_perturb_matches_add_of_rank_one_weighted_spread():
         _assert_perturb_matches_add_of_rank_one(problem.base, problem.u, problem.v)
 
 
-def test_perturb_growth_skips_entries_that_underflow():
-    # u_5 w_0 conj(v_0) = 1e-200 * 1e-200 underflows to 0, so column 0 grows
-    # degree by 1 (from u_1), not by 5; the block scan reads the same 1 as
-    # the scan of the whole rank-one matrix.
+def test_perturb_growth_is_read_off_the_supports():
+    # u_5 w_0 conj(v_0) = 1e-200 * 1e-200 underflows to 0, so column 0 of the
+    # rounded u⊗v has no entry in row 5. The growth is read off the supports,
+    # deg 5 - deg 0, a bound on u⊗v itself, not the 1 that the referee's scan
+    # of the rounded entries reads; the matrix is the referee's bit for bit.
     space = make_dirichlet_space(8)
     T = Op(space, np.eye(space.dim), degree_growth=0)
     u = 1e-200 * space.basis_vector(5) + space.basis_vector(1)
     v = 1e-200 * space.basis_vector(0) + space.basis_vector(4)
-    got = _assert_perturb_matches_add_of_rank_one(T, u, v)
+    got = perturb(T, u, v)
+    referee = add(T, rank_one(space, u, v))
+    assert np.array_equal(got.matrix, referee.matrix)
     assert got.matrix[5, 0] == 0 and got.matrix[1, 0] != 0
-    assert got.degree_growth == 1
+    assert (got.degree_growth, referee.degree_growth) == (5, 1)
     assert perturb(Op(space, np.eye(space.dim)), u, v).degree_growth is None
+    # Growth 5 leaves T + u⊗v no label of degree <= 8 - 10: the problem's
+    # window, read off the same supports, is empty and the verdict refuses it.
+    problem = PerturbationProblem(T, u, v)
+    assert problem.window.cutoff == got.window.cutoff == -2
+    with pytest.raises(TruncationError, match="truncation too small: no labels of degree <= -2"):
+        theorem_verdict(problem)
 
 
 def test_perturb_refuses_a_zero_direction():

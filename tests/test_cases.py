@@ -29,15 +29,16 @@ def test_declared_field_branch_and_verdicts_hold(name):
 @pytest.mark.parametrize("name", list(cases.CASES))
 def test_problem_window_is_the_window_of_the_perturbed_operator(name):
     # The problem reads the window of T + u⊗v off the growth without building
-    # the operator; dirichlet-8-identity-underflow pins the rule that a
-    # product u_i w_j conj(v_j) that underflows to 0 grows no degree.
+    # the operator; dirichlet-8-identity-underflow pins the rule that the
+    # growth is read off the supports of u and v: its product u_3 w_0 conj(v_0)
+    # underflows to 0, and a scan of the rounded entries read cutoff 6.
     problem = cases.problem(name)
     window = problem.perturbed().window
     assert problem.window.cutoff == window.cutoff
     assert np.array_equal(problem.window.idx, window.idx)
     assert np.array_equal(problem.window.sqrt_w, window.sqrt_w)
     if name == "dirichlet-8-identity-underflow":
-        assert problem.window.cutoff == 6
+        assert problem.window.cutoff == 2 and problem.window.idx.size == 3
 
 
 def test_perturbed_v_cases_stay_within_round_off():

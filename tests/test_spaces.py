@@ -133,13 +133,14 @@ def test_space_validation():
         WeightedSpace(labels=(), weights=())
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2.5", True],
-                         ids=["nan", "inf", "-inf", "str", "bool"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2.5", True, [2.0]],
+                         ids=["nan", "inf", "-inf", "str", "bool", "ragged"])
 def test_space_refuses_a_non_finite_weight_on_direct_construction(bad):
     # `w <= 0` is False for NaN, and such a space's norm read NaN with a
     # RuntimeWarning; only from_dict checked that weights are finite. A
-    # string or a bool weight was read as the float it spells.
-    for weights in ((bad, 1.0), (1.0, bad)):
+    # string or a bool weight was read as the float it spells. A nested
+    # weight makes the weights ragged, which numpy refuses to read.
+    for weights in ((bad, 1.0), (1.0, bad), [1.0, bad]):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             WeightedSpace(labels=((0,), (1,)), weights=weights)
 
@@ -455,10 +456,10 @@ def test_vec_pairs_round_trip():
     "pairs",
     [1.0, [[1.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0], [2.0]], [["1", "0"]],
      [[float("nan"), 0.0]], [[0.0, float("inf")]], [[None, 0.0]],
-     [[True, 1]], [[1.0, 0.0], [0.5, False]], [[True, False]]],
+     [[True, 1]], [[1.0, 0.0], [0.5, False]], [[True, False]], [[1.0, 2.0], [3.0]]],
 )
 def test_vec_from_pairs_rejects_malformed(pairs):
-    with pytest.raises(ValueError, match="pairs"):
+    with pytest.raises(ValueError, match=r"^expected a list of \[re, im\] pairs of finite numbers$"):
         vec_from_pairs(pairs)
 
 
